@@ -17,6 +17,10 @@ from .lattice import Volume, VolumeFamilySpec, boundary_edges, edges, is_connect
 from .model import Params, TiltScheme
 
 
+# the particle-number sectors that carry the four ground states
+GROUND_SECTORS = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
+
+
 class AnalyticError(ValueError):
     pass
 
@@ -114,25 +118,17 @@ def ground_state_vector(v: Volume, p: Params, which: str,
     """Unit ground vector of the (vac|a|b|ab) sector on a connected volume."""
     if not is_connected(v):
         raise AnalyticError("ground states are only defined on connected volumes")
-    n = len(v)
-    expected = {"vac": (0, 0), "a": (1, 0), "b": (0, 1), "ab": (1, 1)}[which]
-    if (basis.n_a, basis.n_b) != expected:
+    if GROUND_SECTORS.get((basis.n_a, basis.n_b)) != which:
         raise AnalyticError(f"basis sector {basis.n_a, basis.n_b} does not "
                             f"match ground state {which!r}")
-    if which == "vac":
-        return np.ones(1)
     la = p.floats("a")
     lb = p.floats("b")
-    log_amp = np.empty(basis.dim)
-    for i, code in enumerate(basis.states):
-        digs = fock.decode(code, n)
-        e = 0.0
-        for site_idx, dig in enumerate(digs):
-            if dig == fock.A:
-                e += _log_power(la, v.sites[site_idx])
-            elif dig == fock.B:
-                e += _log_power(lb, v.sites[site_idx])
-        log_amp[i] = e
+    # log amplitude contributed by each site, indexed by its digit
+    weights = np.array([(0.0, _log_power(la, x), _log_power(lb, x))
+                        for x in v.sites])
+    log_amp = np.zeros(basis.dim)
+    for w, dig in zip(weights, fock.digits(basis.states, range(len(v)))):
+        log_amp += w[dig]
     log_amp -= log_amp.max()
     vec = np.exp(log_amp)
     return vec / np.linalg.norm(vec)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -120,7 +121,7 @@ def _params(args) -> Params:
 # ---------------------------------------------------------------- cache
 
 def cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get("PVBS_CACHE_DIR")
+    return args.cache_dir or os.environ.get("PVBS_CACHE_DIR")
 
 
 def cache_key(inputs: dict) -> str:
@@ -128,14 +129,20 @@ def cache_key(inputs: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def cache_get(cdir: str | None, key: str):
+def cache_get(cdir: str | None, key: str, fields):
+    """The record cached under key, or None on a miss. An entry that cannot
+    be read, does not parse, or lacks one of `fields` is a miss too, so
+    the caller recomputes it and overwrites the entry."""
     if not cdir:
         return None
-    path = os.path.join(cdir, key + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(os.path.join(cdir, key + ".json")) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    if not isinstance(record, dict) or set(record) != set(fields):
+        return None
+    return record
 
 
 def cache_put(cdir: str | None, key: str, record: dict) -> None:
@@ -261,51 +268,31 @@ def _sweep_point(la_txt: str, lb_txt: str, size: int, dense_cap: int):
 def cmd_sweep(args) -> dict:
     grid_a = [s.strip() for s in args.grid_a.split(",") if s.strip()]
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
     rows = []
     hits = solves = 0
-    tasks = [(la, args.lambda_b, size) for la in grid_a for size in sizes]
-
-    def solve(task):
-        la, lb, size = task
-        return _sweep_point(la, lb, size, args.dense_cap)
-
-    keyed = [(cache_key({"verb": "sweep-point", "lambda_a": la,
-                         "lambda_b": lb, "L": size,
-                         "dense_cap": args.dense_cap}), t)
-             for t in tasks for la, lb, size in [t]]
-    pending = []
-    for key, task in keyed:
-        hit = cache_get(cdir, key)
-        if hit is not None:
-            rows.append(hit)
-            hits += 1
-        else:
-            pending.append((key, task))
-    if pending:
-        if args.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(solve, [t for _, t in pending]))
-        else:
-            results = []
-            for _, task in pending:
+    for la in grid_a:
+        for size in sizes:
+            key = cache_key({"verb": "sweep-point", "lambda_a": la,
+                             "lambda_b": args.lambda_b, "L": size,
+                             "dense_cap": args.dense_cap})
+            row = cache_get(cdir, key, columns)
+            if row is not None:
+                hits += 1
+            else:
                 try:
-                    results.append(solve(task))
+                    row = _sweep_point(la, args.lambda_b, size, args.dense_cap)
                 except BUDGET_ERRORS + VALIDATION_ERRORS as exc:
-                    la, lb, size = task
-                    results.append({"lambda_a": la, "lambda_b": lb,
-                                    "L": size, "gap": None,
-                                    "status": f"failed: {exc}"})
-        for (key, _), row in zip(pending, results):
-            if row["status"] == "ok":
-                cache_put(cdir, key, row)
-                solves += 1
+                    row = {"lambda_a": la, "lambda_b": args.lambda_b,
+                           "L": size, "gap": None, "status": f"failed: {exc}"}
+                else:
+                    cache_put(cdir, key, row)
+                    solves += 1
             rows.append(row)
     rows.sort(key=lambda r: (r["lambda_a"], r["L"]))
     print(f"sweep: {hits} cache hits, {solves} solves", file=sys.stderr)
-    return {"columns": ["lambda_a", "lambda_b", "L", "gap", "status"],
-            "rows": rows}
+    return {"columns": columns, "rows": rows}
 
 
 def cmd_info(_args) -> dict:
@@ -317,12 +304,12 @@ def cmd_info(_args) -> dict:
         "scipy": scipy.__version__,
         "dense_cap": spectra.DENSE_CAP,
         "sector_cap": fock.DEFAULT_SECTOR_CAP,
-        "action_cap_log3": 13,
+        "action_cap_log3": round(math.log(operators.DEFAULT_ACTION_CAP, 3)),
         "gamma_budget": martingale.DEFAULT_GAMMA_BUDGET,
         "eta": model.DEFAULT_ETA,
         "ell_cap": model.DEFAULT_ELL_CAP,
         "kernel_tol_rel": spectra.KERNEL_TOL_REL,
-        "power_iteration_tol": 1e-8,
+        "power_iteration_tol": operators.POWER_TOL,
         "power_iteration_seed": operators.POWER_SEED,
     }
 
@@ -342,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--lambda-b", required=True)
         sp.add_argument("--format", choices=["json", "csv", "table"],
                         default="json")
-        sp.add_argument("--cache-dir", default=None)
 
     sp = sub.add_parser("classify", help="gapped/gapless classification")
     common(sp)
@@ -393,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-b", required=True)
     sp.add_argument("--sizes", required=True)
     sp.add_argument("--dense-cap", type=int, default=spectra.DENSE_CAP)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", choices=["json", "csv", "table"],
                     default="csv")
     sp.add_argument("--cache-dir", default=None)
@@ -423,15 +408,12 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record = verb(args)
-    except VALIDATION_ERRORS as exc:
-        if isinstance(exc, BUDGET_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except VALIDATION_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - start
     emit(record, getattr(args, "format", "json"))
     print(f"{args.verb}: {elapsed:.2f}s", file=sys.stderr)

@@ -1,14 +1,19 @@
 """Fixed-particle-number occupation bases.
 
 Configurations are base-3 integers over the volume's canonical site
-order: digit 0 = empty, 1 = species a, 2 = species b.
+order: digit 0 = empty, 1 = species a, 2 = species b. This module is the
+only one that knows that format: other modules read digits with
+`digits`, build codes with `place`, and look codes up with
+`SectorBasis.positions`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .lattice import Volume
 
@@ -27,7 +32,9 @@ def sector_dimension(n: int, n_a: int, n_b: int) -> int:
 
 
 def encode(symbols) -> int:
-    """Base-3 encoding; symbols[i] is the digit at canonical site i."""
+    """Base-3 encoding; symbols[i] is the digit at canonical site i.
+
+    Scalar reference for the vectorized `place`."""
     code = 0
     for i, s in enumerate(symbols):
         code += s * 3 ** i
@@ -35,6 +42,7 @@ def encode(symbols) -> int:
 
 
 def decode(code: int, n: int) -> tuple[int, ...]:
+    """Scalar reference for the vectorized `digits`."""
     out = []
     for _ in range(n):
         code, r = divmod(code, 3)
@@ -42,41 +50,74 @@ def decode(code: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def digits(codes, positions):
+    """Yield the digit array of `codes` at each site position in turn.
+
+    One position at a time, so no (codes x positions) block is built."""
+    codes = np.asarray(codes, dtype=np.int64)
+    for pos in positions:
+        yield codes // 3 ** pos % 3
+
+
+def place(digit_arrays, positions) -> np.ndarray:
+    """Codes with each digit array at its site position and 0 elsewhere.
+
+    Linear in the digits, so digit differences give code differences."""
+    return sum(np.asarray(d, dtype=np.int64) * 3 ** pos
+               for d, pos in zip(digit_arrays, positions))
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     volume: Volume
     n_a: int
     n_b: int
-    states: tuple[int, ...]  # sorted base-3 codes
-    index: dict  # code -> position
+    states: np.ndarray  # sorted, read-only int64 base-3 codes
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
+    def positions(self, codes) -> np.ndarray:
+        """Basis positions of `codes`; FockError if one is not a state."""
+        codes = np.asarray(codes, dtype=np.int64)
+        pos = np.searchsorted(self.states, codes)
+        found = self.states[np.minimum(pos, self.dim - 1)] == codes
+        if not found.all():
+            raise FockError(f"configuration {codes[~found].flat[0]} not in "
+                            f"sector ({self.n_a}, {self.n_b})")
+        return pos
+
     def index_of(self, code: int) -> int:
-        try:
-            return self.index[code]
-        except KeyError:
-            raise FockError(f"configuration {code} not in sector "
-                            f"({self.n_a}, {self.n_b})") from None
+        return int(self.positions(code))
+
+
+def _combinations(n: int, k: int) -> np.ndarray:
+    """All k-subsets of range(n) as rows, in lexicographic order."""
+    count = math.comb(n, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                       dtype=np.int64, count=count * k)
+    return flat.reshape(count, k)
 
 
 def enumerate_sector(v: Volume, n_a: int, n_b: int,
                      cap: int = DEFAULT_SECTOR_CAP) -> SectorBasis:
-    """Complete sorted basis of the (n_a, n_b) particle sector on v."""
+    """Complete sorted basis of the (n_a, n_b) particle sector on v.
+
+    Each state is a set of occupied sites times a choice of which of them
+    hold species b."""
     n = len(v)
     dim = sector_dimension(n, n_a, n_b)
+    if 3 ** n - 1 > np.iinfo(np.int64).max:
+        raise FockError(f"base-3 codes of {n} sites overflow int64 "
+                        f"(at most 39 sites)")
     if dim > cap:
         raise FockError(
             f"sector ({n_a}, {n_b}) on {n} sites has dimension {dim} > cap {cap}")
-    pow3 = [3 ** i for i in range(n)]
-    codes = []
-    for a_sites in combinations(range(n), n_a):
-        rest = [i for i in range(n) if i not in a_sites]
-        base = sum(pow3[i] for i in a_sites)
-        for b_sites in combinations(rest, n_b):
-            codes.append(base + 2 * sum(pow3[i] for i in b_sites))
-    codes.sort()
-    return SectorBasis(v, n_a, n_b, tuple(codes),
-                       {c: i for i, c in enumerate(codes)})
+    k = n_a + n_b
+    occupied = _combinations(n, k)
+    pattern = np.full((math.comb(k, n_b), k), A, dtype=np.int64)
+    np.put_along_axis(pattern, _combinations(k, n_b), B, axis=1)
+    states = np.sort(3 ** occupied @ pattern.T, axis=None)
+    states.setflags(write=False)
+    return SectorBasis(v, n_a, n_b, states)

@@ -58,10 +58,6 @@ class Volume:
     def __contains__(self, site: Site) -> bool:
         return site in self._site_set
 
-    def index(self, site: Site) -> int:
-        # sites are sorted, but a dict is O(1); volumes are small
-        return self.sites.index(site)
-
     def issubset(self, other: "Volume") -> bool:
         return self._site_set <= other._site_set
 

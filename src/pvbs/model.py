@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-MAX_DIM = 4
+from .lattice import MAX_DIM
+
 DEFAULT_ETA = 0.05
 V_MAX = 8
 DEFAULT_ELL_CAP = 64

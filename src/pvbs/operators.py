@@ -20,6 +20,7 @@ from .model import Params
 
 DEFAULT_ACTION_CAP = 3 ** 13
 POWER_SEED = 0x5EED
+POWER_TOL = 1e-8
 
 
 class OperatorError(ValueError):
@@ -62,46 +63,36 @@ def edge_kernel_vectors(lam_a: float, lam_b: float) -> np.ndarray:
     return out
 
 
-def _block_columns(h: np.ndarray):
-    """Per-column sparse structure of a 9x9 block: (rows, values) lists."""
-    cols = []
-    for c in range(9):
-        rows = np.nonzero(np.abs(h[:, c]) > 0.0)[0]
-        cols.append((rows, h[rows, c]))
-    return cols
-
-
 def assemble_sector_hamiltonian(v: Volume, p: Params,
                                 basis: fock.SectorBasis) -> sp.csr_matrix:
-    """H^v restricted to the particle-number sector of `basis`."""
+    """H^v restricted to the particle-number sector of `basis`.
+
+    Entries are listed edge by edge, then by column state, then by block
+    row, so duplicates are summed in the same order on every run."""
     if basis.volume is not v and basis.volume != v:
         raise OperatorError("basis was not built on this volume")
-    n = len(v)
     la = p.floats("a")
     lb = p.floats("b")
-    blocks = {j: _block_columns(edge_projection_block(la[j], lb[j]))
-              for j in range(v.dim)}
+    blocks = [edge_projection_block(la[j], lb[j]) for j in range(v.dim)]
     site_pos = {s: i for i, s in enumerate(v.sites)}
-    pow3 = [3 ** i for i in range(n)]
 
     rows, cols, vals = [], [], []
     for e in edges(v):
-        i_base = site_pos[e.base]
-        i_head = site_pos[e.head]
-        col_struct = blocks[e.direction]
-        for ci, code in enumerate(basis.states):
-            dx = (code // pow3[i_base]) % 3
-            dy = (code // pow3[i_head]) % 3
-            pair = 3 * dx + dy
-            qs, hvals = col_struct[pair]
-            for q, hv in zip(qs, hvals):
-                qx, qy = divmod(int(q), 3)
-                new = code + (qx - dx) * pow3[i_base] + (qy - dy) * pow3[i_head]
-                rows.append(basis.index_of(new))
-                cols.append(ci)
-                vals.append(hv)
+        h = blocks[e.direction]
+        ends = (site_pos[e.base], site_pos[e.head])
+        dx, dy = fock.digits(basis.states, ends)
+        pair = 3 * dx + dy
+        col, q = np.nonzero((h != 0.0).T[pair])
+        shift = fock.place((q // 3 - dx[col], q % 3 - dy[col]), ends)
+        rows.append(basis.positions(basis.states[col] + shift))
+        cols.append(col)
+        vals.append(h[q, pair[col]])
     dim = basis.dim
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    if not vals:
+        return sp.csr_matrix((dim, dim))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(dim, dim))
 
 
 @dataclass
@@ -120,11 +111,10 @@ def _ground_sectors(inner: Volume, p: Params):
     """(indices, amplitudes) of the four analytic ground vectors on inner,
     indexed by base-3 codes over inner's canonical site order."""
     out = []
-    for which, (na, nb) in (("vac", (0, 0)), ("a", (1, 0)),
-                            ("b", (0, 1)), ("ab", (1, 1))):
+    for (na, nb), which in analytic.GROUND_SECTORS.items():
         basis = fock.enumerate_sector(inner, na, nb)
         amp = analytic.ground_state_vector(inner, p, which, basis)
-        out.append((np.asarray(basis.states, dtype=np.int64), amp))
+        out.append((basis.states, amp))
     return out
 
 
@@ -143,17 +133,12 @@ def ground_projector_action(inner: Volume, p: Params, ambient: Volume,
     inner_set = set(inner.sites)
     inner_pos = [i for i, s in enumerate(ambient.sites) if s in inner_set]
     ext_pos = [i for i, s in enumerate(ambient.sites) if s not in inner_set]
-    k = len(inner_pos)
-    dim_in, dim_ext = 3 ** k, 3 ** len(ext_pos)
+    dim_in, dim_ext = 3 ** len(inner_pos), 3 ** len(ext_pos)
 
-    idx = np.arange(dim, dtype=np.int64)
-    inner_code = np.zeros(dim, dtype=np.int64)
-    for a, pos in enumerate(inner_pos):
-        inner_code += ((idx // 3 ** pos) % 3) * 3 ** a
-    ext_code = np.zeros(dim, dtype=np.int64)
-    for a, pos in enumerate(ext_pos):
-        ext_code += ((idx // 3 ** pos) % 3) * 3 ** a
-    perm = inner_code * dim_ext + ext_code
+    # codes over the sites reordered exterior first: the high digits are
+    # the inner configuration, the row of the (dim_in, dim_ext) view below
+    perm = fock.place(fock.digits(np.arange(dim), ext_pos + inner_pos),
+                      range(n_amb))
     sectors = _ground_sectors(inner, p)
 
     def apply(vec: np.ndarray) -> np.ndarray:
@@ -187,7 +172,7 @@ def en_projector_action(inner: Volume, outer: Volume, p: Params,
 
 
 def operator_norm_of_product(a: LinearOperatorAction, b: LinearOperatorAction,
-                             tol: float = 1e-8, seed: int = POWER_SEED,
+                             tol: float = POWER_TOL, seed: int = POWER_SEED,
                              max_iter: int = 5000) -> float:
     """Largest singular value of a . b via power iteration on b.a.b.
 
@@ -228,10 +213,3 @@ def materialize(action: LinearOperatorAction) -> np.ndarray:
         basis_vec[i] = 0.0
     return out
 
-
-def dump_coordinates(op: sp.spmatrix) -> str:
-    """Text dump of the operator in (row, col, value) coordinate format."""
-    coo = op.tocoo()
-    lines = [f"{r} {c} {v:.17g}" for r, c, v in
-             sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1]))]
-    return "\n".join(lines)

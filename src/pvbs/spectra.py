@@ -19,7 +19,6 @@ from .model import Params
 
 DENSE_CAP = 4096
 KERNEL_TOL_REL = 1e-8
-GROUND_SECTORS = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
 
 
 class SpectraError(ValueError):
@@ -159,7 +158,7 @@ def total_gap(v: Volume, p: Params, dense_cap: int = DENSE_CAP,
                 continue
             basis = fock.enumerate_sector(v, n_a, n_b)
             h = operators.assemble_sector_hamiltonian(v, p, basis)
-            which = GROUND_SECTORS.get((n_a, n_b))
+            which = analytic.GROUND_SECTORS.get((n_a, n_b))
             if which is not None:
                 psi = analytic.ground_state_vector(v, p, which, basis)
                 resid = np.linalg.norm(h @ psi)

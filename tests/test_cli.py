@@ -115,6 +115,31 @@ def test_sweep_with_cache(capsys, tmp_path):
     assert out2 == out
     assert "6 cache hits, 0 solves" in err2
     assert len(os.listdir(cdir)) == 6
+    # an unreadable entry is a miss: re-solved, overwritten, same output
+    entry = os.path.join(cdir, sorted(os.listdir(cdir))[0])
+    for damage in (lambda text: text[:len(text) // 2], lambda text: '{"x":1}'):
+        with open(entry) as fh:
+            text = fh.read()
+        with open(entry, "w") as fh:
+            fh.write(damage(text))
+        code3, out3, err3 = run_cli(capsys, *args)
+        assert code3 == 0
+        assert out3 == out
+        assert "5 cache hits, 1 solves" in err3
+        with open(entry) as fh:
+            assert fh.read() == text
+
+
+def test_sweep_failed_point_is_a_row(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "0,2",
+                           "--lambda-b", "2", "--sizes", "3",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["lambda_a"] for r in rows] == ["0", "2"]
+    assert rows[0]["gap"] is None
+    assert rows[0]["status"].startswith("failed: ")
+    assert rows[1]["status"] == "ok"
 
 
 def test_sweep_env_cache(capsys, tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import fock
+from pvbs import cli, fock
 from pvbs.lattice import build_box
 
 
@@ -45,6 +46,43 @@ def test_index_of_rejects_wrong_sector():
     b = fock.enumerate_sector(v, 1, 0)
     with pytest.raises(fock.FockError):
         b.index_of(fock.encode((2, 0, 0)))
+    # past the last state, where a sorted search runs off the end
+    with pytest.raises(fock.FockError):
+        b.index_of(b.states[-1] + 1)
+    with pytest.raises(fock.FockError):
+        b.positions([b.states[0], 3 ** 3])
+
+
+def test_enumerate_sector_matches_brute_force_filter():
+    v = build_box((3, 3))
+    by_counts = {}
+    for code in range(3 ** 9):
+        digits = fock.decode(code, 9)
+        by_counts.setdefault((digits.count(1), digits.count(2)), []).append(code)
+    for na in range(10):
+        for nb in range(10 - na):
+            b = fock.enumerate_sector(v, na, nb)
+            assert b.states.dtype == np.int64
+            assert not b.states.flags.writeable
+            assert b.states.tolist() == by_counts[(na, nb)], (na, nb)
+
+
+def test_digit_kernel_matches_scalar_reference():
+    codes = np.array([0, 5, 3 ** 7 - 1, fock.encode((2, 0, 1, 1, 0, 2, 1))])
+    cols = list(fock.digits(codes, range(7)))
+    for i, code in enumerate(codes):
+        assert tuple(int(c[i]) for c in cols) == fock.decode(int(code), 7)
+    assert fock.place(cols, range(7)).tolist() == codes.tolist()
+
+
+def test_code_overflow_limit():
+    # 39 sites is the largest volume whose codes fit in int64
+    b = fock.enumerate_sector(build_box((39,)), 0, 39)
+    assert b.states.tolist() == [3 ** 39 - 1]
+    with pytest.raises(fock.FockError):
+        fock.enumerate_sector(build_box((40,)), 0, 0)
+    assert cli.main(["gap", "--volume", "box:40", "--lambda-a", "2",
+                     "--lambda-b", "0.5"]) == 2
 
 
 def test_sector_cap():

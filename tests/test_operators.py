@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbs import fock, operators
-from pvbs.lattice import build_box
+from pvbs.lattice import build_box, edges
 from pvbs.model import Params
 
 P_CHAIN = Params(("2",), ("1/2",))
@@ -39,34 +39,41 @@ def test_sector_hamiltonian_two_sites():
 
 
 def test_sector_hamiltonian_matches_full_tensor_build():
-    # reference: kron-assemble the full 3^n Hamiltonian and slice the sector
-    v = build_box((3,))
-    n = 3
-    block = operators.edge_projection_block(2.0, 0.5)
-    full = sum(_expand_pair(block, n, left) for left in range(2))
-    for na in range(n + 1):
-        for nb in range(n + 1 - na):
-            b = fock.enumerate_sector(v, na, nb)
-            h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b).toarray()
-            ref = full[np.ix_(b.states, b.states)]
-            assert np.max(np.abs(h - ref)) < 1e-13, (na, nb)
+    # reference: kron-assemble the full 3^n Hamiltonian and slice the sector;
+    # the 2D boxes take different weights per direction
+    for dims, lam_a, lam_b in [((3,), ("2",), ("1/2",)),
+                               ((2, 2), ("2", "3"), ("1/2", "1/3")),
+                               ((2, 3), ("5/2", "1/3"), ("2/3", "7"))]:
+        v = build_box(dims)
+        p = Params(lam_a, lam_b)
+        n = len(v)
+        la, lb = p.floats("a"), p.floats("b")
+        full = sum(_expand_pair(
+            operators.edge_projection_block(la[e.direction], lb[e.direction]),
+            n, v.sites.index(e.base), v.sites.index(e.head)) for e in edges(v))
+        for na in range(n + 1):
+            for nb in range(n + 1 - na):
+                b = fock.enumerate_sector(v, na, nb)
+                h = operators.assemble_sector_hamiltonian(v, p, b).toarray()
+                ref = full[np.ix_(b.states, b.states)]
+                assert np.max(np.abs(h - ref)) < 1e-13, (dims, na, nb)
 
 
-def _expand_pair(block, n, left):
-    """Embed a 9x9 pair operator acting on sites (left, left+1) of an
-    n-site chain, in base-3 little-endian index convention."""
+def _expand_pair(block, n, left, right):
+    """Embed a 9x9 pair operator acting on sites (left, right) of an
+    n-site volume, in base-3 little-endian index convention."""
     dim = 3 ** n
     out = np.zeros((dim, dim))
     for col in range(dim):
         digits = fock.decode(col, n)
-        pair = 3 * digits[left] + digits[left + 1]
+        pair = 3 * digits[left] + digits[right]
         for q in range(9):
             val = block[q, pair]
             if val == 0.0:
                 continue
             qx, qy = divmod(q, 3)
             new = list(digits)
-            new[left], new[left + 1] = qx, qy
+            new[left], new[right] = qx, qy
             out[fock.encode(new), col] += val
     return out
 
@@ -98,8 +105,8 @@ def test_ground_projector_full_volume():
     g = operators.materialize(act)
     assert np.trace(g) == pytest.approx(4.0, abs=1e-10)
     # G annihilates H rowspace: H G = 0 for the frustration-free model
-    full = sum(_expand_pair(operators.edge_projection_block(2.0, 0.5), 3, l)
-               for l in range(2))
+    full = sum(_expand_pair(operators.edge_projection_block(2.0, 0.5), 3,
+                            l, l + 1) for l in range(2))
     assert np.max(np.abs(full @ g)) < 1e-12
 
 

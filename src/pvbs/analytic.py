@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fock
 from .lattice import Volume, VolumeFamilySpec, boundary_edges, edges, is_connected
-from .model import Params, TiltScheme
+from .model import Params, TiltScheme, c_tilde
 
 
 # the particle-number sectors that carry the four ground states
@@ -181,15 +181,10 @@ class BoundReport:
                 "pass": self.passed, "slack": self.slack}
 
 
-def _family(t: TiltScheme, extents, sweep: int, n: int, m: int = 0) -> VolumeFamilySpec:
-    return VolumeFamilySpec(t, tuple(extents), sweep, n, m)
-
-
 def check_product_bounds(t: TiltScheme, spec: VolumeFamilySpec) -> list[BoundReport]:
     """C(ab) <= C(a)C(b) <= c~ C(ab) on the given slab."""
     if spec.upper_cut - spec.lower_cut < 2:
         raise AnalyticError("product bounds need slab length >= 2")
-    from .model import c_tilde
     ns = normalization_closed_form(t, spec)
     ct = c_tilde(t)
     return [
@@ -233,7 +228,8 @@ def check_ratio_bounds(t: TiltScheme, extents, j: int, n: int,
         alog = abs(math.log(lam))
 
         def c(hi, lo=0):
-            return normalization_closed_form(t, _family(t, extents, j, hi, lo)).c(s)
+            spec = VolumeFamilySpec(t, tuple(extents), j, hi, lo)
+            return normalization_closed_form(t, spec).c(s)
 
         decay = math.exp(-2.0 * (ell - 1) * alog)
         if lam > 1:
@@ -259,6 +255,5 @@ def lemma1_bound(t: TiltScheme, ell: int, j: int) -> float:
     mlog = t.min_log_direction(j)
     if not (ell - 2) * mlog > 1.0:
         raise AnalyticError("projection bound needs (ell-2) min|log| > 1")
-    from .model import c_tilde
     ct = c_tilde(t)
     return math.sqrt(60.0 * ell) * ct ** 1.5 * math.exp(-(ell - 2) * mlog)

@@ -14,19 +14,24 @@ import hashlib
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 import time
 from fractions import Fraction
 
+import numpy
+import scipy
+import scipy.sparse.linalg as spla
+
 from . import __version__, analytic, fock, martingale, model, operators, spectra
-from .lattice import (LatticeError, Volume, build_box, build_tilted_case1,
-                      build_tilted_case2)
+from .lattice import (LatticeError, Volume, VolumeFamilySpec, build_box,
+                      build_tilted_case1, build_tilted_case2)
 from .model import ModelError, Params
 
 VALIDATION_ERRORS = (ModelError, LatticeError, fock.FockError, ValueError)
 BUDGET_ERRORS = (operators.OperatorError, spectra.SpectraError,
-                 martingale.MartingaleError)
+                 martingale.MartingaleError, spla.ArpackError)
 
 
 # ---------------------------------------------------------------- output
@@ -185,8 +190,7 @@ def cmd_gap(args) -> dict:
     if vol.dim != p.dim:
         raise ModelError(
             f"volume dimension {vol.dim} != parameter dimension {p.dim}")
-    rep = spectra.total_gap(vol, p, dense_cap=args.dense_cap,
-                            sector_cap=args.budget)
+    rep = spectra.total_gap(vol, p, sector_cap=args.budget)
     out = rep.to_json()
     out["volume"] = args.volume
     out["sites"] = len(vol)
@@ -212,7 +216,6 @@ def cmd_certify(args) -> dict:
 def cmd_verify_lemmas(args) -> dict:
     p = _params(args)
     t = model.select_tilt(p, eta=args.eta)
-    import random
     rng = random.Random(args.seed)
     reports = []
     for _ in range(args.trials):
@@ -220,7 +223,7 @@ def cmd_verify_lemmas(args) -> dict:
         ell = rng.randint(3, 8)
         n = rng.randint(ell, ell + 6)
         extents = tuple(rng.randint(2, 6) for _ in range(t.dim))
-        fam = analytic._family(t, extents, j, n, n - ell)
+        fam = VolumeFamilySpec(t, extents, j, n, n - ell)
         reports.extend(check.to_json() for check in
                        analytic.check_product_bounds(t, fam))
         loga = t.log_tilde("a")[j]
@@ -257,10 +260,10 @@ def cmd_scaling(args) -> dict:
             "rows": [pt.to_json() for pt in pts]}
 
 
-def _sweep_point(la_txt: str, lb_txt: str, size: int, dense_cap: int):
+def _sweep_point(la_txt: str, lb_txt: str, size: int):
     p = Params(parse_lambda(la_txt), parse_lambda(lb_txt))
     vol = build_box((size,) * p.dim)
-    rep = spectra.total_gap(vol, p, dense_cap=dense_cap)
+    rep = spectra.total_gap(vol, p)
     return {"lambda_a": la_txt, "lambda_b": lb_txt, "L": size,
             "gap": rep.gap, "status": "ok"}
 
@@ -275,14 +278,13 @@ def cmd_sweep(args) -> dict:
     for la in grid_a:
         for size in sizes:
             key = cache_key({"verb": "sweep-point", "lambda_a": la,
-                             "lambda_b": args.lambda_b, "L": size,
-                             "dense_cap": args.dense_cap})
+                             "lambda_b": args.lambda_b, "L": size})
             row = cache_get(cdir, key, columns)
             if row is not None:
                 hits += 1
             else:
                 try:
-                    row = _sweep_point(la, args.lambda_b, size, args.dense_cap)
+                    row = _sweep_point(la, args.lambda_b, size)
                 except BUDGET_ERRORS + VALIDATION_ERRORS as exc:
                     row = {"lambda_a": la, "lambda_b": args.lambda_b,
                            "L": size, "gap": None, "status": f"failed: {exc}"}
@@ -296,8 +298,6 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_info(_args) -> dict:
-    import numpy
-    import scipy
     return {
         "version": __version__,
         "numpy": numpy.__version__,
@@ -309,8 +309,8 @@ def cmd_info(_args) -> dict:
         "eta": model.DEFAULT_ETA,
         "ell_cap": model.DEFAULT_ELL_CAP,
         "kernel_tol_rel": spectra.KERNEL_TOL_REL,
-        "power_iteration_tol": operators.POWER_TOL,
-        "power_iteration_seed": operators.POWER_SEED,
+        "lanczos_seed": operators.LANCZOS_SEED,
+        "lanczos_ncv": operators.LANCZOS_NCV,
     }
 
 
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--volume", required=True,
                     help="box:2x3 | case1:v@LxL | case2:v@LxL")
-    sp.add_argument("--dense-cap", type=int, default=spectra.DENSE_CAP)
     sp.add_argument("--budget", type=int, default=fock.DEFAULT_SECTOR_CAP)
 
     sp = sub.add_parser("certify", help="martingale-method gap certificate")
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated lambda_a values")
     sp.add_argument("--lambda-b", required=True)
     sp.add_argument("--sizes", required=True)
-    sp.add_argument("--dense-cap", type=int, default=spectra.DENSE_CAP)
     sp.add_argument("--format", choices=["json", "csv", "table"],
                     default="csv")
     sp.add_argument("--cache-dir", default=None)

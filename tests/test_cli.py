@@ -1,9 +1,11 @@
+import functools
 import json
 import os
 
 import pytest
+import scipy.sparse.linalg as spla
 
-from pvbs import cli
+from pvbs import cli, spectra
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +49,41 @@ def test_gap_dimension_mismatch(capsys):
     code, _, _ = run_cli(capsys, "gap", "--volume", "box:2x2",
                          "--lambda-a", "2", "--lambda-b", "0.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:1"),
+    ("scaling", "--lambda-a", "2", "--lambda-b", "1/2", "--sizes", "2,3"),
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "0,2"),
+])
+def test_invalid_input_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_eigensolver_failure(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code, out, err = run_cli(capsys, "verify-projection", "--lambda-a", "10",
+                             "--lambda-b", "0.1", "--n", "4", "--ell", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ARPACK error -1: no convergence")
+    # sweep sectors are small enough for the dense path; a zero dense cap
+    # sends them to Lanczos
+    monkeypatch.setattr(spectra, "lowest_eigenvalues", functools.partial(
+        spectra.lowest_eigenvalues, dense_cap=0))
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
+                           "--lambda-b", "2", "--sizes", "3",
+                           "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["gap"] is None
+    assert row["status"] == "failed: ARPACK error -1: no convergence"
 
 
 def test_certify_d1(capsys):
@@ -165,7 +202,9 @@ def test_info(capsys):
     assert code == 0
     assert rec["dense_cap"] == 4096
     assert rec["eta"] == 0.05
-    assert rec["power_iteration_tol"] == 1e-8
+    assert rec["lanczos_seed"] == 0x5EED
+    assert rec["lanczos_ncv"] == 8
+    assert "power_iteration_tol" not in rec
 
 
 def test_parse_volume():

@@ -131,7 +131,7 @@ def test_operator_norm_matches_dense_svd():
     got = operators.operator_norm_of_product(g, e)
     ref = np.linalg.norm(
         operators.materialize(g) @ operators.materialize(e), 2)
-    assert got == pytest.approx(ref, abs=1e-8)
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_operator_norm_zero_product():

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvbs import fock, operators, spectra
-from pvbs.lattice import build_box, build_tilted_case1
+from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
 
 P_CHAIN = Params(("2",), ("1/2",))
@@ -12,7 +16,7 @@ def test_dense_eigenvalues_sorted():
     v = build_box((3,))
     b = fock.enumerate_sector(v, 1, 0)
     h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
-    vals = spectra.dense_eigenvalues(h)
+    vals = spectra.lowest_eigenvalues(h, k=h.shape[0])
     assert list(vals) == sorted(vals)
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -89,8 +93,8 @@ def test_total_gap_sector_cap_marks_partial():
 
 
 def test_total_gap_rejects_disconnected():
-    from pvbs.lattice import Volume
-    with pytest.raises(spectra.SpectraError):
+    from pvbs.lattice import LatticeError, Volume
+    with pytest.raises(LatticeError):
         spectra.total_gap(Volume(1, ((0,), (2,))), P_CHAIN)
 
 
@@ -102,5 +106,37 @@ def test_gapless_scaling_flat_species():
 
 
 def test_gapless_scaling_needs_flat_species():
-    with pytest.raises(spectra.SpectraError):
+    from pvbs.model import ModelError
+    with pytest.raises(ModelError):
         spectra.gapless_scaling(P_CHAIN, [2, 3])
+
+
+@st.composite
+def volumes_and_params(draw):
+    """A connected volume of 2 to 6 sites grown one neighbour at a time,
+    with rational parameters in [1/5, 5]."""
+    d = draw(st.integers(1, 2))
+    sites = [(0,) * d]
+    for _ in range(draw(st.integers(1, 5))):
+        free = sorted({s[:j] + (s[j] + step,) + s[j + 1:]
+                       for s in sites for j in range(d)
+                       for step in (1, -1)} - set(sites))
+        sites.append(draw(st.sampled_from(free)))
+    lam = st.lists(st.fractions(Fraction(1, 5), 5, max_denominator=5),
+                   min_size=d, max_size=d).map(tuple)
+    return Volume(d, tuple(sites)), Params(draw(lam), draw(lam))
+
+
+@given(volumes_and_params())
+@settings(max_examples=40, deadline=None)
+def test_norm_bound_and_kernel_on_random_volumes(case):
+    v, p = case
+    n = len(v)
+    for na in range(n + 1):
+        for nb in range(n + 1 - na):
+            b = fock.enumerate_sector(v, na, nb)
+            h = operators.assemble_sector_hamiltonian(v, p, b)
+            top = np.linalg.eigvalsh(h.toarray())[-1]
+            # slack for the rounding of the dense eigensolve
+            assert top <= spectra.hamiltonian_norm(h) * (1 + 1e-12)
+    assert spectra.total_gap(v, p).kernel_total == 4

@@ -265,7 +265,7 @@ def _sweep_point(la_txt: str, lb_txt: str, size: int):
     vol = build_box((size,) * p.dim)
     rep = spectra.total_gap(vol, p)
     return {"lambda_a": la_txt, "lambda_b": lb_txt, "L": size,
-            "gap": rep.gap, "status": "ok"}
+            "gap": rep.gap, "status": "partial" if rep.partial else "ok"}
 
 
 def cmd_sweep(args) -> dict:

@@ -35,6 +35,31 @@ def test_gap_box(capsys):
     rec = json.loads(out)
     assert rec["kernel_total"] == 4
     assert rec["gap"] > 0
+    assert not rec["partial"]
+    assert "gap_upper_bound" not in rec
+
+
+def test_gap_partial_is_upper_bound(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "gap", "--volume", "box:6", "--lambda-a",
+                           "2", "--lambda-b", "1/2", "--budget", "10")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["partial"] is True
+    assert rec["kernel_total"] == 3
+    assert rec["gap"] is None
+    solved = [s["lowest_excited"] for s in rec["sectors"]
+              if s["lowest_excited"] is not None]
+    assert rec["gap_upper_bound"] == min(solved)
+    # a sweep point whose report is partial is labelled so
+    monkeypatch.setattr(spectra, "total_gap", functools.partial(
+        spectra.total_gap, sector_cap=10))
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
+                           "--lambda-b", "1/2", "--sizes", "6",
+                           "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["status"] == "partial"
+    assert row["gap"] == rec["gap_upper_bound"]
 
 
 def test_gap_deterministic_bytes(capsys):
@@ -84,6 +109,23 @@ def test_eigensolver_failure(capsys, monkeypatch):
     [row] = json.loads(out)["rows"]
     assert row["gap"] is None
     assert row["status"] == "failed: ARPACK error -1: no convergence"
+
+
+def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_eigsh):
+    monkeypatch.setattr(spectra, "lowest_eigenvalues", functools.partial(
+        spectra.lowest_eigenvalues, dense_cap=0))
+    code, out, err = run_cli(capsys, "gap", "--volume", "box:4",
+                             "--lambda-a", "2", "--lambda-b", "1/2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Lanczos eigenpair residual")
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
+                           "--lambda-b", "2", "--sizes", "3",
+                           "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["gap"] is None
+    assert row["status"].startswith("failed: Lanczos eigenpair residual")
 
 
 def test_certify_d1(capsys):
@@ -200,7 +242,7 @@ def test_info(capsys):
     code, out, _ = run_cli(capsys, "info")
     rec = json.loads(out)
     assert code == 0
-    assert rec["dense_cap"] == 4096
+    assert rec["dense_cap"] == 200
     assert rec["eta"] == 0.05
     assert rec["lanczos_seed"] == 0x5EED
     assert rec["lanczos_ncv"] == 8

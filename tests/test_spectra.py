@@ -1,11 +1,13 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import fock, operators, spectra
+from pvbs import analytic, fock, operators, spectra
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
 
@@ -22,16 +24,71 @@ def test_dense_eigenvalues_sorted():
 
 
 def test_lowest_eigenvalues_dense_vs_lanczos():
+    # one sector just below DENSE_CAP (dense by default) and one just
+    # above it (Lanczos by default), each solved by both branches
+    assert 168 <= spectra.DENSE_CAP < 210
+    for n, n_a, n_b, dim in ((8, 1, 2, 168), (7, 2, 2, 210)):
+        v = build_box((n,))
+        b = fock.enumerate_sector(v, n_a, n_b)
+        h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
+        assert h.shape[0] == dim
+        dense = spectra.lowest_eigenvalues(h, k=3, dense_cap=dim)
+        lanczos = spectra.lowest_eigenvalues(h, k=3, dense_cap=0)
+        default = spectra.lowest_eigenvalues(h, k=3)
+        assert np.allclose(lanczos, dense, rtol=1e-10, atol=0)
+        assert list(default) == list(
+            dense if dim <= spectra.DENSE_CAP else lanczos)
+
+
+def test_lanczos_residual_check(perturbed_eigsh):
     v = build_box((7,))
-    b = fock.enumerate_sector(v, 2, 2)  # dim 630
+    b = fock.enumerate_sector(v, 2, 2)
     h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
-    dense = spectra.lowest_eigenvalues(h, k=3, dense_cap=10_000)
-    lanczos = spectra.lowest_eigenvalues(h, k=3, dense_cap=100)
-    assert np.max(np.abs(dense - lanczos)) < 1e-8
+    b1 = fock.enumerate_sector(v, 1, 0)
+    h1 = operators.assemble_sector_hamiltonian(v, P_CHAIN, b1)
+    psi = analytic.ground_state_vector(v, P_CHAIN, "a", b1)
+    with pytest.raises(spectra.SpectraError, match="residual"):
+        spectra.lowest_eigenvalues(h, k=2, dense_cap=0)
+    # the residual is taken against the deflated operator
+    with pytest.raises(spectra.SpectraError, match="residual"):
+        spectra.lowest_eigenvalues(h1, k=1, deflate=psi[:, None], dense_cap=0)
+
+
+def test_total_gap_lanczos_matches_dense(monkeypatch):
+    """Every sector solved by Lanczos (deflated where it bears a ground
+    state) matches the default run, whose sectors here are all dense."""
+    p2 = Params(("2", "3"), ("1/2", "1/3"))
+    cases = ((build_box((6,)), P_CHAIN), (build_box((2, 3)), p2),
+             (build_tilted_case1((1,), (3, 2)), p2))
+    real = spla.eigsh
+    deflated = []
+
+    def eigsh(a, *args, **kwargs):
+        deflated.append(isinstance(a, spla.LinearOperator))
+        return real(a, *args, **kwargs)
+
+    for v, p in cases:
+        default = spectra.total_gap(v, p)
+        deflated.clear()
+        with monkeypatch.context() as m:
+            m.setattr(spla, "eigsh", eigsh)
+            m.setattr(spectra, "lowest_eigenvalues", functools.partial(
+                spectra.lowest_eigenvalues, dense_cap=0))
+            lanczos = spectra.total_gap(v, p)
+        # the ground sectors (1,0), (0,1) and (1,1) of 6 sites went to
+        # Lanczos on the matrix-free deflated operator
+        assert sum(deflated) == 3
+        assert lanczos.kernel_total == default.kernel_total == 4
+        for s, t in zip(default.sectors, lanczos.sectors):
+            assert (s.n_a, s.n_b, s.kernel) == (t.n_a, t.n_b, t.kernel)
+            if s.lowest_excited is None:
+                assert t.lowest_excited is None
+            else:
+                assert t.lowest_excited == pytest.approx(s.lowest_excited,
+                                                         rel=1e-10)
 
 
 def test_deflation_removes_ground_vector():
-    from pvbs import analytic
     v = build_box((5,))
     b = fock.enumerate_sector(v, 1, 0)
     h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)

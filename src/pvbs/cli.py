@@ -214,6 +214,8 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_verify_lemmas(args) -> dict:
+    if args.trials < 1:
+        raise ModelError(f"--trials must be at least 1, got {args.trials}")
     p = _params(args)
     t = model.select_tilt(p, eta=args.eta)
     rng = random.Random(args.seed)

@@ -38,12 +38,22 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
             f = Fraction(v)
         elif isinstance(v, str):
             f = Fraction(v)
-        elif isinstance(v, float):
+        elif isinstance(v, float) and math.isfinite(v):
             f = Fraction(v).limit_denominator(10**12)
         else:
             raise ModelError(f"cannot parse parameter {v!r}")
         if f <= 0:
             raise ModelError(f"parameters must be strictly positive, got {v}")
+        try:
+            x = float(f)
+        except OverflowError:
+            x = math.inf
+        # spectral work squares the parameters in double precision
+        if x == 0 or not math.isfinite(x * x):
+            exponent = math.log10(f.numerator) - math.log10(f.denominator)
+            raise ModelError(f"parameter ~1e{exponent:+.0f} is outside "
+                             "double range (it must be nonzero and its "
+                             "square finite)")
         out.append(f)
     return tuple(out)
 

@@ -1,10 +1,11 @@
 """Spectral-gap computation on finite volumes.
 
 Dense diagonalization for sectors of at most DENSE_CAP (200) states,
-Lanczos above it, both with explicit deflation; every Lanczos eigenpair
-is checked by its residual. Ground-bearing particle sectors deflate the
-known analytic ground vector instead of re-finding the kernel
-numerically.
+Lanczos above it; every Lanczos eigenpair is checked by its residual.
+Every particle sector is solved the same way: its kernel (one analytic
+ground vector in a ground-bearing sector, none elsewhere) is counted
+among the lowest kernel + 1 eigenvalues, and the next one is its lowest
+excitation.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import ModelError, Params, log_lambda
 #   2520      1214 ms          10 ms
 DENSE_CAP = 200
 KERNEL_TOL_REL = 1e-8
+SCALING_NUMERIC_CAP = 12
 
 
 class SpectraError(ValueError):
@@ -43,45 +45,23 @@ def hamiltonian_norm(h) -> float:
     return float(abs(h).sum(axis=1).max())
 
 
-def _deflated(h, vectors: np.ndarray, shift: float):
-    """H plus a rank-k shift pushing `vectors` (columns) out of the bottom:
-    a dense matrix for dense H, matrix-free for sparse H."""
-    if not sp.issparse(h):
-        return h + shift * (vectors @ vectors.T)
-
-    def mv(x):
-        return h @ x + shift * (vectors @ (vectors.T @ x))
-
-    return spla.LinearOperator(h.shape, matvec=mv, dtype=float)
-
-
-def lowest_eigenvalues(h, k: int = 1, deflate: np.ndarray | None = None,
+def lowest_eigenvalues(h, k: int = 1,
                        dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """The k smallest eigenvalues, optionally after deflating some vectors.
+    """The k smallest eigenvalues of H, in ascending order.
 
-    Deflation adds a large positive rank-one shift per deflated vector, so
-    the returned values are eigenvalues of H restricted to the orthogonal
-    complement (up to the usual iterative tolerances). Sectors up to
-    dense_cap (default DENSE_CAP = 200) states are diagonalized densely,
-    larger ones by Lanczos, whose Ritz pairs must have a residual
-    ||Ax - theta x|| of at most KERNEL_TOL_REL * max(1, ||H||) against the
-    operator solved, deflation included, or SpectraError is raised.
+    Sectors up to dense_cap (default DENSE_CAP = 200) states are
+    diagonalized densely, larger ones by Lanczos, whose Ritz pairs must
+    have a residual ||Hx - theta x|| of at most
+    KERNEL_TOL_REL * max(1, ||H||), or SpectraError is raised.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise SpectraError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    dense = dim <= dense_cap or k >= dim - 1
-    if dense and sp.issparse(h):
-        h = h.toarray()
-    if deflate is not None or not dense:
-        # sizes the deflation shift and the Lanczos residual test
-        scale = max(1.0, hamiltonian_norm(h))
-    if deflate is not None:
-        h = _deflated(h, deflate.reshape(dim, -1), 10.0 * scale)
-    if dense:
-        return np.linalg.eigvalsh(h)[:k]
+    if dim <= dense_cap or k >= dim - 1:
+        return np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[:k]
     vals, vecs = spla.eigsh(h, k=k, which="SA",
                             v0=operators.lanczos_start(dim))
+    scale = max(1.0, hamiltonian_norm(h))
     resid = float(np.linalg.norm(h @ vecs - vecs * vals, axis=0).max())
     if resid > KERNEL_TOL_REL * scale:
         raise SpectraError(
@@ -90,12 +70,12 @@ def lowest_eigenvalues(h, k: int = 1, deflate: np.ndarray | None = None,
     return np.sort(vals)
 
 
-def kernel_dimension(h, tol_rel: float = KERNEL_TOL_REL) -> int:
-    """Number of eigenvalues below tol_rel * max(1, ||H||)."""
+def kernel_dimension(h) -> int:
+    """Number of eigenvalues below KERNEL_TOL_REL * max(1, ||H||)."""
     dim = h.shape[0]
     if dim == 0:
         return 0
-    thresh = tol_rel * max(1.0, hamiltonian_norm(h))
+    thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
     k = 4
     while True:
         k = min(k, dim)
@@ -141,58 +121,54 @@ class SpectrumReport:
 
 
 def total_gap(v: Volume, p: Params,
-              sector_cap: int = fock.DEFAULT_SECTOR_CAP,
-              tol_rel: float = KERNEL_TOL_REL) -> SpectrumReport:
-    """Gap of H^v over all particle sectors, with the analytic kernel deflated.
+              sector_cap: int = fock.DEFAULT_SECTOR_CAP) -> SpectrumReport:
+    """Gap of H^v over all particle sectors.
 
     Requires a connected volume, where the kernel is exactly the four
-    analytic ground vectors; sectors whose dimension exceeds sector_cap
-    are skipped and the report is flagged partial.
+    analytic ground vectors, one in each sector of analytic.GROUND_SECTORS.
+    Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
+    its kernel below KERNEL_TOL_REL * max(1, ||H||), and the next one is
+    its lowest excitation. Sectors whose dimension exceeds sector_cap are
+    skipped and the report is flagged partial.
     """
+    if sector_cap < 1:
+        raise fock.FockError(f"sector cap must be at least 1, got {sector_cap}")
     n = len(v)
     if n < 2 or not is_connected(v):
         raise LatticeError("total_gap needs a connected volume with >= 2 sites")
     records = []
-    partial = False
-    candidates = []
-    kernel_total = 0
     for n_a in range(n + 1):
         for n_b in range(n + 1 - n_a):
             dim = fock.sector_dimension(n, n_a, n_b)
             if dim > sector_cap:
-                partial = True
                 records.append(SectorRecord(n_a, n_b, dim, 0, None, True))
                 continue
             basis = fock.enumerate_sector(v, n_a, n_b)
             h = operators.assemble_sector_hamiltonian(v, p, basis)
+            thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
             which = analytic.GROUND_SECTORS.get((n_a, n_b))
+            kernel = 0
             if which is not None:
+                kernel = 1
                 psi = analytic.ground_state_vector(v, p, which, basis)
                 resid = np.linalg.norm(h @ psi)
-                if resid > tol_rel * max(1.0, hamiltonian_norm(h)):
+                if resid > thresh:
                     raise SpectraError(
                         f"analytic ground vector fails in sector ({n_a},{n_b}): "
                         f"residual {resid:.3e}")
-                kernel_total += 1
-                if dim == 1:
-                    rec = SectorRecord(n_a, n_b, dim, 1, None)
-                else:
-                    low = lowest_eigenvalues(h, k=1, deflate=psi[:, None])
-                    rec = SectorRecord(n_a, n_b, dim, 1, float(low[0]))
-                    candidates.append(rec.lowest_excited)
-            else:
-                low = lowest_eigenvalues(h, k=1)
-                e0 = float(low[0])
-                thresh = tol_rel * max(1.0, hamiltonian_norm(h))
-                if e0 < thresh:
+            excited = None
+            if dim > kernel:
+                vals = lowest_eigenvalues(h, k=kernel + 1)
+                found = int(np.count_nonzero(vals < thresh))
+                if found != kernel:
                     raise SpectraError(
-                        f"unexpected kernel vector in sector ({n_a},{n_b})")
-                rec = SectorRecord(n_a, n_b, dim, 0, e0)
-                candidates.append(e0)
-            records.append(rec)
-    if not candidates:
-        raise SpectraError("no excited states found (volume too small?)")
-    return SpectrumReport(float(min(candidates)), kernel_total, partial, records)
+                        f"unexpected kernel vector count {found} (expected "
+                        f"{kernel}) in sector ({n_a},{n_b})")
+                excited = float(vals[kernel])
+            records.append(SectorRecord(n_a, n_b, dim, kernel, excited))
+    gap = min(r.lowest_excited for r in records if r.lowest_excited is not None)
+    return SpectrumReport(gap, sum(r.kernel for r in records),
+                          any(r.skipped for r in records), records)
 
 
 @dataclass
@@ -208,21 +184,19 @@ class ScalingPoint:
                 "numeric_gap": self.numeric_gap}
 
 
-def gapless_scaling(p: Params, sizes, species: str | None = None,
-                    numeric_cap: int = 12) -> list[ScalingPoint]:
+def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
     """Variational evidence of gaplessness on growing boxes.
 
     Uses the single-particle trial state of a species whose parameter
     vector is identically one (so the state spreads uniformly). For boxes
-    with at most numeric_cap sites the exact sector gap is attached too.
+    with at most SCALING_NUMERIC_CAP sites the exact total gap is attached
+    too.
     """
-    if species is None:
-        for s in ("a", "b"):
-            if all(x == 0.0 for x in log_lambda(p, s)):
-                species = s
-                break
-        else:
-            raise ModelError("no species with a flat parameter vector")
+    for species in ("a", "b"):
+        if all(x == 0.0 for x in log_lambda(p, species)):
+            break
+    else:
+        raise ModelError("no species with a flat parameter vector")
     d = p.dim
     out = []
     for size in sorted(sizes):
@@ -232,7 +206,7 @@ def gapless_scaling(p: Params, sizes, species: str | None = None,
         ambient = build_box((size + 2,) * d).translate((-1,) * d)
         trial = analytic.trial_state_energy(inner, ambient, p, species)
         gap = None
-        if len(inner) >= 2 and len(inner) <= numeric_cap:
+        if 2 <= len(inner) <= SCALING_NUMERIC_CAP:
             gap = total_gap(inner, p).gap
         out.append(ScalingPoint(size, len(inner), trial, gap))
     return out

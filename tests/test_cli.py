@@ -80,6 +80,21 @@ def test_gap_dimension_mismatch(capsys):
     ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:1"),
     ("scaling", "--lambda-a", "2", "--lambda-b", "1/2", "--sizes", "2,3"),
     ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "0,2"),
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:4",
+     "--budget", "0"),
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:4",
+     "--budget", "-5"),
+    ("verify-lemmas", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--trials", "-1"),
+    ("verify-lemmas", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--trials", "0"),
+    # parameters outside double range: overflow, a NaN edge block, log(0)
+    ("classify", "--lambda-a", "1e400", "--lambda-b", "2"),
+    ("gap", "--lambda-a", "1e400", "--lambda-b", "1/2", "--volume", "box:4"),
+    ("certify", "--lambda-a", "1e400", "--lambda-b", "1/2"),
+    ("scaling", "--lambda-a", "1e400", "--lambda-b", "1", "--sizes", "2"),
+    ("gap", "--lambda-a", "1e200", "--lambda-b", "1/2", "--volume", "box:4"),
+    ("classify", "--lambda-a", "1e-400", "--lambda-b", "2"),
 ])
 def test_invalid_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -44,40 +44,35 @@ def test_lanczos_residual_check(perturbed_eigsh):
     v = build_box((7,))
     b = fock.enumerate_sector(v, 2, 2)
     h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
-    b1 = fock.enumerate_sector(v, 1, 0)
-    h1 = operators.assemble_sector_hamiltonian(v, P_CHAIN, b1)
-    psi = analytic.ground_state_vector(v, P_CHAIN, "a", b1)
     with pytest.raises(spectra.SpectraError, match="residual"):
         spectra.lowest_eigenvalues(h, k=2, dense_cap=0)
-    # the residual is taken against the deflated operator
-    with pytest.raises(spectra.SpectraError, match="residual"):
-        spectra.lowest_eigenvalues(h1, k=1, deflate=psi[:, None], dense_cap=0)
 
 
 def test_total_gap_lanczos_matches_dense(monkeypatch):
-    """Every sector solved by Lanczos (deflated where it bears a ground
-    state) matches the default run, whose sectors here are all dense."""
+    """Every sector solved by Lanczos (for the kernel and the next
+    eigenvalue where it bears a ground state) matches the default run,
+    whose sectors here are all dense."""
     p2 = Params(("2", "3"), ("1/2", "1/3"))
     cases = ((build_box((6,)), P_CHAIN), (build_box((2, 3)), p2),
              (build_tilted_case1((1,), (3, 2)), p2))
     real = spla.eigsh
-    deflated = []
+    ks = []
 
     def eigsh(a, *args, **kwargs):
-        deflated.append(isinstance(a, spla.LinearOperator))
+        ks.append(kwargs["k"])
         return real(a, *args, **kwargs)
 
     for v, p in cases:
         default = spectra.total_gap(v, p)
-        deflated.clear()
+        ks.clear()
         with monkeypatch.context() as m:
             m.setattr(spla, "eigsh", eigsh)
             m.setattr(spectra, "lowest_eigenvalues", functools.partial(
                 spectra.lowest_eigenvalues, dense_cap=0))
             lanczos = spectra.total_gap(v, p)
         # the ground sectors (1,0), (0,1) and (1,1) of 6 sites went to
-        # Lanczos on the matrix-free deflated operator
-        assert sum(deflated) == 3
+        # Lanczos for two eigenvalues each
+        assert ks.count(2) == 3
         assert lanczos.kernel_total == default.kernel_total == 4
         for s, t in zip(default.sectors, lanczos.sectors):
             assert (s.n_a, s.n_b, s.kernel) == (t.n_a, t.n_b, t.kernel)
@@ -86,17 +81,6 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
             else:
                 assert t.lowest_excited == pytest.approx(s.lowest_excited,
                                                          rel=1e-10)
-
-
-def test_deflation_removes_ground_vector():
-    v = build_box((5,))
-    b = fock.enumerate_sector(v, 1, 0)
-    h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
-    psi = analytic.ground_state_vector(v, P_CHAIN, "a", b)
-    plain = spectra.lowest_eigenvalues(h, k=2)
-    deflated = spectra.lowest_eigenvalues(h, k=1, deflate=psi[:, None])
-    assert plain[0] == pytest.approx(0.0, abs=1e-12)
-    assert deflated[0] == pytest.approx(plain[1], abs=1e-9)
 
 
 def test_kernel_dimension():
@@ -149,6 +133,15 @@ def test_total_gap_sector_cap_marks_partial():
     assert any(s.skipped for s in rep.sectors)
 
 
+def test_total_gap_rejects_extra_kernel_vector(monkeypatch):
+    # a second kernel vector beside the analytic one in ground sector (0,1)
+    monkeypatch.setattr(spectra, "lowest_eigenvalues",
+                        lambda h, k=1, **kwargs: np.zeros(k))
+    with pytest.raises(spectra.SpectraError,
+                       match=r"unexpected kernel vector.*\(0,1\)"):
+        spectra.total_gap(build_box((3,)), P_CHAIN)
+
+
 def test_total_gap_rejects_disconnected():
     from pvbs.lattice import LatticeError, Volume
     with pytest.raises(LatticeError):
@@ -157,7 +150,7 @@ def test_total_gap_rejects_disconnected():
 
 def test_gapless_scaling_flat_species():
     p = Params(("1",), ("2",))
-    pts = spectra.gapless_scaling(p, [2, 3, 4], numeric_cap=6)
+    pts = spectra.gapless_scaling(p, [2, 3, 4])
     assert [pt.trial_energy for pt in pts] == [0.5, 1 / 3, 0.25]
     assert all(pt.numeric_gap is not None for pt in pts)
 
@@ -189,11 +182,26 @@ def volumes_and_params(draw):
 def test_norm_bound_and_kernel_on_random_volumes(case):
     v, p = case
     n = len(v)
+    excited = {}
     for na in range(n + 1):
         for nb in range(n + 1 - na):
             b = fock.enumerate_sector(v, na, nb)
             h = operators.assemble_sector_hamiltonian(v, p, b)
-            top = np.linalg.eigvalsh(h.toarray())[-1]
+            vals = np.linalg.eigvalsh(h.toarray())
+            norm = spectra.hamiltonian_norm(h)
             # slack for the rounding of the dense eigensolve
-            assert top <= spectra.hamiltonian_norm(h) * (1 + 1e-12)
-    assert spectra.total_gap(v, p).kernel_total == 4
+            assert vals[-1] <= norm * (1 + 1e-12)
+            # one kernel vector in each ground sector, none elsewhere
+            kernel = int((na, nb) in analytic.GROUND_SECTORS)
+            thresh = spectra.KERNEL_TOL_REL * max(1.0, norm)
+            assert np.count_nonzero(vals < thresh) == kernel
+            if len(vals) > kernel:
+                excited[na, nb] = vals[kernel]
+    rep = spectra.total_gap(v, p)
+    assert rep.kernel_total == 4
+    for s in rep.sectors:
+        if s.lowest_excited is None:
+            assert (s.n_a, s.n_b) not in excited
+        else:
+            assert s.lowest_excited == pytest.approx(excited[s.n_a, s.n_b],
+                                                     rel=1e-10)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .lattice import Volume, VolumeFamilySpec, boundary_edges, edges, is_connected
+from .lattice import Volume, VolumeFamilySpec, boundary_edges, is_connected
 from .model import Params, TiltScheme, c_tilde
 
 
@@ -44,7 +44,21 @@ def _stable_sum_exp(exponents) -> float:
     if not exponents:
         return 0.0
     m = max(exponents)
-    return math.exp(m) * sum(math.exp(e - m) for e in exponents)
+    return _in_double_range(
+        lambda: math.exp(m) * sum(math.exp(e - m) for e in exponents),
+        "normalization sum")
+
+
+def _in_double_range(compute, what: str) -> float:
+    """compute(), a positive sum, or AnalyticError when it overflows or
+    underflows to 0 in double precision."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise AnalyticError(f"{what} is outside double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,19 +91,26 @@ def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
 
 
 def geometric_sum(ratio: float, lo: int, hi: int) -> float:
-    """sum_{x=lo}^{hi-1} ratio^(2x), stable for ratio above or below 1."""
+    """sum_{x=lo}^{hi-1} ratio^(2x), stable for ratio above or below 1.
+
+    AnalyticError when the sum is outside double range."""
     if hi <= lo:
         return 0.0
     n = hi - lo
     r2 = ratio * ratio
-    if ratio == 1.0:
-        inner = float(n)
-    elif ratio < 1.0:
-        inner = (1.0 - r2 ** n) / (1.0 - r2)
-    else:
-        # factor the top term so nothing overflows before it must
-        inner = r2 ** (n - 1) * (1.0 - r2 ** -n) / (1.0 - r2 ** -1)
-    return r2 ** lo * inner
+
+    def compute():
+        if ratio == 1.0:
+            inner = float(n)
+        elif ratio < 1.0:
+            inner = (1.0 - r2 ** n) / (1.0 - r2)
+        else:
+            # factor the top term so nothing overflows before it must
+            inner = r2 ** (n - 1) * (1.0 - r2 ** -n) / (1.0 - r2 ** -1)
+        return r2 ** lo * inner
+
+    return _in_double_range(
+        compute, f"sum of {ratio:.3g}^(2x) over {lo} <= x < {hi}")
 
 
 def normalization_closed_form(t: TiltScheme, spec: VolumeFamilySpec) -> NormalizationSet:

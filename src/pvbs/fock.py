@@ -19,6 +19,8 @@ from .lattice import Volume
 
 EMPTY, A, B = 0, 1, 2
 DEFAULT_SECTOR_CAP = 5_000_000
+# base-3 codes of MAX_SITES + 1 sites overflow int64
+MAX_SITES = 39
 
 
 class FockError(ValueError):
@@ -108,9 +110,9 @@ def enumerate_sector(v: Volume, n_a: int, n_b: int,
     hold species b."""
     n = len(v)
     dim = sector_dimension(n, n_a, n_b)
-    if 3 ** n - 1 > np.iinfo(np.int64).max:
+    if n > MAX_SITES:
         raise FockError(f"base-3 codes of {n} sites overflow int64 "
-                        f"(at most 39 sites)")
+                        f"(at most {MAX_SITES} sites)")
     if dim > cap:
         raise FockError(
             f"sector ({n_a}, {n_b}) on {n} sites has dimension {dim} > cap {cap}")

@@ -8,6 +8,7 @@ spectral work downstream converts to float.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -302,13 +303,17 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
 
 
 def c_tilde(t: TiltScheme) -> float:
-    """Product-bound constant; always > 1."""
-    prod = 1.0
-    for j in range(t.dim):
-        la = abs(math.log(t.lambda_tilde_a[j]))
-        lb = abs(math.log(t.lambda_tilde_b[j]))
-        prod *= 1.0 / max(1.0 + math.exp(-2 * la), 1.0 + math.exp(-2 * lb))
-    return 1.0 / (1.0 - prod)
+    """Product-bound constant 1 / (1 - prod_j 1/(1 + x_j)) with
+    x_j = exp(-2 min_s |log lambda~_s,j|); always > 1. 1 - prod is taken
+    as -expm1(-sum log1p(x_j)), accurate even for x_j below double
+    epsilon; ModelError when c~^(3/2), which the bounds take, overflows."""
+    x = [math.exp(-2.0 * min(abs(math.log(a)), abs(math.log(b))))
+         for a, b in zip(t.lambda_tilde_a, t.lambda_tilde_b)]
+    one_minus_prod = -math.expm1(-math.fsum(math.log1p(v) for v in x))
+    if one_minus_prod < sys.float_info.max ** (-2.0 / 3.0):
+        raise ModelError(f"c~ = 1/{one_minus_prod:.3g} is outside double "
+                         "range: the parameters are too far from 1")
+    return 1.0 / one_minus_prod
 
 
 def epsilon_ell(t: TiltScheme, ell: int) -> float:

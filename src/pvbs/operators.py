@@ -1,29 +1,20 @@
-"""Sector Hamiltonians and matrix-free ground-space projector actions.
+"""Sector Hamiltonians and the norm of a product of ground projectors.
 
 The two-site interaction blocks are 9x9 and conserve particle numbers, so
 assembly restricted to a fixed-count sector is exact. Ground projectors
-are never materialized: amplitudes are grouped by the configuration
-outside the projected region and each interior block is projected onto
-the four analytic ground vectors.
+are never materialized: `projection_product_norm` works in the nine
+particle sectors that can carry ||G_slab E_n||, on orthonormal bases
+built from the four analytic ground vectors of each volume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import analytic, fock
 from .lattice import Volume, edges, is_connected
 from .model import Params
-
-DEFAULT_ACTION_CAP = 3 ** 13
-LANCZOS_SEED = 0x5EED
-# Lanczos basis size for operator norms: ARPACK's default of 20 vectors
-# raises the peak memory of a 3^11-state check by about 9 %
-LANCZOS_NCV = 8
 
 
 class OperatorError(ValueError):
@@ -98,115 +89,85 @@ def assemble_sector_hamiltonian(v: Volume, p: Params,
                          shape=(dim, dim))
 
 
-@dataclass
-class LinearOperatorAction:
-    """Matrix-free symmetric operator: dim plus an apply contract."""
-
-    dim: int
-    apply: callable
-    description: str = ""
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.apply(vec)
-
-
-def _ground_sectors(inner: Volume, p: Params):
-    """(indices, amplitudes) of the four analytic ground vectors on inner,
-    indexed by base-3 codes over inner's canonical site order."""
-    out = []
-    for (na, nb), which in analytic.GROUND_SECTORS.items():
-        basis = fock.enumerate_sector(inner, na, nb)
-        amp = analytic.ground_state_vector(inner, p, which, basis)
-        out.append((basis.states, amp))
+def _ground_vectors(v: Volume, p: Params) -> dict:
+    """(basis, analytic ground vector) of each ground sector of v."""
+    out = {}
+    for sector, which in analytic.GROUND_SECTORS.items():
+        basis = fock.enumerate_sector(v, *sector)
+        out[sector] = basis, analytic.ground_state_vector(v, p, which, basis)
     return out
 
 
-def ground_projector_action(inner: Volume, p: Params, ambient: Volume,
-                            cap: int = DEFAULT_ACTION_CAP) -> LinearOperatorAction:
-    """Action of (ground projector of inner) x identity on H^ambient."""
-    if not inner.issubset(ambient):
-        raise OperatorError("inner volume is not contained in the ambient one")
-    if len(inner) < 2 or not is_connected(inner):
-        raise OperatorError("projector needs a connected inner volume with >= 2 sites")
-    n_amb = len(ambient)
-    dim = 3 ** n_amb
-    if dim > cap:
-        raise OperatorError(f"ambient dimension 3^{n_amb} exceeds cap {cap}")
-
-    inner_set = set(inner.sites)
-    inner_pos = [i for i, s in enumerate(ambient.sites) if s in inner_set]
-    ext_pos = [i for i, s in enumerate(ambient.sites) if s not in inner_set]
-    dim_in, dim_ext = 3 ** len(inner_pos), 3 ** len(ext_pos)
-
-    # codes over the sites reordered exterior first: the high digits are
-    # the inner configuration, the row of the (dim_in, dim_ext) view below
-    perm = fock.place(fock.digits(np.arange(dim), ext_pos + inner_pos),
-                      range(n_amb))
-    sectors = _ground_sectors(inner, p)
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (dim,):
-            raise OperatorError(f"expected vector of length {dim}")
-        w = np.empty(dim)
-        w[perm] = vec
-        w = w.reshape(dim_in, dim_ext)
-        out = np.zeros_like(w)
-        for idxs, amp in sectors:
-            coeff = amp @ w[idxs]  # overlap per exterior configuration
-            out[idxs] += np.outer(amp, coeff)
-        return out.reshape(-1)[perm]
-
-    return LinearOperatorAction(
-        dim, apply, f"G[{inner.label or len(inner)} sites] in 3^{n_amb}")
+def _ground_columns(part: Volume, ground: dict, ambient: Volume,
+                    basis: fock.SectorBasis) -> sp.csc_matrix:
+    """Orthonormal columns psi_k (x) phi spanning range(G_part x 1) in the
+    ambient sector of `basis`: psi_k runs over the ground vectors of part
+    (`ground`, from `_ground_vectors`), phi over the configurations of the
+    rest of the ambient volume that complete the sector's particle
+    counts."""
+    at = {s: i for i, s in enumerate(ambient.sites)}
+    rest = ambient.difference(part)
+    part_pos = [at[s] for s in part.sites]
+    rest_pos = [at[s] for s in rest.sites]
+    rows, cols, vals = [], [], []
+    width = 0
+    for (k_a, k_b), (own, psi) in ground.items():
+        r_a, r_b = basis.n_a - k_a, basis.n_b - k_b
+        if min(r_a, r_b) < 0 or r_a + r_b > len(rest):
+            continue
+        phi = fock.enumerate_sector(rest, r_a, r_b)
+        codes = np.add.outer(
+            fock.place(fock.digits(own.states, range(len(part))), part_pos),
+            fock.place(fock.digits(phi.states, range(len(rest))), rest_pos))
+        rows.append(basis.positions(codes.ravel()))
+        cols.append(np.tile(width + np.arange(phi.dim), own.dim))
+        vals.append(np.repeat(psi, phi.dim))
+        width += phi.dim
+    if not vals:
+        return sp.csc_matrix((basis.dim, 0))
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(basis.dim, width))
 
 
-def en_projector_action(inner: Volume, outer: Volume, p: Params,
-                        cap: int = DEFAULT_ACTION_CAP) -> LinearOperatorAction:
-    """E_n = (G_inner x I) - G_outer on H^outer, for nested ground spaces."""
-    g_small = ground_projector_action(inner, p, outer, cap)
-    g_big = ground_projector_action(outer, p, outer, cap)
+def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
+    """||G_slab E_n|| on the ambient volume slab + inner, with
+    E_n = (G_inner x 1) - G_ambient.
 
-    def apply(vec: np.ndarray) -> np.ndarray:
-        return g_small(vec) - g_big(vec)
-
-    return LinearOperatorAction(g_small.dim, apply,
-                                f"E[{len(inner)}->{len(outer)} sites]")
-
-
-def lanczos_start(dim: int) -> np.ndarray:
-    """Deterministic but generic unit start vector for ARPACK: a constant
-    vector can be an exact eigenvector, which ARPACK rejects."""
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-    return v0 / np.linalg.norm(v0)
-
-
-def operator_norm_of_product(a: LinearOperatorAction,
-                             b: LinearOperatorAction) -> float:
-    """Largest singular value of a . b, by Lanczos on b.a.b.
-
-    Both actions must be symmetric; a must be idempotent (a projector),
-    so that ||ab||^2 equals the top eigenvalue of b a b.
+    slab and inner must be connected volumes of at least 2 sites. Every
+    projector conserves (N_a, N_b), so the norm is the largest over the
+    sectors. range(G_inner x 1) holds at most one a inside inner, so with
+    N_a >= 3 two a's sit outside inner, hence in the slab, where
+    G_slab x 1 removes them (likewise for b): only the 9 sectors with
+    N_a, N_b <= 2 contribute. In each, `_ground_columns` gives an
+    orthonormal basis V_X of range(G_X x 1), and G_ambient projects onto
+    the sector's analytic ground vector Psi, if it has one; so
+    E_n = Q Q^T for an orthonormal basis Q of range(V_inner) minus Psi,
+    and the norm is that of the small dense matrix V_slab^T Q. Building Q
+    orthogonal to Psi, rather than subtracting Psi Psi^T, keeps the
+    relative accuracy of a small norm.
     """
-    if a.dim != b.dim:
-        raise OperatorError("operator dimensions do not match")
-    bab = spla.LinearOperator((a.dim, a.dim), matvec=lambda x: b(a(b(x))),
-                              dtype=float)
-    v0 = lanczos_start(a.dim)
-    if not (bab @ v0).any():
-        return 0.0  # ARPACK refuses an operator that kills its start vector
-    top = spla.eigsh(bab, k=1, which="LA", v0=v0, ncv=LANCZOS_NCV,
-                     return_eigenvectors=False)[0]
-    return float(np.sqrt(max(top, 0.0)))
-
-
-def materialize(action: LinearOperatorAction) -> np.ndarray:
-    """Dense matrix of an action, for small-dimension oracle checks."""
-    out = np.empty((action.dim, action.dim))
-    basis_vec = np.zeros(action.dim)
-    for i in range(action.dim):
-        basis_vec[i] = 1.0
-        out[:, i] = action(basis_vec)
-        basis_vec[i] = 0.0
-    return out
-
+    for part in (slab, inner):
+        if len(part) < 2 or not is_connected(part):
+            raise OperatorError(
+                "projectors need connected volumes with >= 2 sites")
+    ambient = Volume(slab.dim, tuple(set(slab.sites + inner.sites)))
+    ground_inner = _ground_vectors(inner, p)
+    ground_slab = _ground_vectors(slab, p)
+    norm = 0.0
+    for n_a in range(3):
+        for n_b in range(min(3, len(ambient) + 1 - n_a)):
+            basis = fock.enumerate_sector(ambient, n_a, n_b)
+            v_inner = _ground_columns(inner, ground_inner, ambient, basis)
+            m = (_ground_columns(slab, ground_slab, ambient, basis).T
+                 @ v_inner).toarray()
+            which = analytic.GROUND_SECTORS.get((n_a, n_b))
+            if which is not None and m.size:
+                psi = analytic.ground_state_vector(ambient, p, which, basis)
+                # the complete QR's first column is along the overlap with
+                # Psi, the others span its orthogonal complement
+                q = np.linalg.qr((v_inner.T @ psi)[:, None], mode="complete")[0]
+                m = m @ q[:, 1:]
+            if m.size:
+                norm = max(norm, float(np.linalg.norm(m, 2)))
+    return norm

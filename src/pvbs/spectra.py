@@ -33,6 +33,7 @@ from .model import ModelError, Params, log_lambda
 DENSE_CAP = 200
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
+LANCZOS_SEED = 0x5EED
 
 
 class SpectraError(ValueError):
@@ -43,6 +44,13 @@ def hamiltonian_norm(h) -> float:
     """Upper bound on ||H||: the largest absolute row sum, which bounds
     every eigenvalue of H."""
     return float(abs(h).sum(axis=1).max())
+
+
+def lanczos_start(dim: int) -> np.ndarray:
+    """Deterministic but generic unit start vector for ARPACK: a constant
+    vector can be an exact eigenvector, which ARPACK rejects."""
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    return v0 / np.linalg.norm(v0)
 
 
 def lowest_eigenvalues(h, k: int = 1,
@@ -59,8 +67,7 @@ def lowest_eigenvalues(h, k: int = 1,
         raise SpectraError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     if dim <= dense_cap or k >= dim - 1:
         return np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[:k]
-    vals, vecs = spla.eigsh(h, k=k, which="SA",
-                            v0=operators.lanczos_start(dim))
+    vals, vecs = spla.eigsh(h, k=k, which="SA", v0=lanczos_start(dim))
     scale = max(1.0, hamiltonian_norm(h))
     resid = float(np.linalg.norm(h @ vecs - vecs * vals, axis=0).max())
     if resid > KERNEL_TOL_REL * scale:

@@ -95,6 +95,11 @@ def test_gap_dimension_mismatch(capsys):
     ("scaling", "--lambda-a", "1e400", "--lambda-b", "1", "--sizes", "2"),
     ("gap", "--lambda-a", "1e200", "--lambda-b", "1/2", "--volume", "box:4"),
     ("classify", "--lambda-a", "1e-400", "--lambda-b", "2"),
+    # inside double range, but a normalization sum or c~^(3/2) is not
+    ("scaling", "--lambda-a", "1e154", "--lambda-b", "1", "--sizes", "2,3"),
+    ("verify-lemmas", "--lambda-a", "1e154", "--lambda-b", "1/2",
+     "--trials", "2"),
+    ("certify", "--lambda-a", "1e-154", "--lambda-b", "1e154"),
 ])
 def test_invalid_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -108,8 +113,9 @@ def test_eigensolver_failure(capsys, monkeypatch):
         raise spla.ArpackNoConvergence("no convergence", [], [])
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    code, out, err = run_cli(capsys, "verify-projection", "--lambda-a", "10",
-                             "--lambda-b", "0.1", "--n", "4", "--ell", "4")
+    # box:8 has sectors of 560 states, above the dense cap
+    code, out, err = run_cli(capsys, "gap", "--lambda-a", "10",
+                             "--lambda-b", "0.1", "--volume", "box:8")
     assert code == 3
     assert out == ""
     assert err.startswith("error: ARPACK error -1: no convergence")
@@ -260,8 +266,8 @@ def test_info(capsys):
     assert rec["dense_cap"] == 200
     assert rec["eta"] == 0.05
     assert rec["lanczos_seed"] == 0x5EED
-    assert rec["lanczos_ncv"] == 8
-    assert "power_iteration_tol" not in rec
+    for gone in ("power_iteration_tol", "action_cap_log3", "lanczos_ncv"):
+        assert gone not in rec
 
 
 def test_parse_volume():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pvbs import martingale, spectra
-from pvbs.lattice import build_box, slab
+from pvbs import cli, martingale, spectra
+from pvbs.lattice import Volume, VolumeFamilySpec, build_box, slab
 from pvbs.model import Params, select_tilt
 
 P10 = Params(("10",), ("1/10",))
@@ -73,12 +73,31 @@ def test_condition_iii_hypothesis_guard():
         martingale.verify_condition_iii(fam, 3, 3, pp)  # (3-2)*log2 < 1
 
 
-def test_condition_iii_cap_guard():
+def test_condition_iii_cap_guard(capsys):
+    # the only size limit is fock's: base-3 codes of 40 sites overflow int64
+    code = cli.main(["verify-projection", "--lambda-a", "10", "--lambda-b",
+                     "1/10", "--n", "39", "--ell", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: base-3 codes of 40 sites")
+    assert "at most 39 sites" in captured.err
+
+
+class CrossedFamily(VolumeFamilySpec):
+    """A family whose member 1 is not inside member n for n > 1."""
+
+    def member(self, n):
+        return Volume(1, ((0,), (7,))) if n == 1 else super().member(n)
+
+
+def test_condition_iii_cover_guard():
     t = tilt10()
     pp = martingale.permuted_params(P10, t)
-    fam = martingale.sweep_family(t, 0, 7, 2, upper=7)
-    with pytest.raises(martingale.MartingaleError):
-        martingale.verify_condition_iii(fam, 12, 7, pp, cap=3 ** 8)
+    # slab = sites 1..6 and inner = sites 0..6 miss ambient site 7
+    with pytest.raises(martingale.MartingaleError, match="make up"):
+        martingale.verify_condition_iii(CrossedFamily(t, (7,), 0, 7), 7, 7,
+                                        pp)
 
 
 def test_translated_slabs_share_spectrum():
@@ -140,6 +159,18 @@ def test_certify_d2_symbolic():
     j = cert.to_json()
     assert j["gamma_ell"] == "symbolic"
     assert j["final_bound"] == "symbolic"
+
+
+def test_certify_d2_condition_iii():
+    cert = martingale.certify(Params(("10", "10"), ("1/10", "1/10")))
+    iii = [c for c in cert.conditions if c.condition == "iii"]
+    # direction 1 with spot_lead 2: 16 and 18 ambient sites
+    assert [(c.inputs["j"], c.inputs["n"]) for c in iii] == [(1, 7), (1, 8)]
+    assert all(0 < c.measured <= c.bound for c in iii)
+    # direction 0 sweeps 7-site columns: 56 ambient sites at n = 7
+    [note] = [s for s in cert.notes if "condition (iii)" in s]
+    assert "direction 0" in note
+    assert "56 sites" in note and "39-site limit" in note
 
 
 def test_certify_rejects_gapless():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pvbs import fock, operators
-from pvbs.lattice import build_box, edges
-from pvbs.model import Params
+import projector_oracle
+from pvbs import fock, martingale, operators
+from pvbs.lattice import Volume, build_box, edges, is_connected
+from pvbs.model import GapClass, Params, classify_zd, select_tilt
 
 P_CHAIN = Params(("2",), ("1/2",))
 
@@ -90,8 +91,7 @@ def test_hamiltonian_symmetric_psd():
 def test_ground_projector_matches_dense():
     inner = build_box((2,))
     ambient = build_box((3,))
-    act = operators.ground_projector_action(inner, P_CHAIN, ambient)
-    g = operators.materialize(act)
+    g = projector_oracle.ground_projector(inner, ambient, P_CHAIN).toarray()
     # projector algebra
     assert np.max(np.abs(g @ g - g)) < 1e-12
     assert np.max(np.abs(g - g.T)) < 1e-12
@@ -101,8 +101,7 @@ def test_ground_projector_matches_dense():
 
 def test_ground_projector_full_volume():
     v = build_box((3,))
-    act = operators.ground_projector_action(v, P_CHAIN, v)
-    g = operators.materialize(act)
+    g = projector_oracle.ground_projector(v, v, P_CHAIN).toarray()
     assert np.trace(g) == pytest.approx(4.0, abs=1e-10)
     # G annihilates H rowspace: H G = 0 for the frustration-free model
     full = sum(_expand_pair(operators.edge_projection_block(2.0, 0.5), 3,
@@ -113,12 +112,11 @@ def test_ground_projector_full_volume():
 def test_en_projector_is_projector_and_nested():
     inner = build_box((3,))
     outer = build_box((4,))
-    e = operators.materialize(
-        operators.en_projector_action(inner, outer, P_CHAIN))
+    g_out = projector_oracle.ground_projector(outer, outer, P_CHAIN).toarray()
+    e = projector_oracle.ground_projector(inner, outer, P_CHAIN).toarray() \
+        - g_out
     assert np.max(np.abs(e @ e - e)) < 1e-11
     # E_n kills the outer ground space
-    g_out = operators.materialize(
-        operators.ground_projector_action(outer, P_CHAIN, outer))
     assert np.max(np.abs(e @ g_out)) < 1e-11
 
 
@@ -126,30 +124,62 @@ def test_operator_norm_matches_dense_svd():
     inner = build_box((2,))
     outer = build_box((4,))
     mid = build_box((3,)).translate((1,))
-    g = operators.ground_projector_action(mid, P_CHAIN, outer)
-    e = operators.en_projector_action(inner, outer, P_CHAIN)
-    got = operators.operator_norm_of_product(g, e)
-    ref = np.linalg.norm(
-        operators.materialize(g) @ operators.materialize(e), 2)
+    got = operators.projection_product_norm(mid, inner, P_CHAIN)
+    g = projector_oracle.ground_projector(mid, outer, P_CHAIN)
+    e = projector_oracle.ground_projector(inner, outer, P_CHAIN) \
+        - projector_oracle.ground_projector(outer, outer, P_CHAIN)
+    ref = np.linalg.norm((g @ e).toarray(), 2)
     assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_operator_norm_zero_product():
     outer = build_box((3,))
-    g = operators.ground_projector_action(outer, P_CHAIN, outer)
-    e = operators.en_projector_action(outer, outer, P_CHAIN)  # identically 0
-    assert operators.operator_norm_of_product(g, e) == 0.0
+    # inner = ambient: E_n is identically 0
+    assert operators.projection_product_norm(outer, outer, P_CHAIN) == 0.0
 
 
-def test_action_cap():
-    inner = build_box((2,))
-    big = build_box((9,))
-    with pytest.raises(operators.OperatorError):
-        operators.ground_projector_action(inner, P_CHAIN, big, cap=3 ** 8)
+def test_ambient_site_limit():
+    ambient = build_box((40,))
+    slab = ambient.difference(build_box((30,)))
+    with pytest.raises(fock.FockError, match="at most 39 sites"):
+        operators.projection_product_norm(slab, build_box((39,)), P_CHAIN)
 
 
 def test_disconnected_inner_rejected():
-    from pvbs.lattice import Volume
     bad = Volume(1, ((0,), (2,)))
-    with pytest.raises(operators.OperatorError):
-        operators.ground_projector_action(bad, P_CHAIN, build_box((3,)))
+    slab = build_box((2,)).translate((1,))
+    with pytest.raises(operators.OperatorError, match="connected"):
+        operators.projection_product_norm(slab, bad, P_CHAIN)
+
+
+LAMBDAS = ("1/10", "1/8", "1/5", "1/3", "1/2", "1", "2", "3", "5", "8", "10")
+
+
+@st.composite
+def sweep_volumes(draw):
+    """(slab, inner, ambient, params) of a small sweep family in d = 1 or
+    2, either direction, at most 9 ambient sites."""
+    d = draw(st.sampled_from((1, 2)))
+    p = Params(tuple(draw(st.sampled_from(LAMBDAS)) for _ in range(d)),
+               tuple(draw(st.sampled_from(LAMBDAS)) for _ in range(d)))
+    assume(classify_zd(p) is GapClass.GAPPED)
+    t = select_tilt(p)
+    j = draw(st.integers(0, d - 1))
+    ell = draw(st.integers(2, 7))
+    n = draw(st.integers(ell, 8))
+    lead = draw(st.integers(1, 2))
+    family = martingale.sweep_family(t, j, ell, lead, upper=ell)
+    ambient, inner = family.member(n + 1), family.member(n)
+    slab = ambient.difference(family.member(n + 1 - ell))
+    assume(len(ambient) <= 9)
+    assume(all(len(v) >= 2 and is_connected(v) for v in (slab, inner)))
+    return slab, inner, ambient, martingale.permuted_params(p, t)
+
+
+@given(sweep_volumes())
+@settings(max_examples=60, deadline=None)
+def test_sector_norm_matches_full_space_oracle(case):
+    slab, inner, ambient, p = case
+    got = operators.projection_product_norm(slab, inner, p)
+    ref = projector_oracle.projection_norm(slab, inner, ambient, p)
+    assert got == pytest.approx(ref, rel=1e-10, abs=1e-15)

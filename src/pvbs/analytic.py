@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fock
 from .lattice import Volume, VolumeFamilySpec, boundary_edges, is_connected
-from .model import Params, TiltScheme, c_tilde
+from .model import Params, TiltScheme, c_tilde, projection_bound
 
 
 # the particle-number sectors that carry the four ground states
@@ -276,5 +276,4 @@ def lemma1_bound(t: TiltScheme, ell: int, j: int) -> float:
     mlog = t.min_log_direction(j)
     if not (ell - 2) * mlog > 1.0:
         raise AnalyticError("projection bound needs (ell-2) min|log| > 1")
-    ct = c_tilde(t)
-    return math.sqrt(60.0 * ell) * ct ** 1.5 * math.exp(-(ell - 2) * mlog)
+    return projection_bound(t, ell, mlog)

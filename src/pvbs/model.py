@@ -27,7 +27,6 @@ class ModelError(ValueError):
 class GapClass(str, Enum):
     GAPPED = "gapped"
     GAPLESS = "gapless"
-    CONJECTURED_GAPPED = "conjectured_gapped"
 
 
 def _parse_vec(values) -> tuple[Fraction, ...]:
@@ -111,28 +110,6 @@ def classify_zd(p: Params) -> GapClass:
     return GapClass.GAPPED
 
 
-def classify_halfspace(p: Params, normal: tuple[float, ...],
-                       tol: float = 1e-12) -> GapClass:
-    """Half-space {x : m.x >= 0} classification.
-
-    Gapless when some log lambda_s is zero or points along the outward
-    normal (a negative multiple of m). The gapped direction is only
-    conjectured, so everything else is CONJECTURED_GAPPED.
-    """
-    if all(abs(c) <= 0 for c in normal):
-        raise ModelError("half-space normal must be nonzero")
-    mnorm = math.sqrt(sum(c * c for c in normal))
-    for s in ("a", "b"):
-        ll = log_lambda(p, s)
-        if all(v == 0.0 for v in ll):
-            return GapClass.GAPLESS
-        lnorm = math.sqrt(sum(v * v for v in ll))
-        # negative multiple of m: unit vectors opposite to within tol
-        if all(abs(v / lnorm + c / mnorm) <= tol for v, c in zip(ll, normal)):
-            return GapClass.GAPLESS
-    return GapClass.CONJECTURED_GAPPED
-
-
 DIVERGENT = "divergent"
 
 
@@ -151,9 +128,9 @@ def c_orthant(p: Params, species: str):
 
 
 def infinite_gs_census(region: str, p: Params) -> set[str]:
-    """Ground-state census on Z^d, a half-space, or the positive orthant."""
+    """Ground-state census on Z^d or the positive orthant."""
     region = region.lower()
-    if region in ("zd", "halfspace"):
+    if region == "zd":
         return {"vacuum"}
     if region != "orthant":
         raise ModelError(f"unknown region {region!r}")
@@ -316,12 +293,21 @@ def c_tilde(t: TiltScheme) -> float:
     return 1.0 / one_minus_prod
 
 
+def projection_bound(t: TiltScheme, ell: int, min_log: float) -> float:
+    """sqrt(60 l) c~^(3/2) exp(-(l-2) min_log), as the exponential of the
+    sum of the logs: for strong weights c~^(3/2) is huge and the last
+    factor underflows on its own, though the product is in range. The
+    sum cannot overflow: c~ <= 1 + exp(2 min|log|) and c_tilde caps
+    c~^(3/2) at double range, so it stays below about 500."""
+    return math.exp(0.5 * math.log(60.0 * ell) + 1.5 * math.log(c_tilde(t))
+                    - (ell - 2) * min_log)
+
+
 def epsilon_ell(t: TiltScheme, ell: int) -> float:
     """Projection-product bound sqrt(60 l) c~^(3/2) exp(-(l-2) min|log|)."""
     if ell < 3:
         raise ModelError("epsilon_ell needs ell >= 3")
-    ct = c_tilde(t)
-    return math.sqrt(60.0 * ell) * ct ** 1.5 * math.exp(-(ell - 2) * t.min_log)
+    return projection_bound(t, ell, t.min_log)
 
 
 def choose_ell(t: TiltScheme, cap: int = DEFAULT_ELL_CAP) -> tuple[int, float]:

@@ -1,13 +1,22 @@
 """Sector Hamiltonians and the norm of a product of ground projectors.
 
 The two-site interaction blocks are 9x9 and conserve particle numbers, so
-assembly restricted to a fixed-count sector is exact. Ground projectors
+assembly restricted to a fixed-count sector is exact. Each block is
+diagonal plus one exchange of the two end digits when they differ (0a
+with a0, 0b with b0, ab with ba), so a sector Hamiltonian is built in two
+parts: a parameter-independent `SectorPattern` (the CSR layout, each
+slot's weight index and each edge's pair codes), and a cheap fill from
+the `EdgeWeights` of one parameter value. `spectra.total_gap` drops each
+pattern once its sector is solved; `pvbs sweep` keeps a size's patterns
+for every lambda of its grid. Ground projectors
 are never materialized: `projection_product_norm` works in the nine
 particle sectors that can carry ||G_slab E_n||, on orthonormal bases
 built from the four analytic ground vectors of each volume.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,36 +66,119 @@ def edge_kernel_vectors(lam_a: float, lam_b: float) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class EdgeWeights:
+    """The entries of the edge terms h_j, indexed by kind 9 j + c, where
+    c = 3 * left + right is the pair code of an edge's end digits.
+
+    Every h_j is diagonal plus one exchange of the two end digits when they
+    differ: its only off-diagonal entries pair 0a with a0, 0b with b0 and
+    ab with ba. So `diagonal[kind]` is <c|h_j|c>, and `exchange[kind]` is
+    <swap(c)|h_j|c>, or 0.0 when the end digits are equal; `exchange` has
+    one more entry, 0.0, for the diagonal slots of a `SectorPattern`.
+    """
+
+    exchange: np.ndarray
+    diagonal: np.ndarray
+
+
+def edge_weights(p: Params) -> EdgeWeights:
+    """The edge-term entries of H for parameters p, one 9x9 block per
+    direction."""
+    blocks = np.array([edge_projection_block(a, b)
+                       for a, b in zip(p.floats("a"), p.floats("b"))])
+    pair = np.arange(9)
+    swap = 3 * (pair % 3) + pair // 3
+    exchange = np.where(swap != pair, blocks[:, swap, pair], 0.0)
+    return EdgeWeights(np.append(exchange.ravel(), 0.0),
+                       blocks[:, pair, pair].ravel())
+
+
+@dataclass(frozen=True)
+class SectorPattern:
+    """The parameter-independent part of H^v on one particle sector.
+
+    A CSR layout with every diagonal slot and one slot per exchange: state
+    s is joined to the state with the end digits of edge e swapped when
+    they differ. `kinds` gives each slot's index into
+    `EdgeWeights.exchange` (9 * direction + the pair code of the column
+    state, or 9 * dim on the diagonal); `edge_kinds[e]` gives each state's
+    index into `EdgeWeights.diagonal` for edge e. One pattern serves every
+    parameter value on the same basis.
+    """
+
+    basis: fock.SectorBasis
+    indptr: np.ndarray
+    indices: np.ndarray
+    kinds: np.ndarray  # uint8, one per slot
+    diag_slots: np.ndarray  # the slot of each row's diagonal entry
+    edge_kinds: np.ndarray  # uint8, (edges, states)
+
+
+def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
+    """The `SectorPattern` of H on the volume and sector of `basis`. Each
+    exchange is looked up once, from the state whose left end digit is
+    the smaller, and its slot mirrored."""
+    v = basis.volume
+    site_pos = {s: i for i, s in enumerate(v.sites)}
+    dim = basis.dim
+    vol_edges = edges(v)
+    edge_kinds = np.empty((len(vol_edges), dim), dtype=np.uint8)
+    diagonal = np.arange(dim)
+    rows, cols = [diagonal], [diagonal]
+    kinds = [np.full(dim, 9 * v.dim, dtype=np.uint8)]
+    for e, edge in enumerate(vol_edges):
+        ends = (site_pos[edge.base], site_pos[edge.head])
+        dx, dy = fock.digits(basis.states, ends)
+        edge_kinds[e] = 9 * edge.direction + 3 * dx + dy
+        low = np.flatnonzero(dx < dy)
+        step = dy[low] - dx[low]
+        high = basis.positions(basis.states[low]
+                               + fock.place((step, -step), ends))
+        rows += [high, low]
+        cols += [low, high]
+        kinds += [edge_kinds[e, low], edge_kinds[e, high]]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    order = np.argsort(rows * dim + cols)
+    itype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    kinds = np.concatenate(kinds)[order]
+    arrays = (indptr, cols[order].astype(itype), kinds,
+              np.flatnonzero(kinds == 9 * v.dim), edge_kinds)
+    for a in arrays:  # shared with every matrix filled from the pattern
+        a.setflags(write=False)
+    return SectorPattern(basis, *arrays)
+
+
 def assemble_sector_hamiltonian(v: Volume, p: Params,
-                                basis: fock.SectorBasis) -> sp.csr_matrix:
+                                basis: fock.SectorBasis, *,
+                                pattern: SectorPattern | None = None,
+                                weights: EdgeWeights | None = None
+                                ) -> sp.csr_matrix:
     """H^v restricted to the particle-number sector of `basis`.
 
-    Entries are listed edge by edge, then by column state, then by block
-    row, so duplicates are summed in the same order on every run."""
+    `pattern` (from `sector_pattern(basis)`) and `weights` (from
+    `edge_weights(p)`) are built here unless passed in, so that a caller
+    can reuse a pattern across parameters and weights across sectors.
+    The diagonal is summed edge by edge, so every run gives the same
+    bits."""
     if basis.volume is not v and basis.volume != v:
         raise OperatorError("basis was not built on this volume")
-    la = p.floats("a")
-    lb = p.floats("b")
-    blocks = [edge_projection_block(la[j], lb[j]) for j in range(v.dim)]
-    site_pos = {s: i for i, s in enumerate(v.sites)}
-
-    rows, cols, vals = [], [], []
-    for e in edges(v):
-        h = blocks[e.direction]
-        ends = (site_pos[e.base], site_pos[e.head])
-        dx, dy = fock.digits(basis.states, ends)
-        pair = 3 * dx + dy
-        col, q = np.nonzero((h != 0.0).T[pair])
-        shift = fock.place((q // 3 - dx[col], q % 3 - dy[col]), ends)
-        rows.append(basis.positions(basis.states[col] + shift))
-        cols.append(col)
-        vals.append(h[q, pair[col]])
-    dim = basis.dim
-    if not vals:
-        return sp.csr_matrix((dim, dim))
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(dim, dim))
+    if pattern is None:
+        pattern = sector_pattern(basis)
+    elif pattern.basis is not basis:
+        raise OperatorError("pattern was not built on this basis")
+    if weights is None:
+        weights = edge_weights(p)
+    diag = np.zeros(basis.dim)
+    for kinds in pattern.edge_kinds:
+        diag += weights.diagonal[kinds]
+    data = weights.exchange[pattern.kinds]
+    data[pattern.diag_slots] = diag
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(basis.dim, basis.dim))
 
 
 def _ground_vectors(v: Volume, p: Params) -> dict:

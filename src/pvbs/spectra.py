@@ -42,8 +42,11 @@ class SpectraError(ValueError):
 
 def hamiltonian_norm(h) -> float:
     """Upper bound on ||H||: the largest absolute row sum, which bounds
-    every eigenvalue of H."""
-    return float(abs(h).sum(axis=1).max())
+    every eigenvalue of H. Summed from the CSR arrays, slot by slot."""
+    h = sp.csr_matrix(h)
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    return float(np.bincount(rows, weights=np.abs(h.data),
+                             minlength=h.shape[0]).max())
 
 
 def lanczos_start(dim: int) -> np.ndarray:
@@ -128,7 +131,8 @@ class SpectrumReport:
 
 
 def total_gap(v: Volume, p: Params,
-              sector_cap: int = fock.DEFAULT_SECTOR_CAP) -> SpectrumReport:
+              sector_cap: int = fock.DEFAULT_SECTOR_CAP,
+              patterns: dict | None = None) -> SpectrumReport:
     """Gap of H^v over all particle sectors.
 
     Requires a connected volume, where the kernel is exactly the four
@@ -137,12 +141,18 @@ def total_gap(v: Volume, p: Params,
     its kernel below KERNEL_TOL_REL * max(1, ||H||), and the next one is
     its lowest excitation. Sectors whose dimension exceeds sector_cap are
     skipped and the report is flagged partial.
+
+    Each sector's `operators.sector_pattern` is dropped once the sector is
+    solved, unless the caller passes `patterns`: a dict, kept by the
+    caller for one volume v, that holds them by (n_a, n_b) for the next
+    call with other parameters.
     """
     if sector_cap < 1:
         raise fock.FockError(f"sector cap must be at least 1, got {sector_cap}")
     n = len(v)
     if n < 2 or not is_connected(v):
         raise LatticeError("total_gap needs a connected volume with >= 2 sites")
+    weights = operators.edge_weights(p)
     records = []
     for n_a in range(n + 1):
         for n_b in range(n + 1 - n_a):
@@ -150,8 +160,15 @@ def total_gap(v: Volume, p: Params,
             if dim > sector_cap:
                 records.append(SectorRecord(n_a, n_b, dim, 0, None, True))
                 continue
-            basis = fock.enumerate_sector(v, n_a, n_b)
-            h = operators.assemble_sector_hamiltonian(v, p, basis)
+            pattern = None if patterns is None else patterns.get((n_a, n_b))
+            if pattern is None:
+                pattern = operators.sector_pattern(
+                    fock.enumerate_sector(v, n_a, n_b))
+                if patterns is not None:
+                    patterns[n_a, n_b] = pattern
+            basis = pattern.basis
+            h = operators.assemble_sector_hamiltonian(
+                v, p, basis, pattern=pattern, weights=weights)
             thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
             which = analytic.GROUND_SECTORS.get((n_a, n_b))
             kernel = 0

@@ -1,0 +1,35 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from pvbs.lattice import Volume
+from pvbs.model import Params
+
+
+@st.composite
+def connected_volumes(draw):
+    """A connected volume of 2 to 6 sites in d = 1 or 2, grown one
+    neighbour at a time."""
+    d = draw(st.integers(1, 2))
+    sites = [(0,) * d]
+    for _ in range(draw(st.integers(1, 5))):
+        free = sorted({s[:j] + (s[j] + step,) + s[j + 1:]
+                       for s in sites for j in range(d)
+                       for step in (1, -1)} - set(sites))
+        sites.append(draw(st.sampled_from(free)))
+    return Volume(d, tuple(sites))
+
+
+def params(d: int):
+    """Parameters in d dimensions with rational entries in [1/5, 5]."""
+    lam = st.lists(st.fractions(Fraction(1, 5), 5, max_denominator=5),
+                   min_size=d, max_size=d).map(tuple)
+    return st.builds(Params, lam, lam)
+
+
+@st.composite
+def volumes_and_params(draw):
+    v = draw(connected_volumes())
+    return v, draw(params(v.dim))

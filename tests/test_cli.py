@@ -159,6 +159,19 @@ def test_certify_d1(capsys):
     assert all(c["pass"] for c in rec["conditions"])
 
 
+def test_certify_strong_weights_bounds_hold_without_slack(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", "1e-102",
+                           "--lambda-b", "1e102")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["eps_ell"] == pytest.approx(1.8973665961e-101, rel=1e-9)
+    iii = [c for c in rec["conditions"] if c["condition"] == "iii"]
+    assert iii
+    for cond in iii:
+        assert cond["bound"] == rec["eps_ell"]
+        assert 0 < cond["measured"] <= cond["bound"]
+
+
 def test_certify_gapless_is_validation_error(capsys):
     code, _, _ = run_cli(capsys, "certify", "--lambda-a", "1",
                          "--lambda-b", "2")
@@ -228,6 +241,23 @@ def test_sweep_with_cache(capsys, tmp_path):
         assert "5 cache hits, 1 solves" in err3
         with open(entry) as fh:
             assert fh.read() == text
+
+
+def test_sweep_points_share_patterns_but_not_weights(capsys, monkeypatch):
+    # at each size, lambda_a = 3 reuses the sector patterns built for
+    # lambda_a = 2; its rows must be those of a sweep over 3 alone
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+
+    def rows_at_3(grid):
+        code, out, _ = run_cli(capsys, "sweep", "--grid-a", grid,
+                               "--lambda-b", "1/2", "--sizes", "3,4",
+                               "--format", "csv")
+        assert code == 0
+        return [line for line in out.splitlines() if line.startswith("3,")]
+
+    alone = rows_at_3("3")
+    assert len(alone) == 2
+    assert rows_at_3("2,3") == alone
 
 
 def test_sweep_failed_point_is_a_row(capsys):

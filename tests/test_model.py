@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbs.model import (DIVERGENT, GapClass, ModelError, Params, c_orthant,
-                        c_tilde, choose_ell, classify_halfspace, classify_zd,
+                        c_tilde, choose_ell, classify_zd,
                         epsilon_ell, infinite_gs_census, log_lambda,
                         select_tilt)
 
@@ -46,26 +46,12 @@ def test_classifier_grid_exactness():
                     assert got == expect, (a1, a2, b1, b2)
 
 
-def test_classify_halfspace():
-    normal = (0.0, 1.0)
-    p = Params(("1", "1"), ("2", "2"))
-    assert classify_halfspace(p, normal) is GapClass.GAPLESS
-    # log vector anti-parallel to the inward normal: gapless edge modes
-    lam = math.exp(-1.0)
-    p2 = Params(("2", "3"), (str(Fraction(math.exp(0.0))), "1"))
-    # those are exact fractions; build the anti-parallel case numerically
-    p3 = Params(("2", "2"), (Fraction(1, 2), "1"))
-    # log_b = (-log2, 0) ~ anti-parallel to normal (1, 0)
-    assert classify_halfspace(p3, (1.0, 0.0)) is GapClass.GAPLESS
-    assert classify_halfspace(p3, (0.0, 1.0)) is GapClass.CONJECTURED_GAPPED
-    del lam, p2
-
-
 def test_census_zd():
     # particles escape to infinity: only the vacuum survives
     p = Params(("2",), ("3",))
     assert infinite_gs_census("zd", p) == {"vacuum"}
-    assert infinite_gs_census("halfspace", p) == {"vacuum"}
+    with pytest.raises(ModelError, match="unknown region"):
+        infinite_gs_census("halfspace", p)
 
 
 def test_orthant_census_and_constant():
@@ -136,6 +122,23 @@ def test_choose_ell_frozen_values():
     assert ell2 == 13
     assert epsilon_ell(t2, 12) > 1 / math.sqrt(12)
     assert eps2 < 1 / math.sqrt(13)
+
+
+def test_epsilon_ell_is_the_direct_product_where_that_is_in_range():
+    for la, lb in (("10", "1/10"), ("4", "1/4")):
+        t = select_tilt(Params((la,), (lb,)))
+        ell, eps = choose_ell(t)
+        direct = (math.sqrt(60.0 * ell) * c_tilde(t) ** 1.5
+                  * math.exp(-(ell - 2) * t.min_log))
+        assert eps == pytest.approx(direct, rel=1e-14, abs=0)
+
+
+def test_epsilon_ell_strong_weights_do_not_underflow():
+    # c~ = 1 + 1e204 and exp(-4 min|log|) = 1e-408: the last factor alone
+    # underflows, the bound sqrt(360) * 1e-102 does not
+    t = select_tilt(Params(("1e-102",), ("1e102",)))
+    assert choose_ell(t) == (6, pytest.approx(math.sqrt(360) * 1e-102,
+                                              rel=1e-12))
 
 
 def test_choose_ell_cap():

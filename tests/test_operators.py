@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projector_oracle
+import strategies
 from pvbs import fock, martingale, operators
 from pvbs.lattice import Volume, build_box, edges, is_connected
 from pvbs.model import GapClass, Params, classify_zd, select_tilt
@@ -24,6 +25,12 @@ def test_edge_block_kernel(lam_a, lam_b):
     h = operators.edge_projection_block(lam_a, lam_b)
     assert np.max(np.abs(h @ h - h)) < 1e-13
     assert np.trace(h) == pytest.approx(5.0, abs=1e-12)
+    # diagonal plus one exchange of the end digits: the only off-diagonal
+    # entries pair 0a with a0, 0b with b0 and ab with ba
+    pair = np.arange(9)
+    exchange = np.zeros((9, 9), dtype=bool)
+    exchange[3 * (pair % 3) + pair // 3, pair] = True
+    assert not h[~(exchange | np.eye(9, dtype=bool))].any()
     kv = operators.edge_kernel_vectors(lam_a, lam_b)
     assert np.max(np.abs(h @ kv.T)) < 1e-13
     # kernel vectors are orthonormal, so kernel dimension is exactly 4
@@ -48,16 +55,55 @@ def test_sector_hamiltonian_matches_full_tensor_build():
         v = build_box(dims)
         p = Params(lam_a, lam_b)
         n = len(v)
-        la, lb = p.floats("a"), p.floats("b")
-        full = sum(_expand_pair(
-            operators.edge_projection_block(la[e.direction], lb[e.direction]),
-            n, v.sites.index(e.base), v.sites.index(e.head)) for e in edges(v))
+        full = _full_hamiltonian(v, p)
         for na in range(n + 1):
             for nb in range(n + 1 - na):
                 b = fock.enumerate_sector(v, na, nb)
                 h = operators.assemble_sector_hamiltonian(v, p, b).toarray()
                 ref = full[np.ix_(b.states, b.states)]
                 assert np.max(np.abs(h - ref)) < 1e-13, (dims, na, nb)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sector_pattern_reused_across_parameters(data):
+    # a pattern filled for p1 and then for p2 gives the bits of a fresh
+    # assembly at p2, and the full-tensor Hamiltonian at p2
+    v = data.draw(strategies.connected_volumes())
+    p1 = data.draw(strategies.params(v.dim))
+    p2 = data.draw(strategies.params(v.dim))
+    full = _full_hamiltonian(v, p2)
+    n = len(v)
+    for na in range(n + 1):
+        for nb in range(n + 1 - na):
+            b = fock.enumerate_sector(v, na, nb)
+            pattern = operators.sector_pattern(b)
+            operators.assemble_sector_hamiltonian(v, p1, b, pattern=pattern)
+            h = operators.assemble_sector_hamiltonian(v, p2, b,
+                                                      pattern=pattern)
+            fresh = operators.assemble_sector_hamiltonian(v, p2, b)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(h, part), getattr(fresh, part))
+            ref = full[np.ix_(b.states, b.states)]
+            assert np.max(np.abs(h.toarray() - ref)) <= 1e-14 * max(
+                1.0, np.abs(ref).max())
+
+
+def test_pattern_from_another_basis_rejected():
+    v = build_box((3,))
+    b = fock.enumerate_sector(v, 1, 0)
+    pattern = operators.sector_pattern(fock.enumerate_sector(v, 1, 0))
+    with pytest.raises(operators.OperatorError, match="pattern"):
+        operators.assemble_sector_hamiltonian(v, P_CHAIN, b, pattern=pattern)
+
+
+def _full_hamiltonian(v, p):
+    """H^v on all 3^n states, one embedded edge block per edge."""
+    la, lb = p.floats("a"), p.floats("b")
+    return sum(_expand_pair(
+        operators.edge_projection_block(la[e.direction], lb[e.direction]),
+        len(v), v.sites.index(e.base), v.sites.index(e.head))
+        for e in edges(v))
 
 
 def _expand_pair(block, n, left, right):

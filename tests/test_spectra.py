@@ -1,15 +1,14 @@
 import functools
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pvbs import analytic, fock, operators, spectra
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
+from strategies import volumes_and_params
 
 P_CHAIN = Params(("2",), ("1/2",))
 
@@ -161,22 +160,6 @@ def test_gapless_scaling_needs_flat_species():
         spectra.gapless_scaling(P_CHAIN, [2, 3])
 
 
-@st.composite
-def volumes_and_params(draw):
-    """A connected volume of 2 to 6 sites grown one neighbour at a time,
-    with rational parameters in [1/5, 5]."""
-    d = draw(st.integers(1, 2))
-    sites = [(0,) * d]
-    for _ in range(draw(st.integers(1, 5))):
-        free = sorted({s[:j] + (s[j] + step,) + s[j + 1:]
-                       for s in sites for j in range(d)
-                       for step in (1, -1)} - set(sites))
-        sites.append(draw(st.sampled_from(free)))
-    lam = st.lists(st.fractions(Fraction(1, 5), 5, max_denominator=5),
-                   min_size=d, max_size=d).map(tuple)
-    return Volume(d, tuple(sites)), Params(draw(lam), draw(lam))
-
-
 @given(volumes_and_params())
 @settings(max_examples=40, deadline=None)
 def test_norm_bound_and_kernel_on_random_volumes(case):
@@ -189,6 +172,8 @@ def test_norm_bound_and_kernel_on_random_volumes(case):
             h = operators.assemble_sector_hamiltonian(v, p, b)
             vals = np.linalg.eigvalsh(h.toarray())
             norm = spectra.hamiltonian_norm(h)
+            assert norm == pytest.approx(float(abs(h).sum(axis=1).max()),
+                                         rel=1e-15, abs=0)
             # slack for the rounding of the dense eigensolve
             assert vals[-1] <= norm * (1 + 1e-12)
             # one kernel vector in each ground sector, none elsewhere

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -68,13 +69,10 @@ def dumps_canonical(obj) -> str:
 def emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(dumps_canonical(record))
-    elif fmt == "csv":
-        rows = record.get("rows")
-        if rows is None:
-            raise ValueError("csv format is only available for tabular output")
+    elif fmt == "csv":  # offered only by the tabular verbs
         cols = record["columns"]
         print(",".join(cols))
-        for r in rows:
+        for r in record["rows"]:
             print(",".join(dumps_canonical(r[c]).strip('"') for c in cols))
     elif fmt == "table":
         rows = record.get("rows")
@@ -92,12 +90,13 @@ def emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- parsing
 
-def parse_lambda(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated decimals/fractions, parsed exactly."""
-    parts = [s.strip() for s in text.split(",") if s.strip()]
+def parse_lambda(text: str) -> tuple[str, ...]:
+    """The comma-separated decimals/fractions of a parameter vector, which
+    `Params` parses exactly."""
+    parts = tuple(s.strip() for s in text.split(",") if s.strip())
     if not parts:
         raise ValueError("empty parameter vector")
-    return tuple(Fraction(s) for s in parts)
+    return parts
 
 
 def parse_volume(text: str) -> Volume:
@@ -113,13 +112,19 @@ def parse_volume(text: str) -> Volume:
         if not dims:
             raise ValueError("volume spec is missing extents after '@'")
         build = build_tilted_case1 if kind == "case1" else build_tilted_case2
-        vol = build(v_tail, dims)
-        return Volume(vol.dim, vol.sites, label=text)
+        return build(v_tail, dims, label=text)
     raise ValueError(f"unknown volume spec {text!r}")
 
 
 def _params(args) -> Params:
     return Params(parse_lambda(args.lambda_a), parse_lambda(args.lambda_b))
+
+
+def _eta(args) -> float:
+    if not 0 <= args.eta < math.inf:
+        raise ModelError(f"--eta must be finite and nonnegative, "
+                         f"got {args.eta}")
+    return args.eta
 
 
 # ---------------------------------------------------------------- cache
@@ -203,7 +208,7 @@ def cmd_certify(args) -> dict:
             f"--dim {args.dim} contradicts parameter dimension {p.dim}")
     if model.classify_zd(p) is not model.GapClass.GAPPED:
         raise ModelError("certify requires gapped parameters")
-    return martingale.certify(p, eta=args.eta, ell_cap=args.ell_cap,
+    return martingale.certify(p, eta=_eta(args), ell_cap=args.ell_cap,
                               gamma_budget=args.budget).to_json()
 
 
@@ -211,7 +216,7 @@ def cmd_verify_lemmas(args) -> dict:
     if args.trials < 1:
         raise ModelError(f"--trials must be at least 1, got {args.trials}")
     p = _params(args)
-    t = model.select_tilt(p, eta=args.eta)
+    t = model.select_tilt(p, eta=_eta(args))
     rng = random.Random(args.seed)
     reports = []
     for _ in range(args.trials):
@@ -235,7 +240,7 @@ def cmd_verify_lemmas(args) -> dict:
 
 def cmd_verify_projection(args) -> dict:
     p = _params(args)
-    t = model.select_tilt(p, eta=args.eta)
+    t = model.select_tilt(p, eta=_eta(args))
     pp = martingale.permuted_params(p, t)
     fam = martingale.sweep_family(t, args.j, args.ell, args.lead,
                                   upper=args.ell)
@@ -319,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pvbs",
         description="Two-species PVBS models: gaps and gap certificates.")
     sub = ap.add_subparsers(dest="verb", required=True)
+    # csv needs rows, which only the tabular verbs (scaling, sweep) print
+    text, tabular = ["json", "table"], ["json", "csv", "table"]
 
-    def common(sp, lambdas=True):
-        if lambdas:
-            sp.add_argument("--lambda-a", required=True,
-                            help="comma-separated decimals, one per dimension")
-            sp.add_argument("--lambda-b", required=True)
-        sp.add_argument("--format", choices=["json", "csv", "table"],
-                        default="json")
+    def common(sp, formats=text):
+        sp.add_argument("--lambda-a", required=True,
+                        help="comma-separated decimals, one per dimension")
+        sp.add_argument("--lambda-b", required=True)
+        sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("classify", help="gapped/gapless classification")
     common(sp)
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, default=model.DEFAULT_ETA)
 
     sp = sub.add_parser("scaling", help="gapless trial energies vs box size")
-    common(sp)
+    common(sp, tabular)
     sp.add_argument("--sizes", required=True, help="comma-separated box sizes")
 
     sp = sub.add_parser("sweep", help="gap over a parameter/size grid")
@@ -375,13 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated lambda_a values")
     sp.add_argument("--lambda-b", required=True)
     sp.add_argument("--sizes", required=True)
-    sp.add_argument("--format", choices=["json", "csv", "table"],
-                    default="csv")
+    sp.add_argument("--format", choices=tabular, default="csv")
     sp.add_argument("--cache-dir", default=None)
 
     sp = sub.add_parser("info", help="caps, tolerances, seeds, versions")
-    sp.add_argument("--format", choices=["json", "csv", "table"],
-                    default="json")
+    sp.add_argument("--format", choices=text, default="json")
     return ap
 
 

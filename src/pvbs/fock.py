@@ -90,9 +90,6 @@ class SectorBasis:
                             f"sector ({self.n_a}, {self.n_b})")
         return pos
 
-    def index_of(self, code: int) -> int:
-        return int(self.positions(code))
-
 
 def _combinations(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) as rows, in lexicographic order."""
@@ -102,8 +99,7 @@ def _combinations(n: int, k: int) -> np.ndarray:
     return flat.reshape(count, k)
 
 
-def enumerate_sector(v: Volume, n_a: int, n_b: int,
-                     cap: int = DEFAULT_SECTOR_CAP) -> SectorBasis:
+def enumerate_sector(v: Volume, n_a: int, n_b: int) -> SectorBasis:
     """Complete sorted basis of the (n_a, n_b) particle sector on v.
 
     Each state is a set of occupied sites times a choice of which of them
@@ -113,9 +109,9 @@ def enumerate_sector(v: Volume, n_a: int, n_b: int,
     if n > MAX_SITES:
         raise FockError(f"base-3 codes of {n} sites overflow int64 "
                         f"(at most {MAX_SITES} sites)")
-    if dim > cap:
-        raise FockError(
-            f"sector ({n_a}, {n_b}) on {n} sites has dimension {dim} > cap {cap}")
+    if dim > DEFAULT_SECTOR_CAP:
+        raise FockError(f"sector ({n_a}, {n_b}) on {n} sites has dimension "
+                        f"{dim} > cap {DEFAULT_SECTOR_CAP}")
     k = n_a + n_b
     occupied = _combinations(n, k)
     pattern = np.full((math.comb(k, n_b), k), A, dtype=np.int64)

@@ -68,13 +68,6 @@ class Volume:
         moved = tuple(tuple(x + o for x, o in zip(s, offset)) for s in self.sites)
         return Volume(self.dim, moved, self.label)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "sites": [list(s) for s in self.sites], "label": self.label}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Volume":
-        return Volume(obj["dim"], tuple(tuple(s) for s in obj["sites"]), obj.get("label", ""))
-
 
 def build_box(dims: tuple[int, ...], label: str = "") -> Volume:
     """Axis-aligned box {x : 0 <= x_j <= dims_j - 1}."""
@@ -161,12 +154,8 @@ def boundary_edges(inner: Volume, ambient: Volume) -> list[Edge]:
 
 
 def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...],
-                       lower: int = 0, label: str = "") -> Volume:
-    """Case-1 parallelepiped with tilt vector v = (1, *v_tail).
-
-    ``lower`` shifts the first constraint to lower <= v.x <= L_1 - 1,
-    which is how slabs in the sweep-1 direction are cut.
-    """
+                       label: str = "") -> Volume:
+    """Case-1 parallelepiped with tilt vector v = (1, *v_tail)."""
     d = len(L)
     _check_dim(d)
     if len(v_tail) != d - 1:
@@ -181,18 +170,18 @@ def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...],
         tails = [t + (x,) for t in tails for x in range(n)]
     for tail in tails:
         shift = sum(vt * x for vt, x in zip(v_tail, tail))
-        for vx in range(lower, L[0]):
+        for vx in range(L[0]):
             sites.append((vx - shift,) + tail)
     return Volume(d, tuple(sites), label)
 
 
 def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
-                       lower1: int = 0, lower2: int = 0, label: str = "") -> Volume:
+                       label: str = "") -> Volume:
     """Case-2 diamond parallelepiped.
 
     Constraints (scaled by 2, all integer):
-      2*lower1 <= x1 + x2 + 2*sum(v(j) x_j) <= 2 L_1 - 1
-      2*lower2 <= -x1 + x2               <= 2 L_2 - 1
+      0 <= x1 + x2 + 2*sum(v(j) x_j) <= 2 L_1 - 1
+      0 <= -x1 + x2               <= 2 L_2 - 1
       0 <= x_j <= L_j - 1  for j >= 3
     """
     d = len(L)
@@ -210,8 +199,8 @@ def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
     for tail in tails:
         shift = 2 * sum(vt * x for vt, x in zip(v_tail, tail))
         # s = x1 + x2 ranges so that 2 v.x = s + shift is in bounds
-        for s in range(2 * lower1 - shift, 2 * L[0] - shift):
-            for t in range(2 * lower2, 2 * L[1]):
+        for s in range(-shift, 2 * L[0] - shift):
+            for t in range(2 * L[1]):
                 if (s + t) % 2:
                     continue
                 x2 = (s + t) // 2

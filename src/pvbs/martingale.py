@@ -24,6 +24,10 @@ from .model import (DEFAULT_ELL_CAP, DEFAULT_ETA, GapClass, ModelError,
 
 DEFAULT_GAMMA_BUDGET = 150_000
 PASS_SLACK = 1e-10
+# condition (iii) is checked at the SPOT_CHECKS smallest sweep positions
+# of each direction, with extent SPOT_LEAD in the directions before it
+SPOT_LEAD = 2
+SPOT_CHECKS = 2
 
 
 class MartingaleError(ValueError):
@@ -156,10 +160,6 @@ class GapCertificate:
     notes: list[str] = field(default_factory=list)
     version: str = ""
 
-    @property
-    def d_ell(self) -> int:
-        return self.ell
-
     def to_json(self) -> dict:
         def val(x):
             return x.to_json() if isinstance(x, Symbolic) else x
@@ -168,7 +168,7 @@ class GapCertificate:
             "params": self.params.to_json(),
             "tilt": self.tilt.to_json(),
             "ell": self.ell,
-            "d_ell": self.d_ell,
+            "d_ell": self.ell,
             "c_tilde": self.c_tilde,
             "eps_ell": self.eps_ell,
             "gamma_ell": val(self.gamma_ell),
@@ -180,12 +180,11 @@ class GapCertificate:
         }
 
 
-def _spot_checks(t: TiltScheme, pp: Params, ell: int, j: int,
-                 spot_lead: int, how_many: int):
+def _spot_checks(t: TiltScheme, pp: Params, ell: int, j: int):
     """The smallest feasible sweep positions n for a direction-j check."""
     reports, notes = [], []
-    family = sweep_family(t, j, ell, spot_lead, upper=ell)
-    for n in range(ell, ell + how_many):
+    family = sweep_family(t, j, ell, SPOT_LEAD, upper=ell)
+    for n in range(ell, ell + SPOT_CHECKS):
         sites = len(family.member(n + 1))
         if sites > fock.MAX_SITES:
             notes.append(
@@ -199,9 +198,7 @@ def _spot_checks(t: TiltScheme, pp: Params, ell: int, j: int,
 
 def certify(p: Params, eta: float = DEFAULT_ETA,
             ell_cap: int = DEFAULT_ELL_CAP,
-            gamma_budget: int = DEFAULT_GAMMA_BUDGET,
-            spot_lead: int = 2, spot_checks: int = 2,
-            check_conditions: bool = True) -> GapCertificate:
+            gamma_budget: int = DEFAULT_GAMMA_BUDGET) -> GapCertificate:
     """Run the full certification pipeline for gapped parameters."""
     if classify_zd(p) is not GapClass.GAPPED:
         raise MartingaleError(
@@ -235,19 +232,18 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         final = gamma.gap * factor ** d
 
     conditions = []
-    if check_conditions:
-        for j in range(d):
-            fam = sweep_family(t, j, ell, 2 * ell, upper=2 * ell)
-            conditions.append(verify_condition_i(fam, ell, 2 * ell))
-        for j in range(d):
-            reps, more = _spot_checks(t, pp, ell, j, spot_lead, spot_checks)
-            conditions.extend(reps)
-            notes.extend(more)
-        bad = [c for c in conditions if not c.passed]
-        if bad:
-            raise MartingaleError(
-                f"certificate invalid: condition {bad[0].condition} failed "
-                f"with inputs {bad[0].inputs}")
+    for j in range(d):
+        fam = sweep_family(t, j, ell, 2 * ell, upper=2 * ell)
+        conditions.append(verify_condition_i(fam, ell, 2 * ell))
+    for j in range(d):
+        reps, more = _spot_checks(t, pp, ell, j)
+        conditions.extend(reps)
+        notes.extend(more)
+    bad = [c for c in conditions if not c.passed]
+    if bad:
+        raise MartingaleError(
+            f"certificate invalid: condition {bad[0].condition} failed "
+            f"with inputs {bad[0].inputs}")
 
     version = (f"pvbs {_pkg_version}; numpy {numpy.__version__}; "
                f"scipy {scipy.__version__}")

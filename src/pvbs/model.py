@@ -37,7 +37,10 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
         elif isinstance(v, int):
             f = Fraction(v)
         elif isinstance(v, str):
-            f = Fraction(v)
+            try:
+                f = Fraction(v)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ModelError(f"cannot parse parameter {v!r}") from exc
         elif isinstance(v, float) and math.isfinite(v):
             f = Fraction(v).limit_denominator(10**12)
         else:
@@ -114,17 +117,21 @@ DIVERGENT = "divergent"
 
 
 def c_orthant(p: Params, species: str):
-    """Single-particle normalization on the orthant: prod 1/(1-lambda^2).
+    """Single-particle normalization on the orthant: prod 1/(1-lambda^2),
+    taken in exact fractions, since lambda just below 1 rounds to 1.0 in
+    double precision; ModelError when the product is outside double
+    range.
 
     Returns the DIVERGENT marker unless every entry is < 1.
     """
     vec = p.species(species)
     if any(v >= 1 for v in vec):
         return DIVERGENT
-    out = 1.0
-    for v in vec:
-        out *= 1.0 / (1.0 - float(v) ** 2)
-    return out
+    try:
+        return float(math.prod(1 / (1 - v * v) for v in vec))
+    except OverflowError:
+        raise ModelError(f"orthant constant of species {species} is "
+                         "outside double range") from None
 
 
 def infinite_gs_census(region: str, p: Params) -> set[str]:
@@ -169,9 +176,6 @@ class TiltScheme:
 
     def tilde(self, s: str) -> tuple[Fraction, ...]:
         return self.lambda_tilde_a if s == "a" else self.lambda_tilde_b
-
-    def kappa(self, s: str) -> float:
-        return self.kappa_a if s == "a" else self.kappa_b
 
     def log_tilde(self, s: str) -> tuple[float, ...]:
         return tuple(math.log(v) for v in self.tilde(s))

@@ -152,33 +152,21 @@ def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
     return SectorPattern(basis, *arrays)
 
 
-def assemble_sector_hamiltonian(v: Volume, p: Params,
-                                basis: fock.SectorBasis, *,
-                                pattern: SectorPattern | None = None,
-                                weights: EdgeWeights | None = None
-                                ) -> sp.csr_matrix:
-    """H^v restricted to the particle-number sector of `basis`.
-
-    `pattern` (from `sector_pattern(basis)`) and `weights` (from
-    `edge_weights(p)`) are built here unless passed in, so that a caller
-    can reuse a pattern across parameters and weights across sectors.
-    The diagonal is summed edge by edge, so every run gives the same
-    bits."""
-    if basis.volume is not v and basis.volume != v:
-        raise OperatorError("basis was not built on this volume")
-    if pattern is None:
-        pattern = sector_pattern(basis)
-    elif pattern.basis is not basis:
-        raise OperatorError("pattern was not built on this basis")
-    if weights is None:
-        weights = edge_weights(p)
-    diag = np.zeros(basis.dim)
+def assemble_sector_hamiltonian(pattern: SectorPattern,
+                                weights: EdgeWeights) -> sp.csr_matrix:
+    """H^v restricted to the particle-number sector of `pattern.basis`,
+    filled from `pattern` (from `sector_pattern(basis)`) and `weights`
+    (from `edge_weights(p)`), so that a caller can reuse a pattern
+    across parameters and weights across sectors. The diagonal is summed
+    edge by edge, so every run gives the same bits."""
+    dim = pattern.basis.dim
+    diag = np.zeros(dim)
     for kinds in pattern.edge_kinds:
         diag += weights.diagonal[kinds]
     data = weights.exchange[pattern.kinds]
     data[pattern.diag_slots] = diag
     return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(basis.dim, basis.dim))
+                         shape=(dim, dim))
 
 
 def _ground_vectors(v: Volume, p: Params) -> dict:

@@ -56,19 +56,17 @@ def lanczos_start(dim: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def lowest_eigenvalues(h, k: int = 1,
-                       dense_cap: int = DENSE_CAP) -> np.ndarray:
+def lowest_eigenvalues(h, k: int = 1) -> np.ndarray:
     """The k smallest eigenvalues of H, in ascending order.
 
-    Sectors up to dense_cap (default DENSE_CAP = 200) states are
-    diagonalized densely, larger ones by Lanczos, whose Ritz pairs must
-    have a residual ||Hx - theta x|| of at most
-    KERNEL_TOL_REL * max(1, ||H||), or SpectraError is raised.
+    Sectors up to DENSE_CAP states are diagonalized densely, larger ones
+    by Lanczos, whose Ritz pairs must have a residual ||Hx - theta x|| of
+    at most KERNEL_TOL_REL * max(1, ||H||), or SpectraError is raised.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise SpectraError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    if dim <= dense_cap or k >= dim - 1:
+    if dim <= DENSE_CAP or k >= dim - 1:
         return np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[:k]
     vals, vecs = spla.eigsh(h, k=k, which="SA", v0=lanczos_start(dim))
     scale = max(1.0, hamiltonian_norm(h))
@@ -78,21 +76,6 @@ def lowest_eigenvalues(h, k: int = 1,
             f"Lanczos eigenpair residual {resid:.3e} exceeds "
             f"{KERNEL_TOL_REL:g} * {scale:.3e}")
     return np.sort(vals)
-
-
-def kernel_dimension(h) -> int:
-    """Number of eigenvalues below KERNEL_TOL_REL * max(1, ||H||)."""
-    dim = h.shape[0]
-    if dim == 0:
-        return 0
-    thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
-    k = 4
-    while True:
-        k = min(k, dim)
-        vals = lowest_eigenvalues(h, k=k)
-        if vals[-1] >= thresh or k == dim:
-            return int(np.count_nonzero(vals < thresh))
-        k *= 2
 
 
 @dataclass
@@ -167,8 +150,7 @@ def total_gap(v: Volume, p: Params,
                 if patterns is not None:
                     patterns[n_a, n_b] = pattern
             basis = pattern.basis
-            h = operators.assemble_sector_hamiltonian(
-                v, p, basis, pattern=pattern, weights=weights)
+            h = operators.assemble_sector_hamiltonian(pattern, weights)
             thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
             which = analytic.GROUND_SECTORS.get((n_a, n_b))
             kernel = 0

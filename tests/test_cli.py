@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -100,12 +101,68 @@ def test_gap_dimension_mismatch(capsys):
     ("verify-lemmas", "--lambda-a", "1e154", "--lambda-b", "1/2",
      "--trials", "2"),
     ("certify", "--lambda-a", "1e-154", "--lambda-b", "1e154"),
+    # a zero denominator
+    ("classify", "--lambda-a", "1/0", "--lambda-b", "2"),
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/0", "--volume", "box:4"),
+    # an orthant constant 1/(1 - lambda^2) ~ 5e399
+    ("census", "--region", "orthant", "--lambda-a",
+     f"{10 ** 400 - 1}/{10 ** 400}", "--lambda-b", "1/2"),
+    # eta must be finite and nonnegative
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--eta", "nan"),
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--eta", "-1"),
+    ("verify-lemmas", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--eta", "nan"),
+    ("verify-lemmas", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--eta", "-1"),
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--eta", "inf"),
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "7", "--ell", "7", "--eta", "nan"),
 ])
 def test_invalid_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# one small valid invocation per verb
+SMALL_ARGV = {
+    "classify": ("--lambda-a", "2", "--lambda-b", "1/2"),
+    "census": ("--region", "orthant", "--lambda-a", "1/2",
+               "--lambda-b", "1/3"),
+    "gap": ("--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:3"),
+    "certify": ("--lambda-a", "10", "--lambda-b", "1/10"),
+    "verify-lemmas": ("--lambda-a", "2", "--lambda-b", "1/2",
+                      "--trials", "2"),
+    "verify-projection": ("--lambda-a", "10", "--lambda-b", "1/10",
+                          "--n", "7", "--ell", "7"),
+    "scaling": ("--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,3"),
+    "sweep": ("--grid-a", "2", "--lambda-b", "1/2", "--sizes", "3"),
+    "info": (),
+}
+
+
+def _verb_formats():
+    """(verb, format) for every --format choice each verb's parser offers."""
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    for verb in cli.VERBS:
+        [fmt] = [a for a in sub.choices[verb]._actions if a.dest == "format"]
+        for choice in fmt.choices:
+            yield verb, choice
+
+
+@pytest.mark.parametrize("verb,fmt", list(_verb_formats()))
+def test_every_offered_format_exits_cleanly(capsys, monkeypatch, verb, fmt):
+    # a format a verb offers must print its record, never a traceback
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    try:
+        code = cli.main([verb, *SMALL_ARGV[verb], "--format", fmt])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out
 
 
 def test_eigensolver_failure(capsys, monkeypatch):
@@ -121,8 +178,7 @@ def test_eigensolver_failure(capsys, monkeypatch):
     assert err.startswith("error: ARPACK error -1: no convergence")
     # sweep sectors are small enough for the dense path; a zero dense cap
     # sends them to Lanczos
-    monkeypatch.setattr(spectra, "lowest_eigenvalues", functools.partial(
-        spectra.lowest_eigenvalues, dense_cap=0))
+    monkeypatch.setattr(spectra, "DENSE_CAP", 0)
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
                            "--lambda-b", "2", "--sizes", "3",
                            "--format", "json")
@@ -133,8 +189,7 @@ def test_eigensolver_failure(capsys, monkeypatch):
 
 
 def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_eigsh):
-    monkeypatch.setattr(spectra, "lowest_eigenvalues", functools.partial(
-        spectra.lowest_eigenvalues, dense_cap=0))
+    monkeypatch.setattr(spectra, "DENSE_CAP", 0)
     code, out, err = run_cli(capsys, "gap", "--volume", "box:4",
                              "--lambda-a", "2", "--lambda-b", "1/2")
     assert code == 3
@@ -261,15 +316,16 @@ def test_sweep_points_share_patterns_but_not_weights(capsys, monkeypatch):
 
 
 def test_sweep_failed_point_is_a_row(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "0,2",
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "0,1/0,2",
                            "--lambda-b", "2", "--sizes", "3",
                            "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [r["lambda_a"] for r in rows] == ["0", "2"]
-    assert rows[0]["gap"] is None
-    assert rows[0]["status"].startswith("failed: ")
-    assert rows[1]["status"] == "ok"
+    assert [r["lambda_a"] for r in rows] == ["0", "1/0", "2"]
+    for row in rows[:2]:
+        assert row["gap"] is None
+        assert row["status"].startswith("failed: ")
+    assert rows[2]["status"] == "ok"
 
 
 def test_sweep_env_cache(capsys, tmp_path, monkeypatch):

@@ -38,17 +38,17 @@ def test_enumerate_sector():
         assert digits.count(1) == 1 and digits.count(2) == 1
     # index lookup is the inverse of enumeration
     for i, code in enumerate(b.states):
-        assert b.index_of(code) == i
+        assert b.positions(code) == i
 
 
 def test_index_of_rejects_wrong_sector():
     v = build_box((3,))
     b = fock.enumerate_sector(v, 1, 0)
     with pytest.raises(fock.FockError):
-        b.index_of(fock.encode((2, 0, 0)))
+        b.positions(fock.encode((2, 0, 0)))
     # past the last state, where a sorted search runs off the end
     with pytest.raises(fock.FockError):
-        b.index_of(b.states[-1] + 1)
+        b.positions(b.states[-1] + 1)
     with pytest.raises(fock.FockError):
         b.positions([b.states[0], 3 ** 3])
 
@@ -85,10 +85,11 @@ def test_code_overflow_limit():
                      "--lambda-b", "0.5"]) == 2
 
 
-def test_sector_cap():
+def test_sector_cap(monkeypatch):
     v = build_box((3, 3))
-    with pytest.raises(fock.FockError):
-        fock.enumerate_sector(v, 3, 3, cap=100)
+    monkeypatch.setattr(fock, "DEFAULT_SECTOR_CAP", 100)
+    with pytest.raises(fock.FockError, match="cap 100"):
+        fock.enumerate_sector(v, 3, 3)
 
 
 def test_invalid_counts():

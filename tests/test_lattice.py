@@ -129,11 +129,6 @@ def test_boundary_edges_one_endpoint_inside():
     assert len(be) == 1 and be[0].base == (1,) and be[0].head == (2,)
 
 
-def test_volume_json_roundtrip():
-    v = build_tilted_case1((1,), (3, 2))
-    assert Volume.from_json(v.to_json()).sites == v.sites
-
-
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                 min_size=1, max_size=10, unique=True))
 @settings(max_examples=50, deadline=None)

@@ -129,7 +129,7 @@ def test_compute_gamma_ell_numeric_and_symbolic():
 def test_certify_d1_frozen_values():
     cert = martingale.certify(P10)
     assert cert.ell == 7
-    assert cert.d_ell == 7
+    assert cert.to_json()["d_ell"] == 7
     assert cert.eps_ell == pytest.approx(0.2080, abs=1e-4)
     assert cert.eps_ell < 1 / math.sqrt(cert.ell)
     assert cert.c_tilde == pytest.approx(101.0, rel=1e-10)
@@ -143,7 +143,7 @@ def test_certify_d1_frozen_values():
 
 
 def test_certify_lower_bound_consistency_small():
-    cert = martingale.certify(P10, check_conditions=False)
+    cert = martingale.certify(P10)
     g8 = spectra.total_gap(build_box((8,)), P10).gap
     assert cert.final_bound <= g8
 
@@ -164,7 +164,7 @@ def test_certify_d2_symbolic():
 def test_certify_d2_condition_iii():
     cert = martingale.certify(Params(("10", "10"), ("1/10", "1/10")))
     iii = [c for c in cert.conditions if c.condition == "iii"]
-    # direction 1 with spot_lead 2: 16 and 18 ambient sites
+    # direction 1 with SPOT_LEAD 2: 16 and 18 ambient sites
     assert [(c.inputs["j"], c.inputs["n"]) for c in iii] == [(1, 7), (1, 8)]
     assert all(0 < c.measured <= c.bound for c in iii)
     # direction 0 sweeps 7-site columns: 56 ambient sites at n = 7
@@ -180,6 +180,6 @@ def test_certify_rejects_gapless():
 
 def test_certificate_json_roundtrips():
     import json
-    cert = martingale.certify(P10, check_conditions=False)
+    cert = martingale.certify(P10)
     blob = json.dumps(cert.to_json(), sort_keys=True)
     assert json.loads(blob)["ell"] == 7

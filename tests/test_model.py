@@ -25,6 +25,9 @@ def test_params_validation():
         Params(("-2",), ("1",))
     with pytest.raises(ModelError):
         Params(("1", "2"), ("1",))  # length mismatch
+    for text in ("1/0", "x", ""):
+        with pytest.raises(ModelError, match="cannot parse"):
+            Params((text,), ("1",))
 
 
 def test_classify_zd():
@@ -61,6 +64,18 @@ def test_orthant_census_and_constant():
     assert c_orthant(p, "b") == DIVERGENT
     states = infinite_gs_census("orthant", p)
     assert "omega_a" in states and "omega_b" not in states
+
+
+def test_orthant_constant_is_exact_near_one():
+    # lambda = 1 - 1e-17 is 1.0 in double precision; 1 - lambda^2 is not 0
+    near = "0.99999999999999999"
+    lam = Fraction(near)
+    assert c_orthant(Params((near,), ("2",)), "a") == float(
+        1 / (1 - lam * lam)) == pytest.approx(5e16, rel=1e-15)
+    # 1/(1 - lambda^2) ~ 5e399 is outside double range
+    big = 10 ** 400
+    with pytest.raises(ModelError, match="outside double range"):
+        c_orthant(Params((f"{big - 1}/{big}",), ("2",)), "a")
 
 
 def test_select_tilt_case1_d1():

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,35 +14,41 @@ P_CHAIN = Params(("2",), ("1/2",))
 def test_dense_eigenvalues_sorted():
     v = build_box((3,))
     b = fock.enumerate_sector(v, 1, 0)
-    h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
+    h = operators.assemble_sector_hamiltonian(
+        operators.sector_pattern(b), operators.edge_weights(P_CHAIN))
     vals = spectra.lowest_eigenvalues(h, k=h.shape[0])
     assert list(vals) == sorted(vals)
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_lowest_eigenvalues_dense_vs_lanczos():
+def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
     # one sector just below DENSE_CAP (dense by default) and one just
     # above it (Lanczos by default), each solved by both branches
     assert 168 <= spectra.DENSE_CAP < 210
     for n, n_a, n_b, dim in ((8, 1, 2, 168), (7, 2, 2, 210)):
         v = build_box((n,))
         b = fock.enumerate_sector(v, n_a, n_b)
-        h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
+        h = operators.assemble_sector_hamiltonian(
+            operators.sector_pattern(b), operators.edge_weights(P_CHAIN))
         assert h.shape[0] == dim
-        dense = spectra.lowest_eigenvalues(h, k=3, dense_cap=dim)
-        lanczos = spectra.lowest_eigenvalues(h, k=3, dense_cap=0)
+        dense = np.linalg.eigvalsh(h.toarray())[:3]
         default = spectra.lowest_eigenvalues(h, k=3)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "DENSE_CAP", 0)
+            lanczos = spectra.lowest_eigenvalues(h, k=3)
         assert np.allclose(lanczos, dense, rtol=1e-10, atol=0)
         assert list(default) == list(
             dense if dim <= spectra.DENSE_CAP else lanczos)
 
 
-def test_lanczos_residual_check(perturbed_eigsh):
+def test_lanczos_residual_check(perturbed_eigsh, monkeypatch):
     v = build_box((7,))
     b = fock.enumerate_sector(v, 2, 2)
-    h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
+    h = operators.assemble_sector_hamiltonian(
+        operators.sector_pattern(b), operators.edge_weights(P_CHAIN))
+    monkeypatch.setattr(spectra, "DENSE_CAP", 0)
     with pytest.raises(spectra.SpectraError, match="residual"):
-        spectra.lowest_eigenvalues(h, k=2, dense_cap=0)
+        spectra.lowest_eigenvalues(h, k=2)
 
 
 def test_total_gap_lanczos_matches_dense(monkeypatch):
@@ -66,8 +70,7 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
         ks.clear()
         with monkeypatch.context() as m:
             m.setattr(spla, "eigsh", eigsh)
-            m.setattr(spectra, "lowest_eigenvalues", functools.partial(
-                spectra.lowest_eigenvalues, dense_cap=0))
+            m.setattr(spectra, "DENSE_CAP", 0)
             lanczos = spectra.total_gap(v, p)
         # the ground sectors (1,0), (0,1) and (1,1) of 6 sites went to
         # Lanczos for two eigenvalues each
@@ -82,17 +85,6 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
                                                          rel=1e-10)
 
 
-def test_kernel_dimension():
-    v = build_box((4,))
-    total = 0
-    for na in range(5):
-        for nb in range(5 - na):
-            b = fock.enumerate_sector(v, na, nb)
-            h = operators.assemble_sector_hamiltonian(v, P_CHAIN, b)
-            total += spectra.kernel_dimension(h)
-    assert total == 4
-
-
 def test_total_gap_chain_frozen():
     rep = spectra.total_gap(build_box((4,)), P_CHAIN)
     assert rep.kernel_total == 4
@@ -105,10 +97,12 @@ def test_total_gap_matches_bruteforce():
     v = build_box((2, 2))
     p = Params(("2", "3"), ("1/2", "1/3"))
     full = np.zeros((81, 81))
+    weights = operators.edge_weights(p)
     for na in range(5):
         for nb in range(5 - na):
             b = fock.enumerate_sector(v, na, nb)
-            h = operators.assemble_sector_hamiltonian(v, p, b).toarray()
+            h = operators.assemble_sector_hamiltonian(
+                operators.sector_pattern(b), weights).toarray()
             full[np.ix_(b.states, b.states)] = h
     vals = np.linalg.eigvalsh(full)
     kernel = int(np.count_nonzero(vals < 1e-8))
@@ -169,7 +163,8 @@ def test_norm_bound_and_kernel_on_random_volumes(case):
     for na in range(n + 1):
         for nb in range(n + 1 - na):
             b = fock.enumerate_sector(v, na, nb)
-            h = operators.assemble_sector_hamiltonian(v, p, b)
+            h = operators.assemble_sector_hamiltonian(
+                operators.sector_pattern(b), operators.edge_weights(p))
             vals = np.linalg.eigvalsh(h.toarray())
             norm = spectra.hamiltonian_norm(h)
             assert norm == pytest.approx(float(abs(h).sum(axis=1).max()),

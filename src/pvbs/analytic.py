@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import ComputeError, InputError, fock
 from .lattice import Volume, VolumeFamilySpec, boundary_edges, is_connected
 from .model import Params, TiltScheme, c_tilde, projection_bound
 
@@ -21,15 +21,11 @@ from .model import Params, TiltScheme, c_tilde, projection_bound
 GROUND_SECTORS = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
 
 
-class AnalyticError(ValueError):
-    pass
-
-
 def lambda_power(p: Params, species: str, x) -> float:
     """lambda_s^x = exp(x . log lambda_s)."""
     expo = _log_power(p.floats(species), x)
     if expo > 700.0:
-        raise AnalyticError(
+        raise InputError(
             "lambda^x overflows double precision; use log-space quantities")
     return math.exp(expo)
 
@@ -50,14 +46,14 @@ def _stable_sum_exp(exponents) -> float:
 
 
 def _in_double_range(compute, what: str) -> float:
-    """compute(), a positive sum, or AnalyticError when it overflows or
+    """compute(), a positive sum, or InputError when it overflows or
     underflows to 0 in double precision."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
     if not 0.0 < value < math.inf:
-        raise AnalyticError(f"{what} is outside double range")
+        raise InputError(f"{what} is outside double range")
     return value
 
 
@@ -79,7 +75,7 @@ def _norm_from_parts(c_a: float, c_b: float, d_diag: float) -> NormalizationSet:
 def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
     """C(v, s) and D(v) by direct summation over sites."""
     if len(v) < 1:
-        raise AnalyticError("normalization of the empty volume is undefined")
+        raise InputError("normalization of the empty volume is undefined")
     la = p.floats("a")
     lb = p.floats("b")
     ea = [2.0 * _log_power(la, x) for x in v.sites]
@@ -93,7 +89,7 @@ def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
 def geometric_sum(ratio: float, lo: int, hi: int) -> float:
     """sum_{x=lo}^{hi-1} ratio^(2x), stable for ratio above or below 1.
 
-    AnalyticError when the sum is outside double range."""
+    InputError when the sum is outside double range."""
     if hi <= lo:
         return 0.0
     n = hi - lo
@@ -120,7 +116,7 @@ def normalization_closed_form(t: TiltScheme, spec: VolumeFamilySpec) -> Normaliz
     extent. Agrees with normalization_direct on the slab volume.
     """
     if t is not spec.tilt and t != spec.tilt:
-        raise AnalyticError("tilt scheme does not match the family spec")
+        raise InputError("tilt scheme does not match the family spec")
     d = t.dim
     ta = [float(x) for x in t.lambda_tilde_a]
     tb = [float(x) for x in t.lambda_tilde_b]
@@ -138,10 +134,10 @@ def ground_state_vector(v: Volume, p: Params, which: str,
                         basis: fock.SectorBasis) -> np.ndarray:
     """Unit ground vector of the (vac|a|b|ab) sector on a connected volume."""
     if not is_connected(v):
-        raise AnalyticError("ground states are only defined on connected volumes")
+        raise InputError("ground states are only defined on connected volumes")
     if GROUND_SECTORS.get((basis.n_a, basis.n_b)) != which:
-        raise AnalyticError(f"basis sector {basis.n_a, basis.n_b} does not "
-                            f"match ground state {which!r}")
+        raise InputError(f"basis sector {basis.n_a, basis.n_b} does not "
+                         f"match ground state {which!r}")
     la = p.floats("a")
     lb = p.floats("b")
     # log amplitude contributed by each site, indexed by its digit
@@ -163,9 +159,9 @@ def trial_state_energy(inner: Volume, ambient: Volume, p: Params,
     particle at x costs lambda^(2x) times the local projector weight.
     """
     if not inner.issubset(ambient) or len(inner) == len(ambient):
-        raise AnalyticError("inner must be strictly contained in ambient")
+        raise InputError("inner must be strictly contained in ambient")
     if not is_connected(inner):
-        raise AnalyticError("inner volume must be connected")
+        raise InputError("inner volume must be connected")
     lam = p.floats(species)
     c = normalization_direct(inner, p).c(species)
     total = 0.0
@@ -205,7 +201,7 @@ class BoundReport:
 def check_product_bounds(t: TiltScheme, spec: VolumeFamilySpec) -> list[BoundReport]:
     """C(ab) <= C(a)C(b) <= c~ C(ab) on the given slab."""
     if spec.upper_cut - spec.lower_cut < 2:
-        raise AnalyticError("product bounds need slab length >= 2")
+        raise InputError("product bounds need slab length >= 2")
     ns = normalization_closed_form(t, spec)
     ct = c_tilde(t)
     return [
@@ -223,10 +219,10 @@ def check_diagonal_bound(t: TiltScheme, spec: VolumeFamilySpec) -> BoundReport:
     loga = math.log(t.lambda_tilde_a[j])
     logb = math.log(t.lambda_tilde_b[j])
     if loga * logb >= 0:
-        raise AnalyticError("diagonal bound needs opposite-sign log parameters")
+        raise InputError("diagonal bound needs opposite-sign log parameters")
     n, m = spec.upper_cut, spec.lower_cut
     if n <= m:
-        raise AnalyticError("diagonal bound needs n > m")
+        raise InputError("diagonal bound needs n > m")
     ns = normalization_closed_form(t, spec)
     lhs = ns.d_diag / (ns.c_a * ns.c_b)
     rhs = (n - m) * math.exp(-2.0 * (n - m - 1) * min(abs(loga), abs(logb)))
@@ -242,7 +238,7 @@ def check_ratio_bounds(t: TiltScheme, extents, j: int, n: int,
     same exponential, 4L3 <= e^(-2n|log|), 4L1/4L4 <= 1.
     """
     if not n >= ell >= 2:
-        raise AnalyticError("ratio bounds need n >= ell >= 2")
+        raise InputError("ratio bounds need n >= ell >= 2")
     out = []
     for s in ("a", "b"):
         lam = float(t.tilde(s)[j])
@@ -275,5 +271,5 @@ def lemma1_bound(t: TiltScheme, ell: int, j: int) -> float:
     """Analytic bound on ||G_slab E_n|| for sweep direction j."""
     mlog = t.min_log_direction(j)
     if not (ell - 2) * mlog > 1.0:
-        raise AnalyticError("projection bound needs (ell-2) min|log| > 1")
+        raise ComputeError("projection bound needs (ell-2) min|log| > 1")
     return projection_bound(t, ell, mlog)

@@ -3,8 +3,9 @@ checks, scaling studies, and cached parameter sweeps.
 
 Output is canonical JSON (sorted keys, 17-significant-digit floats) so
 identical invocations are byte-identical. Results go to stdout,
-diagnostics and timings to stderr. Exit codes: 0 success, 2 input
-validation, 3 budget or convergence failure.
+diagnostics and timings to stderr. Exit codes: 0 success, 2 on an
+`InputError` (the input has no answer), 3 on a `ComputeError` (no
+certificate at these settings, or a solve or check failed).
 """
 
 from __future__ import annotations
@@ -22,16 +23,12 @@ from fractions import Fraction
 
 import numpy
 import scipy
-import scipy.sparse.linalg as spla
 
-from . import __version__, analytic, fock, martingale, model, operators, spectra
-from .lattice import (LatticeError, Volume, VolumeFamilySpec, build_box,
-                      build_tilted_case1, build_tilted_case2)
-from .model import ModelError, Params
-
-VALIDATION_ERRORS = (ModelError, LatticeError, fock.FockError, ValueError)
-BUDGET_ERRORS = (operators.OperatorError, spectra.SpectraError,
-                 martingale.MartingaleError, spla.ArpackError)
+from . import (ComputeError, InputError, __version__, analytic, fock,
+               martingale, model, spectra)
+from .lattice import (Volume, VolumeFamilySpec, build_box, build_tilted_case1,
+                      build_tilted_case2)
+from .model import Params
 
 
 # ---------------------------------------------------------------- output
@@ -74,7 +71,7 @@ def emit(record: dict, fmt: str) -> None:
         print(",".join(cols))
         for r in record["rows"]:
             print(",".join(dumps_canonical(r[c]).strip('"') for c in cols))
-    elif fmt == "table":
+    else:  # table
         rows = record.get("rows")
         if rows is None:
             for k in sorted(record):
@@ -84,8 +81,6 @@ def emit(record: dict, fmt: str) -> None:
             print("  ".join(cols))
             for r in rows:
                 print("  ".join(dumps_canonical(r[c]).strip('"') for c in cols))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------- parsing
@@ -95,25 +90,32 @@ def parse_lambda(text: str) -> tuple[str, ...]:
     `Params` parses exactly."""
     parts = tuple(s.strip() for s in text.split(",") if s.strip())
     if not parts:
-        raise ValueError("empty parameter vector")
+        raise InputError("empty parameter vector")
     return parts
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`, skipping empty entries."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def parse_volume(text: str) -> Volume:
     """Volume spec: box:2x3, case1:v1,v2@L1xL2xL3, case2:@L1xL2."""
     kind, _, rest = text.partition(":")
     if kind == "box":
-        dims = tuple(int(s) for s in rest.replace("x", ",").split(",") if s)
-        return build_box(dims, label=text)
+        return build_box(parse_ints(rest.replace("x", ",")), label=text)
     if kind in ("case1", "case2"):
         v_txt, _, l_txt = rest.partition("@")
-        v_tail = tuple(int(s) for s in v_txt.split(",") if s.strip())
-        dims = tuple(int(s) for s in l_txt.replace("x", ",").split(",") if s)
+        v_tail = parse_ints(v_txt)
+        dims = parse_ints(l_txt.replace("x", ","))
         if not dims:
-            raise ValueError("volume spec is missing extents after '@'")
+            raise InputError("volume spec is missing extents after '@'")
         build = build_tilted_case1 if kind == "case1" else build_tilted_case2
         return build(v_tail, dims, label=text)
-    raise ValueError(f"unknown volume spec {text!r}")
+    raise InputError(f"unknown volume spec {text!r}")
 
 
 def _params(args) -> Params:
@@ -122,9 +124,15 @@ def _params(args) -> Params:
 
 def _eta(args) -> float:
     if not 0 <= args.eta < math.inf:
-        raise ModelError(f"--eta must be finite and nonnegative, "
+        raise InputError(f"--eta must be finite and nonnegative, "
                          f"got {args.eta}")
     return args.eta
+
+
+def _budget(args) -> int:
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
+    return args.budget
 
 
 # ---------------------------------------------------------------- cache
@@ -138,10 +146,12 @@ def cache_key(inputs: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def cache_get(cdir: str | None, key: str, fields):
-    """The record cached under key, or None on a miss. An entry that cannot
-    be read, does not parse, or lacks one of `fields` is a miss too, so
-    the caller recomputes it and overwrites the entry."""
+def cache_get(cdir: str | None, key: str, point: dict):
+    """The sweep row cached under key for `point`, or None on a miss: when
+    the entry cannot be read or parsed, when its keys are not those of
+    `point` plus gap and status or its values differ from `point`'s, or
+    when its gap is neither a finite float nor null or its status is not
+    a string. The caller then recomputes it and overwrites the entry."""
     if not cdir:
         return None
     try:
@@ -149,7 +159,13 @@ def cache_get(cdir: str | None, key: str, fields):
             record = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(record, dict) or set(record) != set(fields):
+    if not (isinstance(record, dict)
+            and set(record) == {*point, "gap", "status"}
+            and all(type(record[k]) is type(v) and record[k] == v
+                    for k, v in point.items())
+            and (record["gap"] is None or isinstance(record["gap"], float)
+                 and math.isfinite(record["gap"]))
+            and isinstance(record["status"], str)):
         return None
     return record
 
@@ -192,9 +208,9 @@ def cmd_gap(args) -> dict:
     p = _params(args)
     vol = parse_volume(args.volume)
     if vol.dim != p.dim:
-        raise ModelError(
+        raise InputError(
             f"volume dimension {vol.dim} != parameter dimension {p.dim}")
-    rep = spectra.total_gap(vol, p, sector_cap=args.budget)
+    rep = spectra.total_gap(vol, p, sector_cap=_budget(args))
     out = rep.to_json()
     out["volume"] = args.volume
     out["sites"] = len(vol)
@@ -204,17 +220,15 @@ def cmd_gap(args) -> dict:
 def cmd_certify(args) -> dict:
     p = _params(args)
     if args.dim is not None and args.dim != p.dim:
-        raise ModelError(
+        raise InputError(
             f"--dim {args.dim} contradicts parameter dimension {p.dim}")
-    if model.classify_zd(p) is not model.GapClass.GAPPED:
-        raise ModelError("certify requires gapped parameters")
     return martingale.certify(p, eta=_eta(args), ell_cap=args.ell_cap,
-                              gamma_budget=args.budget).to_json()
+                              gamma_budget=_budget(args)).to_json()
 
 
 def cmd_verify_lemmas(args) -> dict:
     if args.trials < 1:
-        raise ModelError(f"--trials must be at least 1, got {args.trials}")
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     p = _params(args)
     t = model.select_tilt(p, eta=_eta(args))
     rng = random.Random(args.seed)
@@ -255,23 +269,23 @@ def cmd_verify_projection(args) -> dict:
 
 def cmd_scaling(args) -> dict:
     p = _params(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    pts = spectra.gapless_scaling(p, sizes)
+    pts = spectra.gapless_scaling(p, parse_ints(args.sizes))
     return {"columns": ["size", "sites", "trial_energy", "numeric_gap"],
             "rows": [pt.to_json() for pt in pts]}
 
 
-def _sweep_point(la_txt: str, lb_txt: str, size: int, patterns: dict):
-    p = Params(parse_lambda(la_txt), parse_lambda(lb_txt))
-    vol = build_box((size,) * p.dim)
+def _sweep_point(point: dict, patterns: dict):
+    p = Params(parse_lambda(point["lambda_a"]),
+               parse_lambda(point["lambda_b"]))
+    vol = build_box((point["L"],) * p.dim)
     rep = spectra.total_gap(vol, p, patterns=patterns)
-    return {"lambda_a": la_txt, "lambda_b": lb_txt, "L": size,
-            "gap": rep.gap, "status": "partial" if rep.partial else "ok"}
+    return {**point, "gap": rep.gap,
+            "status": "partial" if rep.partial else "ok"}
 
 
 def cmd_sweep(args) -> dict:
     grid_a = [s.strip() for s in args.grid_a.split(",") if s.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = parse_ints(args.sizes)
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
     rows = []
@@ -282,17 +296,16 @@ def cmd_sweep(args) -> dict:
     for size in sizes:
         patterns = {}
         for la in grid_a:
-            key = cache_key({"verb": "sweep-point", "lambda_a": la,
-                             "lambda_b": args.lambda_b, "L": size})
-            row = cache_get(cdir, key, columns)
+            point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
+            key = cache_key({"verb": "sweep-point", **point})
+            row = cache_get(cdir, key, point)
             if row is not None:
                 hits += 1
             else:
                 try:
-                    row = _sweep_point(la, args.lambda_b, size, patterns)
-                except BUDGET_ERRORS + VALIDATION_ERRORS as exc:
-                    row = {"lambda_a": la, "lambda_b": args.lambda_b,
-                           "L": size, "gap": None, "status": f"failed: {exc}"}
+                    row = _sweep_point(point, patterns)
+                except (InputError, ComputeError) as exc:
+                    row = {**point, "gap": None, "status": f"failed: {exc}"}
                 else:
                     cache_put(cdir, key, row)
                     solves += 1
@@ -407,12 +420,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record = verb(args)
-    except BUDGET_ERRORS as exc:
+    except (InputError, ComputeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InputError) else 3
     elapsed = time.monotonic() - start
     emit(record, getattr(args, "format", "json"))
     print(f"{args.verb}: {elapsed:.2f}s", file=sys.stderr)

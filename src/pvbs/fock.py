@@ -15,6 +15,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from . import InputError
 from .lattice import Volume
 
 EMPTY, A, B = 0, 1, 2
@@ -23,13 +24,9 @@ DEFAULT_SECTOR_CAP = 5_000_000
 MAX_SITES = 39
 
 
-class FockError(ValueError):
-    pass
-
-
 def sector_dimension(n: int, n_a: int, n_b: int) -> int:
     if n_a < 0 or n_b < 0 or n_a + n_b > n:
-        raise FockError(f"invalid sector ({n_a}, {n_b}) for {n} sites")
+        raise InputError(f"invalid sector ({n_a}, {n_b}) for {n} sites")
     return math.comb(n, n_a) * math.comb(n - n_a, n_b)
 
 
@@ -81,13 +78,13 @@ class SectorBasis:
         return len(self.states)
 
     def positions(self, codes) -> np.ndarray:
-        """Basis positions of `codes`; FockError if one is not a state."""
+        """Basis positions of `codes`; InputError if one is not a state."""
         codes = np.asarray(codes, dtype=np.int64)
         pos = np.searchsorted(self.states, codes)
         found = self.states[np.minimum(pos, self.dim - 1)] == codes
         if not found.all():
-            raise FockError(f"configuration {codes[~found].flat[0]} not in "
-                            f"sector ({self.n_a}, {self.n_b})")
+            raise InputError(f"configuration {codes[~found].flat[0]} not in "
+                             f"sector ({self.n_a}, {self.n_b})")
         return pos
 
 
@@ -107,11 +104,11 @@ def enumerate_sector(v: Volume, n_a: int, n_b: int) -> SectorBasis:
     n = len(v)
     dim = sector_dimension(n, n_a, n_b)
     if n > MAX_SITES:
-        raise FockError(f"base-3 codes of {n} sites overflow int64 "
-                        f"(at most {MAX_SITES} sites)")
+        raise InputError(f"base-3 codes of {n} sites overflow int64 "
+                         f"(at most {MAX_SITES} sites)")
     if dim > DEFAULT_SECTOR_CAP:
-        raise FockError(f"sector ({n_a}, {n_b}) on {n} sites has dimension "
-                        f"{dim} > cap {DEFAULT_SECTOR_CAP}")
+        raise InputError(f"sector ({n_a}, {n_b}) on {n} sites has dimension "
+                         f"{dim} > cap {DEFAULT_SECTOR_CAP}")
     k = n_a + n_b
     occupied = _combinations(n, k)
     pattern = np.full((math.comb(k, n_b), k), A, dtype=np.int64)

@@ -9,18 +9,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import InputError
+
 MAX_DIM = 4
 
 Site = tuple[int, ...]
 
 
-class LatticeError(ValueError):
-    pass
-
-
 def _check_dim(d: int) -> None:
     if not 1 <= d <= MAX_DIM:
-        raise LatticeError(f"dimension must be in 1..{MAX_DIM}, got {d}")
+        raise InputError(f"dimension must be in 1..{MAX_DIM}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class Volume:
         _check_dim(self.dim)
         ordered = tuple(sorted(set(self.sites)))
         if len(ordered) != len(self.sites):
-            raise LatticeError("duplicate sites in volume")
+            raise InputError("duplicate sites in volume")
         object.__setattr__(self, "sites", ordered)
         object.__setattr__(self, "_site_set", frozenset(ordered))
 
@@ -74,7 +72,7 @@ def build_box(dims: tuple[int, ...], label: str = "") -> Volume:
     d = len(dims)
     _check_dim(d)
     if any(n < 1 for n in dims):
-        raise LatticeError(f"box extents must be >= 1, got {dims}")
+        raise InputError(f"box extents must be >= 1, got {dims}")
     sites = [()]
     for n in dims:
         sites = [s + (x,) for s in sites for x in range(n)]
@@ -115,7 +113,7 @@ def is_connected(v: Volume) -> bool:
 def boundary_sites(inner: Volume, ambient: Volume) -> list[Site]:
     """Sites of inner with at least one ambient neighbor outside inner."""
     if not inner.issubset(ambient):
-        raise LatticeError("inner volume is not a subset of the ambient volume")
+        raise InputError("inner volume is not a subset of the ambient volume")
     out = []
     for s in inner.sites:
         for j in range(inner.dim):
@@ -135,7 +133,7 @@ def boundary_sites(inner: Volume, ambient: Volume) -> list[Site]:
 def boundary_edges(inner: Volume, ambient: Volume) -> list[Edge]:
     """Edges of ambient with exactly one endpoint in inner."""
     if not inner.issubset(ambient):
-        raise LatticeError("inner volume is not a subset of the ambient volume")
+        raise InputError("inner volume is not a subset of the ambient volume")
     return [
         e
         for e in edges(ambient)
@@ -159,11 +157,11 @@ def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...],
     d = len(L)
     _check_dim(d)
     if len(v_tail) != d - 1:
-        raise LatticeError("tilt vector length must be d - 1")
+        raise InputError("tilt vector length must be d - 1")
     if any(n < 1 for n in L):
-        raise LatticeError(f"extents must be >= 1, got {L}")
+        raise InputError(f"extents must be >= 1, got {L}")
     if any(t < 0 for t in v_tail):
-        raise LatticeError("tilt entries must be nonnegative")
+        raise InputError("tilt entries must be nonnegative")
     sites = []
     tails = [()]
     for n in L[1:]:
@@ -187,11 +185,11 @@ def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
     d = len(L)
     _check_dim(d)
     if d < 2:
-        raise LatticeError("Case-2 volumes need d >= 2")
+        raise InputError("Case-2 volumes need d >= 2")
     if len(v_tail) != d - 2:
-        raise LatticeError("tilt vector length must be d - 2")
+        raise InputError("tilt vector length must be d - 2")
     if any(n < 1 for n in L):
-        raise LatticeError(f"extents must be >= 1, got {L}")
+        raise InputError(f"extents must be >= 1, got {L}")
     sites = []
     tails = [()]
     for n in L[2:]:
@@ -225,10 +223,10 @@ class VolumeFamilySpec:
 
     def __post_init__(self):
         if not 0 <= self.lower_cut <= self.upper_cut:
-            raise LatticeError(
+            raise InputError(
                 f"need 0 <= m <= n, got m={self.lower_cut}, n={self.upper_cut}")
         if not 0 <= self.sweep < len(self.extents):
-            raise LatticeError("sweep direction out of range")
+            raise InputError("sweep direction out of range")
 
     def member(self, n: int) -> Volume:
         """The family volume with the sweep extent set to n (empty when n=0)."""

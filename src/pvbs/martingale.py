@@ -16,11 +16,10 @@ import numpy
 import scipy
 
 from . import __version__ as _pkg_version
-from . import analytic, fock, operators, spectra
+from . import ComputeError, analytic, fock, operators, spectra
 from .lattice import VolumeFamilySpec, edges
-from .model import (DEFAULT_ELL_CAP, DEFAULT_ETA, GapClass, ModelError,
-                    Params, TiltScheme, c_tilde, choose_ell, classify_zd,
-                    select_tilt)
+from .model import (DEFAULT_ELL_CAP, DEFAULT_ETA, Params, TiltScheme,
+                    c_tilde, choose_ell, select_tilt)
 
 DEFAULT_GAMMA_BUDGET = 150_000
 PASS_SLACK = 1e-10
@@ -28,10 +27,6 @@ PASS_SLACK = 1e-10
 # of each direction, with extent SPOT_LEAD in the directions before it
 SPOT_LEAD = 2
 SPOT_CHECKS = 2
-
-
-class MartingaleError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ def verify_condition_i(family: VolumeFamilySpec, ell: int,
     """Each edge of the largest volume must lie in at most ell of the
     width-ell sweep slabs; pure lattice counting."""
     if ell > big:
-        raise MartingaleError("need ell <= L for the slab sweep")
+        raise ComputeError("need ell <= L for the slab sweep")
     full = family.member(big)
     counts = {e: 0 for e in edges(full)}
     for n in range(ell, big + 1):
@@ -113,19 +108,16 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int, ell: int,
 
     `p` must already be in the tilt's coordinate order.
     """
-    t = family.tilt
     j = family.sweep
-    if not (ell - 2) * t.min_log_direction(j) > 1.0:
-        raise MartingaleError(
-            "projection bound hypothesis fails: (ell-2)*min|log| <= 1")
+    # first, so that an ell failing the bound's hypothesis costs nothing
+    bound = analytic.lemma1_bound(family.tilt, ell, j)
     ambient = family.member(n + 1)
     inner = family.member(n)
     slab_vol = ambient.difference(family.member(n + 1 - ell), label="slab")
     if set(slab_vol.sites + inner.sites) != set(ambient.sites):
-        raise MartingaleError("sweep slab and inner volume do not make up "
-                              "the ambient volume")
+        raise ComputeError("sweep slab and inner volume do not make up "
+                           "the ambient volume")
     measured = operators.projection_product_norm(slab_vol, inner, p)
-    bound = analytic.lemma1_bound(t, ell, j)
     return ConditionReport(
         "iii", {"j": j, "n": n, "ell": ell}, measured, bound)
 
@@ -200,21 +192,9 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
             ell_cap: int = DEFAULT_ELL_CAP,
             gamma_budget: int = DEFAULT_GAMMA_BUDGET) -> GapCertificate:
     """Run the full certification pipeline for gapped parameters."""
-    if classify_zd(p) is not GapClass.GAPPED:
-        raise MartingaleError(
-            "certification requires gapped parameters (both log vectors "
-            "nonzero)")
-    # a margin or ell-cap failure means no certificate at these settings
-    # (budget exit); a c~ out of double range is invalid input
-    try:
-        t = select_tilt(p, eta)
-    except ModelError as exc:
-        raise MartingaleError(str(exc)) from exc
+    t = select_tilt(p, eta)
     ct = c_tilde(t)
-    try:
-        ell, eps = choose_ell(t, ell_cap)
-    except ModelError as exc:
-        raise MartingaleError(str(exc)) from exc
+    ell, eps = choose_ell(t, ell_cap)
     pp = permuted_params(p, t)
     d = p.dim
 
@@ -241,7 +221,7 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         notes.extend(more)
     bad = [c for c in conditions if not c.passed]
     if bad:
-        raise MartingaleError(
+        raise ComputeError(
             f"certificate invalid: condition {bad[0].condition} failed "
             f"with inputs {bad[0].inputs}")
 

@@ -8,11 +8,13 @@ spectral work downstream converts to float.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import ComputeError, InputError
 from .lattice import MAX_DIM
 
 DEFAULT_ETA = 0.05
@@ -20,13 +22,23 @@ V_MAX = 8
 DEFAULT_ELL_CAP = 64
 
 
-class ModelError(ValueError):
-    pass
-
-
 class GapClass(str, Enum):
     GAPPED = "gapped"
     GAPLESS = "gapless"
+
+
+# the exponent of a decimal such as 2.5e-3, where Fraction reads it
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _far_outside_double_range(text: str) -> bool:
+    """Whether the exponent written in `text` puts it beyond 1e+-1000
+    whatever its mantissa, which moves it by fewer decades than the text
+    has characters. Read from the text: Fraction("1e<k>") builds 10**k."""
+    written = _EXPONENT.search(text)
+    # ten digits exceed any text's length; int() reads at most 4300
+    digits = written[1].replace("_", "").lstrip("0")[:10] if written else ""
+    return int(digits or "0") > len(text) + 1000
 
 
 def _parse_vec(values) -> tuple[Fraction, ...]:
@@ -37,16 +49,19 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
         elif isinstance(v, int):
             f = Fraction(v)
         elif isinstance(v, str):
+            if _far_outside_double_range(v):
+                raise InputError("parameter's written exponent puts it far "
+                                 "outside double range")
             try:
                 f = Fraction(v)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ModelError(f"cannot parse parameter {v!r}") from exc
+                raise InputError(f"cannot parse parameter {v!r}") from exc
         elif isinstance(v, float) and math.isfinite(v):
             f = Fraction(v).limit_denominator(10**12)
         else:
-            raise ModelError(f"cannot parse parameter {v!r}")
+            raise InputError(f"cannot parse parameter {v!r}")
         if f <= 0:
-            raise ModelError(f"parameters must be strictly positive, got {v}")
+            raise InputError(f"parameters must be strictly positive, got {v}")
         try:
             x = float(f)
         except OverflowError:
@@ -54,7 +69,7 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
         # spectral work squares the parameters in double precision
         if x == 0 or not math.isfinite(x * x):
             exponent = math.log10(f.numerator) - math.log10(f.denominator)
-            raise ModelError(f"parameter ~1e{exponent:+.0f} is outside "
+            raise InputError(f"parameter ~1e{exponent:+.0f} is outside "
                              "double range (it must be nonzero and its "
                              "square finite)")
         out.append(f)
@@ -72,9 +87,9 @@ class Params:
         object.__setattr__(self, "lambda_a", _parse_vec(self.lambda_a))
         object.__setattr__(self, "lambda_b", _parse_vec(self.lambda_b))
         if len(self.lambda_a) != len(self.lambda_b):
-            raise ModelError("lambda_a and lambda_b must have the same dimension")
+            raise InputError("lambda_a and lambda_b must have the same dimension")
         if not 1 <= self.dim <= MAX_DIM:
-            raise ModelError(f"dimension must be in 1..{MAX_DIM}")
+            raise InputError(f"dimension must be in 1..{MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -85,7 +100,7 @@ class Params:
             return self.lambda_a
         if s == "b":
             return self.lambda_b
-        raise ModelError(f"unknown species {s!r}")
+        raise InputError(f"unknown species {s!r}")
 
     def floats(self, s: str) -> tuple[float, ...]:
         return tuple(float(v) for v in self.species(s))
@@ -119,7 +134,7 @@ DIVERGENT = "divergent"
 def c_orthant(p: Params, species: str):
     """Single-particle normalization on the orthant: prod 1/(1-lambda^2),
     taken in exact fractions, since lambda just below 1 rounds to 1.0 in
-    double precision; ModelError when the product is outside double
+    double precision; InputError when the product is outside double
     range.
 
     Returns the DIVERGENT marker unless every entry is < 1.
@@ -130,7 +145,7 @@ def c_orthant(p: Params, species: str):
     try:
         return float(math.prod(1 / (1 - v * v) for v in vec))
     except OverflowError:
-        raise ModelError(f"orthant constant of species {species} is "
+        raise InputError(f"orthant constant of species {species} is "
                          "outside double range") from None
 
 
@@ -140,7 +155,7 @@ def infinite_gs_census(region: str, p: Params) -> set[str]:
     if region == "zd":
         return {"vacuum"}
     if region != "orthant":
-        raise ModelError(f"unknown region {region!r}")
+        raise InputError(f"unknown region {region!r}")
     out = {"vacuum"}
     conv_a = all(v < 1 for v in p.lambda_a)
     conv_b = all(v < 1 for v in p.lambda_b)
@@ -216,7 +231,7 @@ def _pick_v(la: Fraction, lb: Fraction, base_a: Fraction, base_b: Fraction,
         tb = lb * base_b ** -v
         if _margin(ta, eta) and _margin(tb, eta):
             return v, ta, tb
-    raise ModelError(
+    raise ComputeError(
         "parameters too close to gapless manifold: no tilt integer "
         f"<= {V_MAX} achieves margin eta={eta}")
 
@@ -224,7 +239,7 @@ def _pick_v(la: Fraction, lb: Fraction, base_a: Fraction, base_b: Fraction,
 def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
     """Choose a Case-1 or Case-2 tilt scheme for gapped parameters."""
     if classify_zd(p) is not GapClass.GAPPED:
-        raise ModelError("tilt selection requires gapped parameters")
+        raise InputError("tilt selection requires gapped parameters")
     d = p.dim
     la, lb = p.lambda_a, p.lambda_b
 
@@ -234,7 +249,7 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
         lead = max(shared, key=lambda j: min(abs(math.log(la[j])),
                                              abs(math.log(lb[j]))))
         if min(abs(math.log(la[lead])), abs(math.log(lb[lead]))) < eta:
-            raise ModelError(
+            raise ComputeError(
                 "parameters too close to gapless manifold: leading "
                 f"coordinate margin below eta={eta}")
         perm = (lead,) + tuple(j for j in range(d) if j != lead)
@@ -255,7 +270,7 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
     lead_a = max(a_free, key=lambda j: abs(math.log(la[j])))
     lead_b = max(b_free, key=lambda j: abs(math.log(lb[j])))
     if abs(math.log(la[lead_a])) < eta or abs(math.log(lb[lead_b])) < eta:
-        raise ModelError(
+        raise ComputeError(
             "parameters too close to gapless manifold: Case-2 leading "
             f"margins below eta={eta}")
     perm = (lead_a, lead_b) + tuple(
@@ -266,7 +281,7 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
     ta = [pa[0] * pa[1], pa[0] ** -1 * pa[1]]
     tb = [pb[0] * pb[1], pb[0] ** -1 * pb[1]]
     if not all(_margin(x, eta) for x in (*ta, *tb)):
-        raise ModelError(
+        raise ComputeError(
             "parameters too close to gapless manifold: Case-2 tilde "
             f"margins below eta={eta}")
     vs = []
@@ -287,12 +302,12 @@ def c_tilde(t: TiltScheme) -> float:
     """Product-bound constant 1 / (1 - prod_j 1/(1 + x_j)) with
     x_j = exp(-2 min_s |log lambda~_s,j|); always > 1. 1 - prod is taken
     as -expm1(-sum log1p(x_j)), accurate even for x_j below double
-    epsilon; ModelError when c~^(3/2), which the bounds take, overflows."""
+    epsilon; InputError when c~^(3/2), which the bounds take, overflows."""
     x = [math.exp(-2.0 * min(abs(math.log(a)), abs(math.log(b))))
          for a, b in zip(t.lambda_tilde_a, t.lambda_tilde_b)]
     one_minus_prod = -math.expm1(-math.fsum(math.log1p(v) for v in x))
     if one_minus_prod < sys.float_info.max ** (-2.0 / 3.0):
-        raise ModelError(f"c~ = 1/{one_minus_prod:.3g} is outside double "
+        raise InputError(f"c~ = 1/{one_minus_prod:.3g} is outside double "
                          "range: the parameters are too far from 1")
     return 1.0 / one_minus_prod
 
@@ -310,7 +325,7 @@ def projection_bound(t: TiltScheme, ell: int, min_log: float) -> float:
 def epsilon_ell(t: TiltScheme, ell: int) -> float:
     """Projection-product bound sqrt(60 l) c~^(3/2) exp(-(l-2) min|log|)."""
     if ell < 3:
-        raise ModelError("epsilon_ell needs ell >= 3")
+        raise InputError("epsilon_ell needs ell >= 3")
     return projection_bound(t, ell, t.min_log)
 
 
@@ -327,6 +342,6 @@ def choose_ell(t: TiltScheme, cap: int = DEFAULT_ELL_CAP) -> tuple[int, float]:
         eps = epsilon_ell(t, ell)
         if eps < 1.0 / math.sqrt(ell):
             return ell, eps
-    raise ModelError(
+    raise ComputeError(
         f"certificate infeasible at this margin: no ell <= {cap} satisfies "
         "the martingale conditions")

@@ -21,19 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import analytic, fock
+from . import ComputeError, analytic, fock
 from .lattice import Volume, edges, is_connected
 from .model import Params
-
-
-class OperatorError(ValueError):
-    pass
 
 
 def edge_projection_block(lam_a: float, lam_b: float) -> np.ndarray:
     """Rank-5 projector on C^3 x C^3; pair basis index is 3*left + right."""
     if lam_a <= 0 or lam_b <= 0:
-        raise OperatorError("edge parameters must be positive")
+        raise ComputeError("edge parameters must be positive")
     h = np.zeros((9, 9))
     raw = [
         # (indices, coefficients): |0,a> - lam_a |a,0>, etc.
@@ -229,7 +225,7 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
     """
     for part in (slab, inner):
         if len(part) < 2 or not is_connected(part):
-            raise OperatorError(
+            raise ComputeError(
                 "projectors need connected volumes with >= 2 sites")
     ambient = Volume(slab.dim, tuple(set(slab.sites + inner.sites)))
     ground_inner = _ground_vectors(inner, p)

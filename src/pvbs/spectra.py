@@ -16,9 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import analytic, fock, operators
-from .lattice import LatticeError, Volume, build_box, is_connected
-from .model import ModelError, Params, log_lambda
+from . import ComputeError, InputError, analytic, fock, operators
+from .lattice import Volume, build_box, is_connected
+from .model import Params, log_lambda
 
 # Dense/Lanczos crossover for one lowest eigenvalue of a d=1 sector,
 # measured on a 2-vCPU Xeon VM with BLAS on 2 threads (median of 7
@@ -34,10 +34,6 @@ DENSE_CAP = 200
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
 LANCZOS_SEED = 0x5EED
-
-
-class SpectraError(ValueError):
-    pass
 
 
 def hamiltonian_norm(h) -> float:
@@ -61,18 +57,22 @@ def lowest_eigenvalues(h, k: int = 1) -> np.ndarray:
 
     Sectors up to DENSE_CAP states are diagonalized densely, larger ones
     by Lanczos, whose Ritz pairs must have a residual ||Hx - theta x|| of
-    at most KERNEL_TOL_REL * max(1, ||H||), or SpectraError is raised.
+    at most KERNEL_TOL_REL * max(1, ||H||), or ComputeError is raised, as
+    it is for an ARPACK error.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:
-        raise SpectraError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+        raise ComputeError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     if dim <= DENSE_CAP or k >= dim - 1:
         return np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[:k]
-    vals, vecs = spla.eigsh(h, k=k, which="SA", v0=lanczos_start(dim))
+    try:
+        vals, vecs = spla.eigsh(h, k=k, which="SA", v0=lanczos_start(dim))
+    except spla.ArpackError as exc:
+        raise ComputeError(str(exc)) from exc
     scale = max(1.0, hamiltonian_norm(h))
     resid = float(np.linalg.norm(h @ vecs - vecs * vals, axis=0).max())
     if resid > KERNEL_TOL_REL * scale:
-        raise SpectraError(
+        raise ComputeError(
             f"Lanczos eigenpair residual {resid:.3e} exceeds "
             f"{KERNEL_TOL_REL:g} * {scale:.3e}")
     return np.sort(vals)
@@ -122,19 +122,17 @@ def total_gap(v: Volume, p: Params,
     analytic ground vectors, one in each sector of analytic.GROUND_SECTORS.
     Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
     its kernel below KERNEL_TOL_REL * max(1, ||H||), and the next one is
-    its lowest excitation. Sectors whose dimension exceeds sector_cap are
-    skipped and the report is flagged partial.
+    its lowest excitation. Sectors whose dimension exceeds sector_cap
+    (at least 1) are skipped and the report is flagged partial.
 
     Each sector's `operators.sector_pattern` is dropped once the sector is
     solved, unless the caller passes `patterns`: a dict, kept by the
     caller for one volume v, that holds them by (n_a, n_b) for the next
     call with other parameters.
     """
-    if sector_cap < 1:
-        raise fock.FockError(f"sector cap must be at least 1, got {sector_cap}")
     n = len(v)
     if n < 2 or not is_connected(v):
-        raise LatticeError("total_gap needs a connected volume with >= 2 sites")
+        raise InputError("total_gap needs a connected volume with >= 2 sites")
     weights = operators.edge_weights(p)
     records = []
     for n_a in range(n + 1):
@@ -159,7 +157,7 @@ def total_gap(v: Volume, p: Params,
                 psi = analytic.ground_state_vector(v, p, which, basis)
                 resid = np.linalg.norm(h @ psi)
                 if resid > thresh:
-                    raise SpectraError(
+                    raise ComputeError(
                         f"analytic ground vector fails in sector ({n_a},{n_b}): "
                         f"residual {resid:.3e}")
             excited = None
@@ -167,7 +165,7 @@ def total_gap(v: Volume, p: Params,
                 vals = lowest_eigenvalues(h, k=kernel + 1)
                 found = int(np.count_nonzero(vals < thresh))
                 if found != kernel:
-                    raise SpectraError(
+                    raise ComputeError(
                         f"unexpected kernel vector count {found} (expected "
                         f"{kernel}) in sector ({n_a},{n_b})")
                 excited = float(vals[kernel])
@@ -202,12 +200,12 @@ def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
         if all(x == 0.0 for x in log_lambda(p, species)):
             break
     else:
-        raise ModelError("no species with a flat parameter vector")
+        raise InputError("no species with a flat parameter vector")
     d = p.dim
     out = []
     for size in sorted(sizes):
         if size < 1:
-            raise LatticeError("box sizes must be positive")
+            raise InputError("box sizes must be positive")
         inner = build_box((size,) * d)
         ambient = build_box((size + 2,) * d).translate((-1,) * d)
         trial = analytic.trial_state_energy(inner, ambient, p, species)

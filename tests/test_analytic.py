@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import analytic, fock
+from pvbs import ComputeError, InputError, analytic, fock
 from pvbs.lattice import VolumeFamilySpec, build_box, slab
 from pvbs.martingale import permuted_params, sweep_family
 from pvbs.model import Params, select_tilt
@@ -94,7 +94,7 @@ def test_ground_state_vector_normalized_and_sector_checked():
     b = fock.enumerate_sector(v, 1, 1)
     psi = analytic.ground_state_vector(v, P_CHAIN, "ab", b)
     assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(analytic.AnalyticError):
+    with pytest.raises(InputError):
         analytic.ground_state_vector(v, P_CHAIN, "a", b)
 
 
@@ -127,7 +127,7 @@ def test_product_bounds_chain():
 def test_diagonal_bound_needs_opposite_signs():
     t_same = select_tilt(Params(("10",), ("5",)))
     fam_same = sweep_family(t_same, 0, 5, 5, upper=6, lower=1)
-    with pytest.raises(analytic.AnalyticError):
+    with pytest.raises(InputError):
         analytic.check_diagonal_bound(t_same, fam_same)
     t_opp = select_tilt(Params(("10",), ("1/10",)))
     fam_opp = sweep_family(t_opp, 0, 5, 5, upper=6, lower=1)
@@ -170,7 +170,7 @@ def test_ratio_bounds_randomized():
 
 def test_lemma1_bound_hypothesis():
     t = select_tilt(Params(("10",), ("1/10",)))
-    with pytest.raises(analytic.AnalyticError):
+    with pytest.raises(ComputeError):
         analytic.lemma1_bound(t, 2, 0)
     assert analytic.lemma1_bound(t, 8, 0) == pytest.approx(0.0222, abs=2e-4)
 

@@ -2,11 +2,12 @@ import argparse
 import functools
 import json
 import os
+import time
 
 import pytest
 import scipy.sparse.linalg as spla
 
-from pvbs import cli, spectra
+from pvbs import cli, model, spectra
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,15 @@ def test_gap_dimension_mismatch(capsys):
     ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--eta", "inf"),
     ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
      "--n", "7", "--ell", "7", "--eta", "nan"),
+    # the certificate's seed-gap budget, like gap's, must be at least 1
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--budget", "0"),
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10", "--budget", "-4"),
+    # integers and parameter vectors that do not parse
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:a"),
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "case1:x@2"),
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,x"),
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2", "--sizes", "3,y"),
+    ("classify", "--lambda-a", "", "--lambda-b", "2"),
 ])
 def test_invalid_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -240,6 +250,43 @@ def test_certify_margin_failure_is_budget_error(capsys):
     assert "gapless manifold" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-lemmas",),
+    ("verify-projection", "--n", "7", "--ell", "7"),
+])
+def test_tilt_margin_failure_is_budget_error_in_every_verb(capsys, argv):
+    # |log 1.01| is below the tilt margin eta = 0.05
+    code, out, err = run_cli(capsys, *argv, "--lambda-a", "1.01",
+                             "--lambda-b", "1/2")
+    assert code == 3
+    assert out == ""
+    assert "gapless manifold" in err
+
+
+def test_program_fault_is_not_an_exit_code(capsys, monkeypatch):
+    # only InputError and ComputeError become exit codes; any other
+    # exception is a fault of the program and propagates
+    def fault(p):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(model, "classify_zd", fault)
+    with pytest.raises(ValueError, match="a fault of the program"):
+        cli.main(["classify", "--lambda-a", "2", "--lambda-b", "1/2"])
+
+
+@pytest.mark.parametrize("weight", ["1e4000000", "1e-4000000",
+                                    "1e-99999999999999999999"])
+def test_huge_written_exponent_is_rejected_early(capsys, weight):
+    # Fraction would build 10**k before any range check
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--lambda-a", weight,
+                             "--lambda-b", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "outside double range" in err
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--lambda-a", "2",
                            "--lambda-b", "0.5", "--trials", "5")
@@ -283,9 +330,22 @@ def test_sweep_with_cache(capsys, tmp_path):
     assert out2 == out
     assert "6 cache hits, 0 solves" in err2
     assert len(os.listdir(cdir)) == 6
-    # an unreadable entry is a miss: re-solved, overwritten, same output
+    # an unreadable entry is a miss: re-solved, overwritten, same output;
+    # so is one whose fields do not match its point or have the wrong type
+    def edit(key, change):
+        def damage(text):
+            record = json.loads(text)
+            record[key] = change(record[key])
+            return json.dumps(record)
+        return damage
+
     entry = os.path.join(cdir, sorted(os.listdir(cdir))[0])
-    for damage in (lambda text: text[:len(text) // 2], lambda text: '{"x":1}'):
+    for damage in (lambda text: text[:len(text) // 2], lambda text: '{"x":1}',
+                   edit("L", str), edit("L", lambda size: size + 2),
+                   edit("lambda_a", lambda la: "3.0"),
+                   edit("lambda_b", lambda lb: "1/2"), edit("gap", str),
+                   edit("gap", lambda gap: float("nan")),
+                   edit("status", lambda status: 1)):
         with open(entry) as fh:
             text = fh.read()
         with open(entry, "w") as fh:

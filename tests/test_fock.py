@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import cli, fock
+from pvbs import InputError, cli, fock
 from pvbs.lattice import build_box
 
 
@@ -44,12 +44,12 @@ def test_enumerate_sector():
 def test_index_of_rejects_wrong_sector():
     v = build_box((3,))
     b = fock.enumerate_sector(v, 1, 0)
-    with pytest.raises(fock.FockError):
+    with pytest.raises(InputError):
         b.positions(fock.encode((2, 0, 0)))
     # past the last state, where a sorted search runs off the end
-    with pytest.raises(fock.FockError):
+    with pytest.raises(InputError):
         b.positions(b.states[-1] + 1)
-    with pytest.raises(fock.FockError):
+    with pytest.raises(InputError):
         b.positions([b.states[0], 3 ** 3])
 
 
@@ -79,7 +79,7 @@ def test_code_overflow_limit():
     # 39 sites is the largest volume whose codes fit in int64
     b = fock.enumerate_sector(build_box((39,)), 0, 39)
     assert b.states.tolist() == [3 ** 39 - 1]
-    with pytest.raises(fock.FockError):
+    with pytest.raises(InputError):
         fock.enumerate_sector(build_box((40,)), 0, 0)
     assert cli.main(["gap", "--volume", "box:40", "--lambda-a", "2",
                      "--lambda-b", "0.5"]) == 2
@@ -88,11 +88,11 @@ def test_code_overflow_limit():
 def test_sector_cap(monkeypatch):
     v = build_box((3, 3))
     monkeypatch.setattr(fock, "DEFAULT_SECTOR_CAP", 100)
-    with pytest.raises(fock.FockError, match="cap 100"):
+    with pytest.raises(InputError, match="cap 100"):
         fock.enumerate_sector(v, 3, 3)
 
 
 def test_invalid_counts():
     v = build_box((2,))
-    with pytest.raises(fock.FockError):
+    with pytest.raises(InputError):
         fock.enumerate_sector(v, 2, 1)

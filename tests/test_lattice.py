@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs.lattice import (LatticeError, Volume, VolumeFamilySpec, boundary_edges,
+from pvbs import InputError
+from pvbs.lattice import (Volume, VolumeFamilySpec, boundary_edges,
                           boundary_sites, build_box, build_tilted_case1,
                           build_tilted_case2, edges, is_connected, slab)
 
@@ -38,11 +39,11 @@ def test_box_basic():
 
 
 def test_box_bad_dims():
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         build_box(())
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         build_box((2,) * 5)
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         build_box((0, 3))
 
 
@@ -65,7 +66,7 @@ def test_tilted_case2_examples():
     assert set(v.sites) == {(0, 0), (0, 1)}
     v = build_tilted_case2((), (2, 1))
     assert len(v) == 4
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         build_tilted_case2((), (2, 0))
 
 
@@ -94,7 +95,7 @@ def test_slab():
     assert slab(fam).sites == ((3,), (4,), (5,))
     fam = box_family((6,), 0, 4, 4)
     assert len(slab(fam)) == 0
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         box_family((6,), 0, 3, 4)
 
 
@@ -118,7 +119,7 @@ def test_boundary_sites():
     ambient2 = build_box((4, 4))
     assert len(boundary_sites(inner2, ambient2)) == 4
     assert boundary_sites(ambient2, ambient2) == []
-    with pytest.raises(LatticeError):
+    with pytest.raises(InputError):
         boundary_sites(ambient2, inner2)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvbs import cli, martingale, spectra
+from pvbs import ComputeError, InputError, cli, martingale, spectra
 from pvbs.lattice import Volume, VolumeFamilySpec, build_box, slab
 from pvbs.model import Params, select_tilt
 
@@ -69,7 +69,7 @@ def test_condition_iii_hypothesis_guard():
     t = select_tilt(Params(("2",), ("1/2",)))
     pp = martingale.permuted_params(Params(("2",), ("1/2",)), t)
     fam = martingale.sweep_family(t, 0, 3, 2, upper=3)
-    with pytest.raises(martingale.MartingaleError):
+    with pytest.raises(ComputeError):
         martingale.verify_condition_iii(fam, 3, 3, pp)  # (3-2)*log2 < 1
 
 
@@ -95,7 +95,7 @@ def test_condition_iii_cover_guard():
     t = tilt10()
     pp = martingale.permuted_params(P10, t)
     # slab = sites 1..6 and inner = sites 0..6 miss ambient site 7
-    with pytest.raises(martingale.MartingaleError, match="make up"):
+    with pytest.raises(ComputeError, match="make up"):
         martingale.verify_condition_iii(CrossedFamily(t, (7,), 0, 7), 7, 7,
                                         pp)
 
@@ -174,7 +174,7 @@ def test_certify_d2_condition_iii():
 
 
 def test_certify_rejects_gapless():
-    with pytest.raises(martingale.MartingaleError):
+    with pytest.raises(InputError):
         martingale.certify(Params(("1",), ("2",)))
 
 

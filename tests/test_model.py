@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs.model import (DIVERGENT, GapClass, ModelError, Params, c_orthant,
+from pvbs import ComputeError, InputError
+from pvbs.model import (DIVERGENT, GapClass, Params, c_orthant,
                         c_tilde, choose_ell, classify_zd,
                         epsilon_ell, infinite_gs_census, log_lambda,
                         select_tilt)
@@ -19,14 +20,14 @@ def test_params_parsing_is_exact():
 
 
 def test_params_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         Params(("0",), ("1",))
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         Params(("-2",), ("1",))
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         Params(("1", "2"), ("1",))  # length mismatch
     for text in ("1/0", "x", ""):
-        with pytest.raises(ModelError, match="cannot parse"):
+        with pytest.raises(InputError, match="cannot parse"):
             Params((text,), ("1",))
 
 
@@ -53,7 +54,7 @@ def test_census_zd():
     # particles escape to infinity: only the vacuum survives
     p = Params(("2",), ("3",))
     assert infinite_gs_census("zd", p) == {"vacuum"}
-    with pytest.raises(ModelError, match="unknown region"):
+    with pytest.raises(InputError, match="unknown region"):
         infinite_gs_census("halfspace", p)
 
 
@@ -74,7 +75,7 @@ def test_orthant_constant_is_exact_near_one():
         1 / (1 - lam * lam)) == pytest.approx(5e16, rel=1e-15)
     # 1/(1 - lambda^2) ~ 5e399 is outside double range
     big = 10 ** 400
-    with pytest.raises(ModelError, match="outside double range"):
+    with pytest.raises(InputError, match="outside double range"):
         c_orthant(Params((f"{big - 1}/{big}",), ("2",)), "a")
 
 
@@ -106,13 +107,13 @@ def test_select_tilt_case2():
 
 
 def test_select_tilt_rejects_gapless():
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         select_tilt(Params(("1",), ("2",)))
 
 
 def test_select_tilt_margin_failure():
     close = Fraction(101, 100)  # |log| ~ 0.00995 < eta
-    with pytest.raises(ModelError):
+    with pytest.raises(ComputeError):
         select_tilt(Params((close,), (close,)))
 
 
@@ -158,7 +159,7 @@ def test_epsilon_ell_strong_weights_do_not_underflow():
 
 def test_choose_ell_cap():
     t = select_tilt(Params(("10",), ("1/10",)))
-    with pytest.raises(ModelError):
+    with pytest.raises(ComputeError):
         choose_ell(t, cap=4)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import projector_oracle
 import strategies
-from pvbs import fock, martingale, operators
+from pvbs import ComputeError, InputError, fock, martingale, operators
 from pvbs.lattice import Volume, build_box, edges, is_connected
 from pvbs.model import GapClass, Params, classify_zd, select_tilt
 
@@ -184,14 +184,14 @@ def test_operator_norm_zero_product():
 def test_ambient_site_limit():
     ambient = build_box((40,))
     slab = ambient.difference(build_box((30,)))
-    with pytest.raises(fock.FockError, match="at most 39 sites"):
+    with pytest.raises(InputError, match="at most 39 sites"):
         operators.projection_product_norm(slab, build_box((39,)), P_CHAIN)
 
 
 def test_disconnected_inner_rejected():
     bad = Volume(1, ((0,), (2,)))
     slab = build_box((2,)).translate((1,))
-    with pytest.raises(operators.OperatorError, match="connected"):
+    with pytest.raises(ComputeError, match="connected"):
         operators.projection_product_norm(slab, bad, P_CHAIN)
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 
-from pvbs import analytic, fock, operators, spectra
+from pvbs import ComputeError, InputError, analytic, fock, operators, spectra
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
 from strategies import volumes_and_params
@@ -47,7 +47,7 @@ def test_lanczos_residual_check(perturbed_eigsh, monkeypatch):
     h = operators.assemble_sector_hamiltonian(
         operators.sector_pattern(b), operators.edge_weights(P_CHAIN))
     monkeypatch.setattr(spectra, "DENSE_CAP", 0)
-    with pytest.raises(spectra.SpectraError, match="residual"):
+    with pytest.raises(ComputeError, match="residual"):
         spectra.lowest_eigenvalues(h, k=2)
 
 
@@ -130,14 +130,14 @@ def test_total_gap_rejects_extra_kernel_vector(monkeypatch):
     # a second kernel vector beside the analytic one in ground sector (0,1)
     monkeypatch.setattr(spectra, "lowest_eigenvalues",
                         lambda h, k=1, **kwargs: np.zeros(k))
-    with pytest.raises(spectra.SpectraError,
+    with pytest.raises(ComputeError,
                        match=r"unexpected kernel vector.*\(0,1\)"):
         spectra.total_gap(build_box((3,)), P_CHAIN)
 
 
 def test_total_gap_rejects_disconnected():
-    from pvbs.lattice import LatticeError, Volume
-    with pytest.raises(LatticeError):
+    from pvbs.lattice import Volume
+    with pytest.raises(InputError):
         spectra.total_gap(Volume(1, ((0,), (2,))), P_CHAIN)
 
 
@@ -149,8 +149,7 @@ def test_gapless_scaling_flat_species():
 
 
 def test_gapless_scaling_needs_flat_species():
-    from pvbs.model import ModelError
-    with pytest.raises(ModelError):
+    with pytest.raises(InputError):
         spectra.gapless_scaling(P_CHAIN, [2, 3])
 
 

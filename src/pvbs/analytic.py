@@ -109,24 +109,24 @@ def geometric_sum(ratio: float, lo: int, hi: int) -> float:
         compute, f"sum of {ratio:.3g}^(2x) over {lo} <= x < {hi}")
 
 
-def normalization_closed_form(t: TiltScheme, spec: VolumeFamilySpec) -> NormalizationSet:
-    """Geometric-product form of the slab normalization constants.
+def normalization_closed_form(family: VolumeFamilySpec, lo: int,
+                              hi: int) -> NormalizationSet:
+    """Geometric-product form of the normalization constants of the slab
+    Lambda_hi \\ Lambda_lo of `family`, for 0 <= lo <= hi.
 
-    The sweep-direction factor runs m..n-1; all others run over the full
-    extent. Agrees with normalization_direct on the slab volume.
+    The sweep-direction factor runs lo..hi-1; all others run over the
+    full extent. Agrees with normalization_direct on the slab volume, in
+    the tilt's parameters `family.tilt.params`.
     """
-    if t is not spec.tilt and t != spec.tilt:
-        raise InputError("tilt scheme does not match the family spec")
-    d = t.dim
+    t = family.tilt
     ta = [float(x) for x in t.lambda_tilde_a]
     tb = [float(x) for x in t.lambda_tilde_b]
     c_a, c_b, d_diag = t.kappa_a, t.kappa_b, t.kappa_d
-    for j in range(d):
-        lo, hi = (spec.lower_cut, spec.upper_cut) if j == spec.sweep \
-            else (0, spec.extents[j])
-        c_a *= geometric_sum(ta[j], lo, hi)
-        c_b *= geometric_sum(tb[j], lo, hi)
-        d_diag *= geometric_sum(ta[j] * tb[j], lo, hi)
+    for j in range(t.dim):
+        cut = (lo, hi) if j == family.sweep else (0, family.extents[j])
+        c_a *= geometric_sum(ta[j], *cut)
+        c_b *= geometric_sum(tb[j], *cut)
+        d_diag *= geometric_sum(ta[j] * tb[j], *cut)
     return _norm_from_parts(c_a, c_b, d_diag)
 
 
@@ -198,40 +198,45 @@ class BoundReport:
                 "pass": self.passed, "slack": self.slack}
 
 
-def check_product_bounds(t: TiltScheme, spec: VolumeFamilySpec) -> list[BoundReport]:
-    """C(ab) <= C(a)C(b) <= c~ C(ab) on the given slab."""
-    if spec.upper_cut - spec.lower_cut < 2:
+def check_product_bounds(family: VolumeFamilySpec, lo: int,
+                         hi: int) -> list[BoundReport]:
+    """C(ab) <= C(a)C(b) <= c~ C(ab) on the slab Lambda_hi \\ Lambda_lo
+    of `family`."""
+    if hi - lo < 2:
         raise InputError("product bounds need slab length >= 2")
-    ns = normalization_closed_form(t, spec)
-    ct = c_tilde(t)
+    ns = normalization_closed_form(family, lo, hi)
+    ct = c_tilde(family.tilt)
     return [
         BoundReport("product_upper", ns.c_ab, ns.c_a * ns.c_b),
         BoundReport("product_lower", ns.c_a * ns.c_b, ct * ns.c_ab),
     ]
 
 
-def check_diagonal_bound(t: TiltScheme, spec: VolumeFamilySpec) -> BoundReport:
-    """D/(C_a C_b) <= (n-m) exp(-2(n-m-1) min|log tilde|) on the slab.
+def check_diagonal_bound(family: VolumeFamilySpec, lo: int,
+                         hi: int) -> BoundReport:
+    """D/(C_a C_b) <= (hi-lo) exp(-2(hi-lo-1) min|log tilde|) on the slab
+    Lambda_hi \\ Lambda_lo of `family`.
 
     Requires opposite signs of log tilde in the sweep direction.
     """
-    j = spec.sweep
+    t, j = family.tilt, family.sweep
     loga = math.log(t.lambda_tilde_a[j])
     logb = math.log(t.lambda_tilde_b[j])
     if loga * logb >= 0:
         raise InputError("diagonal bound needs opposite-sign log parameters")
-    n, m = spec.upper_cut, spec.lower_cut
-    if n <= m:
-        raise InputError("diagonal bound needs n > m")
-    ns = normalization_closed_form(t, spec)
+    if hi <= lo:
+        raise InputError("diagonal bound needs hi > lo")
+    ns = normalization_closed_form(family, lo, hi)
     lhs = ns.d_diag / (ns.c_a * ns.c_b)
-    rhs = (n - m) * math.exp(-2.0 * (n - m - 1) * min(abs(loga), abs(logb)))
+    rhs = (hi - lo) * math.exp(-2.0 * (hi - lo - 1)
+                               * min(abs(loga), abs(logb)))
     return BoundReport("diagonal", lhs, rhs)
 
 
-def check_ratio_bounds(t: TiltScheme, extents, j: int, n: int,
+def check_ratio_bounds(family: VolumeFamilySpec, n: int,
                        ell: int) -> list[BoundReport]:
-    """The eight normalization-ratio inequalities along sweep direction j.
+    """The eight normalization-ratio inequalities of `family` at sweep
+    position n and slab width ell.
 
     Exponent conventions: growing parameters get 4R1 <= e^(-2(l-1)|log|),
     4R3 <= tilde^2, 4R2/4R4 <= 1; shrinking parameters get 4L2 with the
@@ -239,14 +244,14 @@ def check_ratio_bounds(t: TiltScheme, extents, j: int, n: int,
     """
     if not n >= ell >= 2:
         raise InputError("ratio bounds need n >= ell >= 2")
+    t, j = family.tilt, family.sweep
     out = []
     for s in ("a", "b"):
         lam = float(t.tilde(s)[j])
         alog = abs(math.log(lam))
 
         def c(hi, lo=0):
-            spec = VolumeFamilySpec(t, tuple(extents), j, hi, lo)
-            return normalization_closed_form(t, spec).c(s)
+            return normalization_closed_form(family, lo, hi).c(s)
 
         decay = math.exp(-2.0 * (ell - 1) * alog)
         if lam > 1:

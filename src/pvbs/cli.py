@@ -106,16 +106,18 @@ def parse_volume(text: str) -> Volume:
     """Volume spec: box:2x3, case1:v1,v2@L1xL2xL3, case2:@L1xL2."""
     kind, _, rest = text.partition(":")
     if kind == "box":
-        return build_box(parse_ints(rest.replace("x", ",")), label=text)
-    if kind in ("case1", "case2"):
+        v_txt, l_txt = "", rest
+    elif kind in ("case1", "case2"):
         v_txt, _, l_txt = rest.partition("@")
-        v_tail = parse_ints(v_txt)
-        dims = parse_ints(l_txt.replace("x", ","))
-        if not dims:
-            raise InputError("volume spec is missing extents after '@'")
-        build = build_tilted_case1 if kind == "case1" else build_tilted_case2
-        return build(v_tail, dims, label=text)
-    raise InputError(f"unknown volume spec {text!r}")
+    else:
+        raise InputError(f"unknown volume spec {text!r}")
+    dims = parse_ints(l_txt.replace("x", ","))
+    if not dims:
+        raise InputError(f"volume spec {text!r} has no extents")
+    if kind == "box":
+        return build_box(dims, label=text)
+    build = build_tilted_case1 if kind == "case1" else build_tilted_case2
+    return build(parse_ints(v_txt), dims, label=text)
 
 
 def _params(args) -> Params:
@@ -130,9 +132,11 @@ def _eta(args) -> float:
 
 
 def _budget(args) -> int:
+    """--budget, clamped to the sector enumeration cap: a sector over
+    either is skipped, never an error."""
     if args.budget < 1:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
-    return args.budget
+    return min(args.budget, fock.DEFAULT_SECTOR_CAP)
 
 
 # ---------------------------------------------------------------- cache
@@ -218,11 +222,8 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    p = _params(args)
-    if args.dim is not None and args.dim != p.dim:
-        raise InputError(
-            f"--dim {args.dim} contradicts parameter dimension {p.dim}")
-    return martingale.certify(p, eta=_eta(args), ell_cap=args.ell_cap,
+    return martingale.certify(_params(args), eta=_eta(args),
+                              ell_cap=args.ell_cap,
                               gamma_budget=_budget(args)).to_json()
 
 
@@ -237,16 +238,17 @@ def cmd_verify_lemmas(args) -> dict:
         j = rng.randrange(t.dim)
         ell = rng.randint(3, 8)
         n = rng.randint(ell, ell + 6)
-        extents = tuple(rng.randint(2, 6) for _ in range(t.dim))
-        fam = VolumeFamilySpec(t, extents, j, n, n - ell)
+        fam = VolumeFamilySpec(
+            t, tuple(rng.randint(2, 6) for _ in range(t.dim)), j)
         reports.extend(check.to_json() for check in
-                       analytic.check_product_bounds(t, fam))
+                       analytic.check_product_bounds(fam, n - ell, n))
         loga = t.log_tilde("a")[j]
         logb = t.log_tilde("b")[j]
         if loga * logb < 0:
-            reports.append(analytic.check_diagonal_bound(t, fam).to_json())
+            reports.append(
+                analytic.check_diagonal_bound(fam, n - ell, n).to_json())
         reports.extend(check.to_json() for check in
-                       analytic.check_ratio_bounds(t, extents, j, n, ell))
+                       analytic.check_ratio_bounds(fam, n, ell))
     return {"trials": args.trials, "checks": len(reports),
             "all_pass": all(r["pass"] for r in reports),
             "reports": reports}
@@ -254,15 +256,21 @@ def cmd_verify_lemmas(args) -> dict:
 
 def cmd_verify_projection(args) -> dict:
     p = _params(args)
+    if args.ell < 1:
+        raise InputError(f"--ell must be at least 1, got {args.ell}")
+    if args.n < args.ell:
+        raise InputError(f"--n must be at least --ell, got --n {args.n} "
+                         f"--ell {args.ell}")
+    if not 0 <= args.j < p.dim:
+        raise InputError(f"-j must be in 0..{p.dim - 1} for dimension "
+                         f"{p.dim}, got {args.j}")
+    if args.lead < 1:
+        raise InputError(f"--lead must be at least 1, got {args.lead}")
     t = model.select_tilt(p, eta=_eta(args))
-    pp = martingale.permuted_params(p, t)
-    fam = martingale.sweep_family(t, args.j, args.ell, args.lead,
-                                  upper=args.ell)
-    rep_i = martingale.verify_condition_i(
-        martingale.sweep_family(t, args.j, args.ell, 2 * args.ell,
-                                upper=2 * args.ell),
-        args.ell, 2 * args.ell)
-    rep_iii = martingale.verify_condition_iii(fam, args.n, args.ell, pp)
+    rep_i = martingale.verify_condition_i(t, args.j, args.ell)
+    rep_iii = martingale.verify_condition_iii(
+        martingale.sweep_family(t, args.j, args.ell, args.lead),
+        args.n, args.ell)
     return {"condition_i": rep_i.to_json(),
             "condition_iii": rep_iii.to_json()}
 
@@ -362,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="martingale-method gap certificate")
     common(sp)
-    sp.add_argument("-d", "--dim", type=int, default=None)
     sp.add_argument("--eta", type=float, default=model.DEFAULT_ETA)
     sp.add_argument("--ell-cap", type=int, default=model.DEFAULT_ELL_CAP)
     sp.add_argument("--budget", type=int,

@@ -1,4 +1,4 @@
-"""Finite subvolumes of Z^d: boxes, tilted parallelepipeds, slabs.
+"""Finite subvolumes of Z^d: boxes, tilted parallelepipeds, sweep families.
 
 Sites are tuples of ints in lexicographic (canonical) order, so every
 derived object (edges, bases, serializations) is deterministic.
@@ -209,22 +209,20 @@ def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
 
 @dataclass(frozen=True)
 class VolumeFamilySpec:
-    """Sweep family Lambda^(j)_n: extents with the j-th replaced by n.
+    """Sweep family Lambda^(j)_n of Nachtergaele's martingale method: the
+    tilted volumes with the j-th extent replaced by n.
 
-    ``tilt`` is a model.TiltScheme. Cuts m/n select the slab
-    Lambda^(j)_n \\ Lambda^(j)_m.
+    ``tilt`` is a model.TiltScheme, whose case and tilt integers shape
+    every member. The j-th entry of ``extents`` is never read. Every slab
+    is the difference Lambda^(j)_n \\ Lambda^(j)_m of two members, so
+    the cuts m <= n are passed where a slab quantity is computed.
     """
 
     tilt: object
     extents: tuple[int, ...]
     sweep: int  # 0-based coordinate index
-    upper_cut: int
-    lower_cut: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.lower_cut <= self.upper_cut:
-            raise InputError(
-                f"need 0 <= m <= n, got m={self.lower_cut}, n={self.upper_cut}")
         if not 0 <= self.sweep < len(self.extents):
             raise InputError("sweep direction out of range")
 
@@ -238,11 +236,3 @@ class VolumeFamilySpec:
         if t.case == 1:
             return build_tilted_case1(t.v, tuple(ext))
         return build_tilted_case2(t.v, tuple(ext))
-
-
-def slab(spec: VolumeFamilySpec) -> Volume:
-    """Lambda^(j)_n \\ Lambda^(j)_m as an explicit set difference."""
-    n, m = spec.upper_cut, spec.lower_cut
-    if m == n:
-        return Volume(len(spec.extents), (), "empty")
-    return spec.member(n).difference(spec.member(m))

@@ -41,18 +41,12 @@ class Symbolic:
         return "symbolic"
 
 
-def permuted_params(p: Params, t: TiltScheme) -> Params:
-    """Parameters reordered to the tilt's coordinate convention."""
-    return Params(tuple(p.lambda_a[j] for j in t.permutation),
-                  tuple(p.lambda_b[j] for j in t.permutation))
-
-
-def sweep_family(t: TiltScheme, j: int, ell: int, lead: int,
-                 upper: int, lower: int = 0) -> VolumeFamilySpec:
+def sweep_family(t: TiltScheme, j: int, ell: int,
+                 lead: int) -> VolumeFamilySpec:
     """Family swept in direction j: extents are `lead` before j and ell
-    after it (the swept extent itself is a placeholder)."""
+    after it."""
     ext = tuple(lead if k < j else ell for k in range(t.dim))
-    return VolumeFamilySpec(t, ext, j, upper, lower)
+    return VolumeFamilySpec(t, ext, j)
 
 
 @dataclass
@@ -72,12 +66,13 @@ class ConditionReport:
                 "pass": self.passed}
 
 
-def verify_condition_i(family: VolumeFamilySpec, ell: int,
-                       big: int) -> ConditionReport:
-    """Each edge of the largest volume must lie in at most ell of the
-    width-ell sweep slabs; pure lattice counting."""
-    if ell > big:
-        raise ComputeError("need ell <= L for the slab sweep")
+def verify_condition_i(t: TiltScheme, j: int, ell: int) -> ConditionReport:
+    """Each edge of member L = 2 ell of the direction-j sweep family
+    (extent 2 ell before j, ell after it) must lie in at most ell of the
+    width-ell slabs Lambda_n \\ Lambda_(n - ell), ell <= n <= L; pure
+    lattice counting."""
+    big = 2 * ell
+    family = sweep_family(t, j, ell, big)
     full = family.member(big)
     counts = {e: 0 for e in edges(full)}
     for n in range(ell, big + 1):
@@ -89,12 +84,12 @@ def verify_condition_i(family: VolumeFamilySpec, ell: int,
                 counts[e] += 1
     measured = max(counts.values()) if counts else 0
     return ConditionReport(
-        "i", {"j": family.sweep, "ell": ell, "L": big},
+        "i", {"j": j, "ell": ell, "L": big},
         float(measured), float(ell))
 
 
-def verify_condition_iii(family: VolumeFamilySpec, n: int, ell: int,
-                         p: Params) -> ConditionReport:
+def verify_condition_iii(family: VolumeFamilySpec, n: int,
+                         ell: int) -> ConditionReport:
     """Measure ||G_slab E_n|| and compare it with the analytic projection
     bound.
 
@@ -105,8 +100,6 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int, ell: int,
     E_n = Q Q^T for an orthonormal Q built from analytic ground vectors
     (see `operators.projection_product_norm`). No 3^N vector is formed;
     the only size limit is fock's 39 sites for base-3 codes.
-
-    `p` must already be in the tilt's coordinate order.
     """
     j = family.sweep
     # first, so that an ell failing the bound's hypothesis costs nothing
@@ -117,17 +110,17 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int, ell: int,
     if set(slab_vol.sites + inner.sites) != set(ambient.sites):
         raise ComputeError("sweep slab and inner volume do not make up "
                            "the ambient volume")
-    measured = operators.projection_product_norm(slab_vol, inner, p)
+    measured = operators.projection_product_norm(slab_vol, inner,
+                                                 family.tilt.params)
     return ConditionReport(
         "iii", {"j": j, "n": n, "ell": ell}, measured, bound)
 
 
-def compute_gamma_ell(t: TiltScheme, p: Params, ell: int,
+def compute_gamma_ell(t: TiltScheme, ell: int,
                       budget: int = DEFAULT_GAMMA_BUDGET):
     """Seed gap on the all-ell volume, or a Symbolic marker when the
     largest particle sector is out of budget."""
-    family = sweep_family(t, 0, ell, ell, upper=ell)
-    vol = family.member(ell)
+    vol = sweep_family(t, 0, ell, ell).member(ell)
     n_sites = len(vol)
     worst = max(fock.sector_dimension(n_sites, na, nb)
                 for na in range(n_sites + 1)
@@ -135,7 +128,7 @@ def compute_gamma_ell(t: TiltScheme, p: Params, ell: int,
     if worst > budget:
         return Symbolic("largest particle sector exceeds the eigensolver "
                         "budget", worst)
-    return spectra.total_gap(vol, p, sector_cap=budget)
+    return spectra.total_gap(vol, t.params, sector_cap=budget)
 
 
 @dataclass
@@ -172,10 +165,10 @@ class GapCertificate:
         }
 
 
-def _spot_checks(t: TiltScheme, pp: Params, ell: int, j: int):
+def _spot_checks(t: TiltScheme, ell: int, j: int):
     """The smallest feasible sweep positions n for a direction-j check."""
     reports, notes = [], []
-    family = sweep_family(t, j, ell, SPOT_LEAD, upper=ell)
+    family = sweep_family(t, j, ell, SPOT_LEAD)
     for n in range(ell, ell + SPOT_CHECKS):
         sites = len(family.member(n + 1))
         if sites > fock.MAX_SITES:
@@ -184,7 +177,7 @@ def _spot_checks(t: TiltScheme, pp: Params, ell: int, j: int):
                 f"{j} from n = {n}: the ambient volume has {sites} sites, "
                 f"over the {fock.MAX_SITES}-site limit of base-3 codes")
             break
-        reports.append(verify_condition_iii(family, n, ell, pp))
+        reports.append(verify_condition_iii(family, n, ell))
     return reports, notes
 
 
@@ -195,10 +188,9 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
     t = select_tilt(p, eta)
     ct = c_tilde(t)
     ell, eps = choose_ell(t, ell_cap)
-    pp = permuted_params(p, t)
     d = p.dim
 
-    gamma = compute_gamma_ell(t, pp, ell, gamma_budget)
+    gamma = compute_gamma_ell(t, ell, gamma_budget)
     factor = (1.0 - eps * math.sqrt(ell)) ** 2 / ell
     notes = []
     if isinstance(gamma, Symbolic):
@@ -211,12 +203,9 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         gamma_val = gamma.gap
         final = gamma.gap * factor ** d
 
-    conditions = []
+    conditions = [verify_condition_i(t, j, ell) for j in range(d)]
     for j in range(d):
-        fam = sweep_family(t, j, ell, 2 * ell, upper=2 * ell)
-        conditions.append(verify_condition_i(fam, ell, 2 * ell))
-    for j in range(d):
-        reps, more = _spot_checks(t, pp, ell, j)
+        reps, more = _spot_checks(t, ell, j)
         conditions.extend(reps)
         notes.extend(more)
     bad = [c for c in conditions if not c.passed]

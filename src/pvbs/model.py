@@ -173,7 +173,10 @@ class TiltScheme:
     """Volume tilt making every normalization a nontrivial geometric product.
 
     All tilde parameters are exact fractions; v holds the free tilt
-    integers (indices >= 1 for Case 1, >= 2 for Case 2, 0-based).
+    integers (indices >= 1 for Case 1, >= 2 for Case 2, 0-based). params
+    holds the model's parameters in the tilt's coordinate order, in which
+    coordinate k is the original coordinate permutation[k]; every volume
+    built from the tilt is in that order too.
     """
 
     case: int
@@ -184,6 +187,7 @@ class TiltScheme:
     kappa_a: float
     kappa_b: float
     kappa_d: float  # diagonal-term prefactor
+    params: Params
 
     @property
     def dim(self) -> int:
@@ -262,7 +266,8 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
             ta.append(a)
             tb.append(b)
         return TiltScheme(1, perm, tuple(vs), tuple(ta), tuple(tb),
-                          kappa_a=1.0, kappa_b=1.0, kappa_d=1.0)
+                          kappa_a=1.0, kappa_b=1.0, kappa_d=1.0,
+                          params=Params(tuple(pa), tuple(pb)))
 
     # Case 2: lambda_a and lambda_b are never jointly != 1 on a coordinate
     a_free = [j for j in range(d) if la[j] != 1]
@@ -277,13 +282,11 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
         j for j in range(d) if j not in (lead_a, lead_b))
     pa = [la[j] for j in perm]
     pb = [lb[j] for j in perm]
-    # after permutation: pa[0] != 1, pb[1] != 1, pa[1] = pb[0] = 1
+    # after permutation: pa[0] != 1, pb[1] != 1, pa[1] = pb[0] = 1, so
+    # the tilde parameters are pa[0]^(+-1) and pb[1], whose margins are
+    # the leading margins just checked
     ta = [pa[0] * pa[1], pa[0] ** -1 * pa[1]]
     tb = [pb[0] * pb[1], pb[0] ** -1 * pb[1]]
-    if not all(_margin(x, eta) for x in (*ta, *tb)):
-        raise ComputeError(
-            "parameters too close to gapless manifold: Case-2 tilde "
-            f"margins below eta={eta}")
     vs = []
     for j in range(2, d):
         v, a, b = _pick_v(pa[j], pb[j], ta[0], tb[0], eta)
@@ -295,6 +298,7 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
         kappa_a=1.0 + float(pa[1]) ** 2,
         kappa_b=1.0 + float(pb[1]) ** 2,
         kappa_d=1.0 + float(pa[1] * pb[1]) ** 2,
+        params=Params(tuple(pa), tuple(pb)),
     )
 
 

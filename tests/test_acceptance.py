@@ -111,7 +111,6 @@ def _random_gapped_tilt(rng, d):
 
 
 def test_c04_closed_form_normalizations():
-    from pvbs.lattice import VolumeFamilySpec, slab
     rng = random.Random(31415)
     cases_seen = {1: 0, 2: 0}
     checked = 0
@@ -119,17 +118,16 @@ def test_c04_closed_form_normalizations():
     while checked < 200:
         d = rng.choice([1, 2, 3])
         p, t = _random_gapped_tilt(rng, d)
-        pp = martingale.permuted_params(p, t)
         j = rng.randrange(d)
         width = rng.randint(1, 4)
         n = rng.randint(width, width + 3)
         extents = tuple(rng.randint(1, 3) for _ in range(d))
-        fam = VolumeFamilySpec(t, extents, j, n, n - width)
-        sl = slab(fam)
+        fam = VolumeFamilySpec(t, extents, j)
+        sl = fam.member(n).difference(fam.member(n - width))
         if len(sl) == 0:
             continue
-        nd = analytic.normalization_direct(sl, pp)
-        nc = analytic.normalization_closed_form(t, fam)
+        nd = analytic.normalization_direct(sl, t.params)
+        nc = analytic.normalization_closed_form(fam, n - width, n)
         for attr in ("c_a", "c_b", "d_diag", "c_ab"):
             x, y = getattr(nd, attr), getattr(nc, attr)
             scale = max(abs(x), abs(y),
@@ -152,18 +150,18 @@ def test_c05_normalization_bound_lemmas():
         j = rng.randrange(d)
         ell = rng.randint(2, 6)
         n = rng.randint(ell, ell + 4)
-        extents = tuple(rng.randint(2, 4) for _ in range(d))
-        fam = VolumeFamilySpec(t, extents, j, n, n - ell)
-        for r in analytic.check_product_bounds(t, fam):
+        fam = VolumeFamilySpec(t, tuple(rng.randint(2, 4) for _ in range(d)),
+                               j)
+        for r in analytic.check_product_bounds(fam, n - ell, n):
             assert r.passed, r.to_json()
             min_slack = min(min_slack, r.slack)
             counts["product"] += 1
         if t.log_tilde("a")[j] * t.log_tilde("b")[j] < 0:
-            r = analytic.check_diagonal_bound(t, fam)
+            r = analytic.check_diagonal_bound(fam, n - ell, n)
             assert r.passed, r.to_json()
             min_slack = min(min_slack, r.slack)
             counts["diagonal"] += 1
-        for r in analytic.check_ratio_bounds(t, extents, j, n, ell):
+        for r in analytic.check_ratio_bounds(fam, n, ell):
             assert r.passed, r.to_json()
             min_slack = min(min_slack, r.slack)
             counts["ratio"] += 1
@@ -174,10 +172,9 @@ def test_c05_normalization_bound_lemmas():
 def _measure_condition_iii(la, lb, n, ell):
     p = Params((la,), (lb,))
     t = select_tilt(p)
-    pp = martingale.permuted_params(p, t)
-    fam = martingale.sweep_family(t, 0, ell, 2, upper=ell)
-    rep = martingale.verify_condition_iii(fam, n, ell, pp)
-    return rep, fam, pp
+    fam = martingale.sweep_family(t, 0, ell, 2)
+    rep = martingale.verify_condition_iii(fam, n, ell)
+    return rep, fam, t.params
 
 
 def test_c06_projection_norm_vs_analytic_bound():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbs import ComputeError, InputError, analytic, fock
-from pvbs.lattice import VolumeFamilySpec, build_box, slab
-from pvbs.martingale import permuted_params, sweep_family
+from pvbs.lattice import VolumeFamilySpec, build_box
+from pvbs.martingale import sweep_family
 from pvbs.model import Params, select_tilt
 
 P_CHAIN = Params(("2",), ("1/2",))
@@ -69,17 +69,16 @@ def test_closed_form_matches_direct_randomized():
     while checked < 200:
         d = rng.choice([1, 2, 3])
         p, t = _random_gapped(rng, d)
-        pp = permuted_params(p, t)
         j = rng.randrange(d)
         ell = rng.randint(1, 4)
         n = rng.randint(ell, ell + 3)
         extents = tuple(rng.randint(1, 3) for _ in range(d))
-        fam = VolumeFamilySpec(t, extents, j, n, n - ell)
-        sl = slab(fam)
+        fam = VolumeFamilySpec(t, extents, j)
+        sl = fam.member(n).difference(fam.member(n - ell))
         if len(sl) == 0:
             continue
-        nd = analytic.normalization_direct(sl, pp)
-        nc = analytic.normalization_closed_form(t, fam)
+        nd = analytic.normalization_direct(sl, t.params)
+        nc = analytic.normalization_closed_form(fam, n - ell, n)
         for attr in ("c_a", "c_b", "d_diag", "c_ab"):
             x, y = getattr(nd, attr), getattr(nc, attr)
             # c_ab is a difference of products; measure against its scale
@@ -118,35 +117,31 @@ def test_trial_energy_flat_species_is_one_over_l():
 
 def test_product_bounds_chain():
     t = select_tilt(Params(("10",), ("1/10",)))
-    fam = sweep_family(t, 0, 7, 7, upper=9, lower=3)
-    reports = analytic.check_product_bounds(t, fam)
+    reports = analytic.check_product_bounds(sweep_family(t, 0, 7, 7), 3, 9)
     assert all(r.passed for r in reports)
     assert all(r.slack >= 0 for r in reports)
 
 
 def test_diagonal_bound_needs_opposite_signs():
     t_same = select_tilt(Params(("10",), ("5",)))
-    fam_same = sweep_family(t_same, 0, 5, 5, upper=6, lower=1)
     with pytest.raises(InputError):
-        analytic.check_diagonal_bound(t_same, fam_same)
+        analytic.check_diagonal_bound(sweep_family(t_same, 0, 5, 5), 1, 6)
     t_opp = select_tilt(Params(("10",), ("1/10",)))
-    fam_opp = sweep_family(t_opp, 0, 5, 5, upper=6, lower=1)
-    rep = analytic.check_diagonal_bound(t_opp, fam_opp)
+    rep = analytic.check_diagonal_bound(sweep_family(t_opp, 0, 5, 5), 1, 6)
     assert rep.passed
 
 
 def test_ratio_bounds_frozen_oracles():
     # growing species lambda~=2: C(n+1-ell)/C(n) at n=6, ell=4 is 21/1365
     t = select_tilt(Params(("2",), ("1/2",)))
-    reports = {r.name: r for r in
-               analytic.check_ratio_bounds(t, (8,), 0, 6, 4)}
+    chain = sweep_family(t, 0, 1, 1)  # in d = 1 no extent is read
+    reports = {r.name: r for r in analytic.check_ratio_bounds(chain, 6, 4)}
     r1 = reports["4R1[a]"]
     assert r1.lhs == pytest.approx(21.0 / 1365.0, rel=1e-12)
     assert r1.rhs == pytest.approx(2.0 ** -6, rel=1e-12)
     assert r1.passed
     # shrinking species 1/2: corrected bound e^(-2n|log|) at n=4
-    reports4 = {r.name: r for r in
-                analytic.check_ratio_bounds(t, (6,), 0, 4, 3)}
+    reports4 = {r.name: r for r in analytic.check_ratio_bounds(chain, 4, 3)}
     l3 = reports4["4L3[b]"]
     assert l3.lhs == pytest.approx((0.5 ** 8) / (85.0 / 64.0), rel=1e-12)
     assert l3.rhs == pytest.approx(0.5 ** 8, rel=1e-12)
@@ -162,8 +157,9 @@ def test_ratio_bounds_randomized():
         j = rng.randrange(d)
         ell = rng.randint(2, 6)
         n = rng.randint(ell, ell + 4)
-        extents = tuple(rng.randint(2, 4) for _ in range(d))
-        for r in analytic.check_ratio_bounds(t, extents, j, n, ell):
+        fam = VolumeFamilySpec(t, tuple(rng.randint(2, 4) for _ in range(d)),
+                               j)
+        for r in analytic.check_ratio_bounds(fam, n, ell):
             assert r.passed, (r.name, r.lhs, r.rhs, p.to_json(), j, n, ell)
         checked += 1
 

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import json
 import os
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 import scipy.sparse.linalg as spla
 
-from pvbs import cli, model, spectra
+from pvbs import cli, fock, model, spectra
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,23 @@ def test_gap_dimension_mismatch(capsys):
     assert code == 2
 
 
+# invalid inputs whose exit-2 message must name the option or spec at fault
+NAMED_IN_MESSAGE = {
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "7", "--ell", "-1"): "--ell must be at least 1",
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "2", "--ell", "7"): "--n must be at least --ell",
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "7", "--ell", "7", "-j", "1"): "-j must be in 0..0",
+    ("verify-projection", "--lambda-a", "10,10", "--lambda-b", "1/10,1/10",
+     "--n", "7", "--ell", "7", "-j", "-1"): "-j must be in 0..1",
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "7", "--ell", "7", "--lead", "0"): "--lead must be at least 1",
+    ("gap", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--volume", "box:"): "volume spec 'box:' has no extents",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:1"),
     ("scaling", "--lambda-a", "2", "--lambda-b", "1/2", "--sizes", "2,3"),
@@ -127,12 +145,13 @@ def test_gap_dimension_mismatch(capsys):
     ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,x"),
     ("sweep", "--grid-a", "2", "--lambda-b", "1/2", "--sizes", "3,y"),
     ("classify", "--lambda-a", "", "--lambda-b", "2"),
+    *NAMED_IN_MESSAGE,
 ])
 def test_invalid_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: " + NAMED_IN_MESSAGE.get(argv, ""))
 
 
 # one small valid invocation per verb
@@ -215,13 +234,67 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_eigsh):
 
 
 def test_certify_d1(capsys):
-    code, out, _ = run_cli(capsys, "certify", "-d", "1",
+    code, out, _ = run_cli(capsys, "certify",
                            "--lambda-a", "10", "--lambda-b", "0.1")
     assert code == 0
     rec = json.loads(out)
     assert rec["ell"] == 7
     assert rec["final_bound"] > 0
     assert all(c["pass"] for c in rec["conditions"])
+    # the dimension is that of the parameter vectors; there is no -d
+    with pytest.raises(SystemExit):
+        cli.main(["certify", "-d", "1", "--lambda-a", "10",
+                  "--lambda-b", "0.1"])
+
+
+def test_budget_above_the_sector_cap_skips_sectors(capsys, monkeypatch):
+    # a sector over the enumeration cap is skipped like one over --budget,
+    # so a larger --budget never turns a partial report into an error
+    monkeypatch.setattr(fock, "DEFAULT_SECTOR_CAP", 10)
+    gap = ("gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:4")
+    code, out, _ = run_cli(capsys, *gap, "--budget", "10")
+    assert code == 0
+    assert json.loads(out)["partial"] is True
+    assert run_cli(capsys, *gap, "--budget", "100")[:2] == (0, out)
+    # the certificate's seed sectors (90090 states at ell = 13) are over
+    # the cap and its default budget, condition (iii)'s are within both
+    monkeypatch.setattr(fock, "DEFAULT_SECTOR_CAP", 10_000)
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", "2",
+                           "--lambda-b", "1/2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["gamma_ell"] == "symbolic"
+    assert any("(dimension 90090)" in note for note in rec["notes"])
+    assert all(c["pass"] for c in rec["conditions"])
+
+
+# sha256 of `verify-lemmas --trials 25` stdout, recorded before the
+# analytic checks took a sweep family and its cuts: about 200 bound
+# reports of pure-Python floats each, in d = 1, d = 2 (Case 2) and d = 3
+LEMMA_DIGESTS = {
+    ("2", "1/2", "0"):
+        "ffd1c637e2799ce8076df52923c3f539096ffb1d65d4ab115a1fcc4f7564b9e3",
+    ("2", "1/2", "1"):
+        "a0ab96ffad1caeffef7b3530b72b59f21c99815007bf7e524e93e30804c96abf",
+    ("2,1", "1,1/2", "0"):
+        "f201a13ad405ffd11cac00d05ed454578992e4fc590f8b6cee743142139312a2",
+    ("2,1", "1,1/2", "1"):
+        "4e3561db6e851b4be637020370217a4bc2e87a251a3572d6cccb5b903f9f1904",
+    ("2,3,1/2", "1/2,1/2,3", "0"):
+        "82b649a3b3e3500b333c65bfb9fca7577cc931f1121e6f80e91acb5c05e50e0c",
+    ("2,3,1/2", "1/2,1/2,3", "1"):
+        "dab65fc55af7e58d39aac902050ba80eba6a4d588c6d632ac16e9c76ac77ab82",
+}
+
+
+@pytest.mark.parametrize("la,lb,seed", list(LEMMA_DIGESTS))
+def test_verify_lemmas_stdout_is_pinned(capsys, la, lb, seed):
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--lambda-a", la,
+                           "--lambda-b", lb, "--trials", "25", "--seed", seed)
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        LEMMA_DIGESTS[la, lb, seed]
 
 
 def test_certify_strong_weights_bounds_hold_without_slack(capsys):

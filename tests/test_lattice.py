@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from pvbs import InputError
 from pvbs.lattice import (Volume, VolumeFamilySpec, boundary_edges,
                           boundary_sites, build_box, build_tilted_case1,
-                          build_tilted_case2, edges, is_connected, slab)
+                          build_tilted_case2, edges, is_connected)
 
 
 class FakeTilt:
@@ -16,9 +16,9 @@ class FakeTilt:
         self.v = v
 
 
-def box_family(extents, sweep, upper, lower=0):
+def box_family(extents, sweep):
     return VolumeFamilySpec(FakeTilt(1, (0,) * (len(extents) - 1)),
-                            extents, sweep, upper, lower)
+                            extents, sweep)
 
 
 def test_box_basic():
@@ -91,18 +91,19 @@ def test_tilted_case1_site_count(l1, l2, vj):
 
 
 def test_slab():
-    fam = box_family((6,), 0, 6, 3)
-    assert slab(fam).sites == ((3,), (4,), (5,))
-    fam = box_family((6,), 0, 4, 4)
-    assert len(slab(fam)) == 0
+    # a slab is the difference of two family members
+    fam = box_family((6,), 0)
+    assert fam.member(6).difference(fam.member(3)).sites == ((3,), (4,), (5,))
+    assert len(fam.member(4).difference(fam.member(4))) == 0
+    assert len(fam.member(0)) == 0
     with pytest.raises(InputError):
-        box_family((6,), 0, 3, 4)
+        box_family((6,), 1)
 
 
 def test_slab_tilted_row():
-    tilt = FakeTilt(1, (1,))
-    fam = VolumeFamilySpec(tilt, (2, 2), 1, 2, 1)
-    assert set(slab(fam).sites) == {(-1, 1), (0, 1)}
+    fam = VolumeFamilySpec(FakeTilt(1, (1,)), (2, 2), 1)
+    assert set(fam.member(2).difference(fam.member(1)).sites) == {
+        (-1, 1), (0, 1)}
 
 
 def test_connectivity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvbs import ComputeError, InputError, cli, martingale, spectra
-from pvbs.lattice import Volume, VolumeFamilySpec, build_box, slab
+from pvbs.lattice import Volume, VolumeFamilySpec, build_box
 from pvbs.model import Params, select_tilt
 
 P10 = Params(("10",), ("1/10",))
@@ -14,25 +14,16 @@ def tilt10():
     return select_tilt(P10)
 
 
-def test_permuted_params():
-    p = Params(("1", "10"), ("1", "1/10"))
-    t = select_tilt(p)
-    pp = martingale.permuted_params(p, t)
-    assert pp.lambda_a[0] == 10  # shared coordinate moved to the front
-
-
 def test_condition_i_1d_counts():
     # width-ell slabs stepping by one: an edge along the sweep lies in
     # exactly ell-1 of them in the interior
     t = tilt10()
-    fam = martingale.sweep_family(t, 0, 3, 6, upper=6)
-    rep = martingale.verify_condition_i(fam, 3, 6)
+    rep = martingale.verify_condition_i(t, 0, 3)
+    assert rep.inputs == {"j": 0, "ell": 3, "L": 6}
     assert rep.measured == 2.0
     assert rep.bound == 3.0
     assert rep.passed
-    rep2 = martingale.verify_condition_i(
-        martingale.sweep_family(t, 0, 2, 6, upper=6), 2, 6)
-    assert rep2.measured == 1.0
+    assert martingale.verify_condition_i(t, 0, 2).measured == 1.0
 
 
 def test_condition_i_perpendicular_edges_hit_ell():
@@ -41,36 +32,30 @@ def test_condition_i_perpendicular_edges_hit_ell():
     p = Params(("10", "10"), ("1/10", "1/10"))
     t = select_tilt(p)
     ell = 3
-    fam = martingale.sweep_family(t, 0, ell, 2 * ell, upper=2 * ell)
-    rep = martingale.verify_condition_i(fam, ell, 2 * ell)
+    rep = martingale.verify_condition_i(t, 0, ell)
     assert rep.measured == float(ell)
     assert rep.passed
 
 
 def test_condition_iii_measured_below_bound():
-    t = tilt10()
-    pp = martingale.permuted_params(P10, t)
-    fam = martingale.sweep_family(t, 0, 7, 2, upper=7)
-    rep = martingale.verify_condition_iii(fam, 7, 7, pp)
+    fam = martingale.sweep_family(tilt10(), 0, 7, 2)
+    rep = martingale.verify_condition_iii(fam, 7, 7)
     assert rep.passed
     assert rep.measured <= rep.bound
 
 
 def test_condition_iii_full_slab_is_zero():
     # slab = whole ambient volume: G_slab annihilates E_n exactly
-    t = tilt10()
-    pp = martingale.permuted_params(P10, t)
-    fam = martingale.sweep_family(t, 0, 8, 2, upper=8)
-    rep = martingale.verify_condition_iii(fam, 7, 8, pp)
+    fam = martingale.sweep_family(tilt10(), 0, 8, 2)
+    rep = martingale.verify_condition_iii(fam, 7, 8)
     assert rep.measured == pytest.approx(0.0, abs=1e-12)
 
 
 def test_condition_iii_hypothesis_guard():
     t = select_tilt(Params(("2",), ("1/2",)))
-    pp = martingale.permuted_params(Params(("2",), ("1/2",)), t)
-    fam = martingale.sweep_family(t, 0, 3, 2, upper=3)
+    fam = martingale.sweep_family(t, 0, 3, 2)
     with pytest.raises(ComputeError):
-        martingale.verify_condition_iii(fam, 3, 3, pp)  # (3-2)*log2 < 1
+        martingale.verify_condition_iii(fam, 3, 3)  # (3-2)*log2 < 1
 
 
 def test_condition_iii_cap_guard(capsys):
@@ -92,36 +77,27 @@ class CrossedFamily(VolumeFamilySpec):
 
 
 def test_condition_iii_cover_guard():
-    t = tilt10()
-    pp = martingale.permuted_params(P10, t)
     # slab = sites 1..6 and inner = sites 0..6 miss ambient site 7
     with pytest.raises(ComputeError, match="make up"):
-        martingale.verify_condition_iii(CrossedFamily(t, (7,), 0, 7), 7, 7,
-                                        pp)
+        martingale.verify_condition_iii(CrossedFamily(tilt10(), (7,), 0),
+                                        7, 7)
 
 
 def test_translated_slabs_share_spectrum():
     # condition (ii) rationale: slab Hamiltonians are translates
-    t = tilt10()
-    fam1 = martingale.sweep_family(t, 0, 3, 2, upper=7, lower=4)
-    fam2 = martingale.sweep_family(t, 0, 3, 2, upper=9, lower=6)
-    p = P10
-    r1 = spectra.total_gap(slab(fam1), p)
-    r2 = spectra.total_gap(slab(fam2), p)
+    fam = martingale.sweep_family(tilt10(), 0, 3, 2)
+    r1 = spectra.total_gap(fam.member(7).difference(fam.member(4)), P10)
+    r2 = spectra.total_gap(fam.member(9).difference(fam.member(6)), P10)
     assert r1.gap == pytest.approx(r2.gap, rel=1e-10)
 
 
 def test_compute_gamma_ell_numeric_and_symbolic():
-    t = tilt10()
-    pp = martingale.permuted_params(P10, t)
-    rep = martingale.compute_gamma_ell(t, pp, 3)
+    rep = martingale.compute_gamma_ell(tilt10(), 3)
     assert not isinstance(rep, martingale.Symbolic)
     assert rep.gap > 0
 
     p2 = Params(("10", "10"), ("1/10", "1/10"))
-    t2 = select_tilt(p2)
-    pp2 = martingale.permuted_params(p2, t2)
-    sym = martingale.compute_gamma_ell(t2, pp2, 7)
+    sym = martingale.compute_gamma_ell(select_tilt(p2), 7)
     assert isinstance(sym, martingale.Symbolic)
     assert sym.blocking_dimension > martingale.DEFAULT_GAMMA_BUDGET
 

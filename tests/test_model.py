@@ -106,6 +106,31 @@ def test_select_tilt_case2():
     assert t.kappa_b == pytest.approx(1.01)
 
 
+@pytest.mark.parametrize("la,lb", [("2", "1/2"), ("1/3", "3"),
+                                   ("5/4", "7")])
+def test_select_tilt_case2_tildes_are_the_leading_parameters(la, lb):
+    # pa[1] = pb[0] = 1 after the permutation, so the tilde margins are
+    # the leading margins, whichever coordinates lead
+    for p in (Params((la, "1"), ("1", lb)), Params(("1", la), (lb, "1"))):
+        t = select_tilt(p)
+        assert t.case == 2
+        assert t.lambda_tilde_a[:2] == (Fraction(la), 1 / Fraction(la))
+        assert t.lambda_tilde_b[:2] == (Fraction(lb), Fraction(lb))
+
+
+def test_select_tilt_case2_margin_failure():
+    # |log 1.05| ~ 0.0488, just below eta = 0.05
+    with pytest.raises(ComputeError, match="leading margins"):
+        select_tilt(Params(("1.05", "1"), ("1", "2")))
+
+
+def test_select_tilt_params_in_tilt_order():
+    # the shared coordinate 1 leads, and params follow the permutation
+    t = select_tilt(Params(("1", "10"), ("1", "1/10")))
+    assert t.permutation == (1, 0)
+    assert t.params == Params(("10", "1"), ("1/10", "1"))
+
+
 def test_select_tilt_rejects_gapless():
     with pytest.raises(InputError):
         select_tilt(Params(("1",), ("2",)))

@@ -211,12 +211,12 @@ def sweep_volumes(draw):
     ell = draw(st.integers(2, 7))
     n = draw(st.integers(ell, 8))
     lead = draw(st.integers(1, 2))
-    family = martingale.sweep_family(t, j, ell, lead, upper=ell)
+    family = martingale.sweep_family(t, j, ell, lead)
     ambient, inner = family.member(n + 1), family.member(n)
     slab = ambient.difference(family.member(n + 1 - ell))
     assume(len(ambient) <= 9)
     assume(all(len(v) >= 2 and is_connected(v) for v in (slab, inner)))
-    return slab, inner, ambient, martingale.permuted_params(p, t)
+    return slab, inner, ambient, t.params
 
 
 @given(sweep_volumes())

@@ -21,15 +21,6 @@ from .model import Params, TiltScheme, c_tilde, projection_bound
 GROUND_SECTORS = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
 
 
-def lambda_power(p: Params, species: str, x) -> float:
-    """lambda_s^x = exp(x . log lambda_s)."""
-    expo = _log_power(p.floats(species), x)
-    if expo > 700.0:
-        raise InputError(
-            "lambda^x overflows double precision; use log-space quantities")
-    return math.exp(expo)
-
-
 def _log_power(lam: tuple[float, ...], x) -> float:
     return sum(xj * math.log(lj) for xj, lj in zip(x, lam))
 

@@ -22,7 +22,6 @@ import time
 from fractions import Fraction
 
 import numpy
-import scipy
 
 from . import (ComputeError, InputError, __version__, analytic, fock,
                martingale, model, spectra)
@@ -327,7 +326,6 @@ def cmd_info(_args) -> dict:
     return {
         "version": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "dense_cap": spectra.DENSE_CAP,
         "sector_cap": fock.DEFAULT_SECTOR_CAP,
         "gamma_budget": martingale.DEFAULT_GAMMA_BUDGET,

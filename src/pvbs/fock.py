@@ -30,25 +30,6 @@ def sector_dimension(n: int, n_a: int, n_b: int) -> int:
     return math.comb(n, n_a) * math.comb(n - n_a, n_b)
 
 
-def encode(symbols) -> int:
-    """Base-3 encoding; symbols[i] is the digit at canonical site i.
-
-    Scalar reference for the vectorized `place`."""
-    code = 0
-    for i, s in enumerate(symbols):
-        code += s * 3 ** i
-    return code
-
-
-def decode(code: int, n: int) -> tuple[int, ...]:
-    """Scalar reference for the vectorized `digits`."""
-    out = []
-    for _ in range(n):
-        code, r = divmod(code, 3)
-        out.append(r)
-    return tuple(out)
-
-
 def digits(codes, positions):
     """Yield the digit array of `codes` at each site position in turn.
 

@@ -110,26 +110,6 @@ def is_connected(v: Volume) -> bool:
     return len(seen) == len(v)
 
 
-def boundary_sites(inner: Volume, ambient: Volume) -> list[Site]:
-    """Sites of inner with at least one ambient neighbor outside inner."""
-    if not inner.issubset(ambient):
-        raise InputError("inner volume is not a subset of the ambient volume")
-    out = []
-    for s in inner.sites:
-        for j in range(inner.dim):
-            for step in (1, -1):
-                nb = list(s)
-                nb[j] += step
-                nb = tuple(nb)
-                if nb in ambient and nb not in inner:
-                    out.append(s)
-                    break
-            else:
-                continue
-            break
-    return out
-
-
 def boundary_edges(inner: Volume, ambient: Volume) -> list[Edge]:
     """Edges of ambient with exactly one endpoint in inner."""
     if not inner.issubset(ambient):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy
-import scipy
 
 from . import __version__ as _pkg_version
 from . import ComputeError, analytic, fock, operators, spectra
@@ -214,7 +213,6 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
             f"certificate invalid: condition {bad[0].condition} failed "
             f"with inputs {bad[0].inputs}")
 
-    version = (f"pvbs {_pkg_version}; numpy {numpy.__version__}; "
-               f"scipy {scipy.__version__}")
+    version = f"pvbs {_pkg_version}; numpy {numpy.__version__}"
     return GapCertificate(p, t, ell, ct, eps, gamma_val, factor, final,
                           conditions, notes, version)

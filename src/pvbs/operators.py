@@ -4,12 +4,13 @@ The two-site interaction blocks are 9x9 and conserve particle numbers, so
 assembly restricted to a fixed-count sector is exact. Each block is
 diagonal plus one exchange of the two end digits when they differ (0a
 with a0, 0b with b0, ab with ba), so a sector Hamiltonian is built in two
-parts: a parameter-independent `SectorPattern` (the CSR layout, each
-slot's weight index and each edge's pair codes), and a cheap fill from
-the `EdgeWeights` of one parameter value. `spectra.total_gap` drops each
-pattern once its sector is solved; `pvbs sweep` keeps a size's patterns
-for every lambda of its grid. Ground projectors
-are never materialized: `projection_product_norm` works in the nine
+parts: a parameter-independent `SectorPattern` (a padded-row layout,
+each slot's weight index and each edge's pair codes), and a cheap fill
+from the `EdgeWeights` of one parameter value into a `SectorMatrix`,
+which multiplies vectors with numpy alone. `spectra.total_gap` drops
+each pattern once its sector is solved; `pvbs sweep` keeps a size's
+patterns for every lambda of its grid. Ground projectors are never
+materialized: `projection_product_norm` works in the nine
 particle sectors that can carry ||G_slab E_n||, on orthonormal bases
 built from the four analytic ground vectors of each volume.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import ComputeError, analytic, fock
 from .lattice import Volume, edges, is_connected
@@ -44,22 +44,6 @@ def edge_projection_block(lam_a: float, lam_b: float) -> np.ndarray:
         u[idx] = coef
         h += np.outer(u, u) / (u @ u)
     return h
-
-
-def edge_kernel_vectors(lam_a: float, lam_b: float) -> np.ndarray:
-    """The four (normalized) kernel vectors of the edge projector, as rows."""
-    raw = [
-        ([0], [1.0]),
-        ([1, 3], [lam_a, 1.0]),
-        ([2, 6], [lam_b, 1.0]),
-        ([5, 7], [lam_b, lam_a]),
-    ]
-    out = np.zeros((4, 9))
-    for r, (idx, coef) in enumerate(raw):
-        u = np.zeros(9)
-        u[idx] = coef
-        out[r] = u / np.linalg.norm(u)
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,21 +78,24 @@ def edge_weights(p: Params) -> EdgeWeights:
 class SectorPattern:
     """The parameter-independent part of H^v on one particle sector.
 
-    A CSR layout with every diagonal slot and one slot per exchange: state
-    s is joined to the state with the end digits of edge e swapped when
-    they differ. `kinds` gives each slot's index into
-    `EdgeWeights.exchange` (9 * direction + the pair code of the column
-    state, or 9 * dim on the diagonal); `edge_kinds[e]` gives each state's
-    index into `EdgeWeights.diagonal` for edge e. One pattern serves every
-    parameter value on the same basis.
+    A padded-row (ELL) layout, stored slot by slot: row s holds its
+    diagonal in slot 0, then one slot per exchange, joining s to the
+    state with the end digits of edge e swapped when they differ; the
+    rows are padded to a common width with slots that point at the row
+    itself, and cols[i, s] is the column of slot i of row s. `kinds`
+    gives each slot's index into `EdgeWeights.exchange` (9 * direction +
+    the pair code of the column state, or 9 * dim on the diagonal and the
+    padding, where the weight is 0.0); `edge_kinds[e]` gives each state's index
+    into `EdgeWeights.diagonal` for edge e; `nnz` counts the slots that
+    are not padding. One pattern serves every parameter value on the
+    same basis.
     """
 
     basis: fock.SectorBasis
-    indptr: np.ndarray
-    indices: np.ndarray
-    kinds: np.ndarray  # uint8, one per slot
-    diag_slots: np.ndarray  # the slot of each row's diagonal entry
+    cols: np.ndarray  # (width, states)
+    kinds: np.ndarray  # uint8, (width, states)
     edge_kinds: np.ndarray  # uint8, (edges, states)
+    nnz: int
 
 
 def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
@@ -135,34 +122,68 @@ def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
         cols += [low, high]
         kinds += [edge_kinds[e, low], edge_kinds[e, high]]
     rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    order = np.argsort(rows * dim + cols)
-    itype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(dim + 1, dtype=itype)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    kinds = np.concatenate(kinds)[order]
-    arrays = (indptr, cols[order].astype(itype), kinds,
-              np.flatnonzero(kinds == 9 * v.dim), edge_kinds)
-    for a in arrays:  # shared with every matrix filled from the pattern
+    order = np.argsort(rows, kind="stable")  # each row's diagonal first
+    counts = np.bincount(rows, minlength=dim)
+    rows = rows[order]
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    ell_cols = np.tile(diagonal, (counts.max(), 1))
+    ell_kinds = np.full(ell_cols.shape, 9 * v.dim, dtype=np.uint8)
+    ell_cols[slots, rows] = np.concatenate(cols)[order]
+    ell_kinds[slots, rows] = np.concatenate(kinds)[order]
+    # shared with every matrix filled from the pattern; cols stays
+    # writeable because `take` copies a read-only index array on every call
+    for a in (ell_kinds, edge_kinds):
         a.setflags(write=False)
-    return SectorPattern(basis, *arrays)
+    return SectorPattern(basis, ell_cols, ell_kinds, edge_kinds, len(rows))
+
+
+@dataclass(frozen=True)
+class SectorMatrix:
+    """H^v on one particle sector, in the ELL layout of its
+    `SectorPattern`: row s holds vals[i, s] in column cols[i, s], its
+    diagonal in slot i = 0 and zeros in the padding. `nnz` counts the
+    stored entries without the padding, and `norm`, the largest absolute
+    row sum, bounds every eigenvalue of H."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    nnz: int
+    norm: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.cols.shape[1],) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H x for a vector x, or for each column of a matrix x."""
+        if x.ndim == 2:
+            return np.column_stack([self @ col for col in x.T])
+        return np.einsum("ij,ij->j", self.vals, x.take(self.cols))
+
+    def toarray(self) -> np.ndarray:
+        rows = np.arange(self.shape[0])
+        out = np.zeros(self.shape)
+        # the padding writes zeros on the diagonal, so the diagonal goes last
+        out[rows, self.cols[1:]] = self.vals[1:]
+        out[rows, rows] = self.vals[0]
+        return out
 
 
 def assemble_sector_hamiltonian(pattern: SectorPattern,
-                                weights: EdgeWeights) -> sp.csr_matrix:
+                                weights: EdgeWeights) -> SectorMatrix:
     """H^v restricted to the particle-number sector of `pattern.basis`,
     filled from `pattern` (from `sector_pattern(basis)`) and `weights`
     (from `edge_weights(p)`), so that a caller can reuse a pattern
     across parameters and weights across sectors. The diagonal is summed
     edge by edge, so every run gives the same bits."""
-    dim = pattern.basis.dim
-    diag = np.zeros(dim)
+    diag = np.zeros(pattern.basis.dim)
     for kinds in pattern.edge_kinds:
         diag += weights.diagonal[kinds]
-    data = weights.exchange[pattern.kinds]
-    data[pattern.diag_slots] = diag
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(dim, dim))
+    vals = weights.exchange[pattern.kinds]
+    vals[0] = diag
+    return SectorMatrix(pattern.cols, vals, pattern.nnz,
+                        float(np.abs(vals).sum(axis=0).max()))
 
 
 def _ground_vectors(v: Volume, p: Params) -> dict:
@@ -175,17 +196,22 @@ def _ground_vectors(v: Volume, p: Params) -> dict:
 
 
 def _ground_columns(part: Volume, ground: dict, ambient: Volume,
-                    basis: fock.SectorBasis) -> sp.csc_matrix:
+                    basis: fock.SectorBasis) -> tuple[np.ndarray,
+                                                      np.ndarray, int]:
     """Orthonormal columns psi_k (x) phi spanning range(G_part x 1) in the
     ambient sector of `basis`: psi_k runs over the ground vectors of part
     (`ground`, from `_ground_vectors`), phi over the configurations of the
     rest of the ambient volume that complete the sector's particle
-    counts."""
+    counts. An ambient state restricts to one configuration of part and
+    one of the rest, so it lies in at most one column: the columns are
+    returned row by row as (col, val, width), state s holding val[s] in
+    column col[s], or nothing where col[s] is -1."""
     at = {s: i for i, s in enumerate(ambient.sites)}
     rest = ambient.difference(part)
     part_pos = [at[s] for s in part.sites]
     rest_pos = [at[s] for s in rest.sites]
-    rows, cols, vals = [], [], []
+    col = np.full(basis.dim, -1)
+    val = np.zeros(basis.dim)
     width = 0
     for (k_a, k_b), (own, psi) in ground.items():
         r_a, r_b = basis.n_a - k_a, basis.n_b - k_b
@@ -195,15 +221,11 @@ def _ground_columns(part: Volume, ground: dict, ambient: Volume,
         codes = np.add.outer(
             fock.place(fock.digits(own.states, range(len(part))), part_pos),
             fock.place(fock.digits(phi.states, range(len(rest))), rest_pos))
-        rows.append(basis.positions(codes.ravel()))
-        cols.append(np.tile(width + np.arange(phi.dim), own.dim))
-        vals.append(np.repeat(psi, phi.dim))
+        rows = basis.positions(codes.ravel())
+        col[rows] = np.tile(width + np.arange(phi.dim), own.dim)
+        val[rows] = np.repeat(psi, phi.dim)
         width += phi.dim
-    if not vals:
-        return sp.csc_matrix((basis.dim, 0))
-    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(basis.dim, width))
+    return col, val, width
 
 
 def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
@@ -221,7 +243,10 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
     E_n = Q Q^T for an orthonormal basis Q of range(V_inner) minus Psi,
     and the norm is that of the small dense matrix V_slab^T Q. Building Q
     orthogonal to Psi, rather than subtracting Psi Psi^T, keeps the
-    relative accuracy of a small norm.
+    relative accuracy of a small norm. Each state holds at most one
+    entry of V_slab and one of V_inner, so V_slab^T V_inner and
+    V_inner^T Psi are sums over the states, one `np.bincount` each, taken
+    in the order of the states.
     """
     for part in (slab, inner):
         if len(part) < 2 or not is_connected(part):
@@ -234,15 +259,25 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
     for n_a in range(3):
         for n_b in range(min(3, len(ambient) + 1 - n_a)):
             basis = fock.enumerate_sector(ambient, n_a, n_b)
-            v_inner = _ground_columns(inner, ground_inner, ambient, basis)
-            m = (_ground_columns(slab, ground_slab, ambient, basis).T
-                 @ v_inner).toarray()
+            col_i, val_i, width_i = _ground_columns(inner, ground_inner,
+                                                    ambient, basis)
+            col_s, val_s, width_s = _ground_columns(slab, ground_slab,
+                                                    ambient, basis)
+            both = (col_s >= 0) & (col_i >= 0)
+            m = np.bincount(col_s[both] * width_i + col_i[both],
+                            weights=val_s[both] * val_i[both],
+                            minlength=width_s * width_i
+                            ).reshape(width_s, width_i)
             which = analytic.GROUND_SECTORS.get((n_a, n_b))
             if which is not None and m.size:
                 psi = analytic.ground_state_vector(ambient, p, which, basis)
+                has = col_i >= 0
+                overlap = np.bincount(col_i[has],
+                                      weights=val_i[has] * psi[has],
+                                      minlength=width_i)
                 # the complete QR's first column is along the overlap with
                 # Psi, the others span its orthogonal complement
-                q = np.linalg.qr((v_inner.T @ psi)[:, None], mode="complete")[0]
+                q = np.linalg.qr(overlap[:, None], mode="complete")[0]
                 m = m @ q[:, 1:]
             if m.size:
                 norm = max(norm, float(np.linalg.norm(m, 2)))

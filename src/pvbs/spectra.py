@@ -1,11 +1,12 @@
 """Spectral-gap computation on finite volumes.
 
-Dense diagonalization for sectors of at most DENSE_CAP (200) states,
-Lanczos above it; every Lanczos eigenpair is checked by its residual.
-Every particle sector is solved the same way: its kernel (one analytic
-ground vector in a ground-bearing sector, none elsewhere) is counted
-among the lowest kernel + 1 eigenvalues, and the next one is its lowest
-excitation.
+Dense diagonalization for sectors of at most DENSE_CAP (200) states, and
+above it a thick-restart Lanczos in numpy (K. Wu and H. Simon, SIAM J.
+Matrix Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by
+their residual. Every particle sector is solved the same way: its kernel
+(one analytic ground vector in a ground-bearing sector, none elsewhere)
+is counted among the lowest kernel + 1 eigenvalues, and the next one is
+its lowest excitation.
 """
 
 from __future__ import annotations
@@ -13,69 +14,127 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import ComputeError, InputError, analytic, fock, operators
 from .lattice import Volume, build_box, is_connected
 from .model import Params, log_lambda
 
-# Dense/Lanczos crossover for one lowest eigenvalue of a d=1 sector,
-# measured on a 2-vCPU Xeon VM with BLAS on 2 threads (median of 7
-# repeats, 3 at 2520 states; dense includes the conversion to an array):
-#    dim   dense eigvalsh   eigsh(k=1)
-#    120       0.9 ms         2.8 ms
-#    168       2.0 ms         3.1 ms
-#    210       3.9 ms         3.2 ms
-#    252       5.6 ms         3.8 ms
-#    420      16.3 ms         7.3 ms
-#   2520      1214 ms          10 ms
+# Dense/Lanczos crossover for the lowest eigenvalue of a d=1 sector,
+# measured on a 2-vCPU Xeon VM (median of 15 repeats, 3 at 2520 states;
+# dense includes the conversion to an array, Lanczos the residual check):
+#                 BLAS on 2 threads        BLAS on 1 thread
+#    dim   dense eigvalsh  Lanczos(k=1)  dense eigvalsh  Lanczos(k=1)
+#    120       0.7 ms         1.5 ms         0.9 ms         1.9 ms
+#    140       1.1 ms         1.3 ms         1.0 ms         1.1 ms
+#    168       1.7 ms         1.3 ms         1.5 ms         1.7 ms
+#    210       2.7 ms         1.3 ms         3.5 ms         2.0 ms
+#    252       4.2 ms         2.0 ms         4.1 ms         2.8 ms
+#    420      14.5 ms         2.0 ms        15.4 ms         3.2 ms
+#   2520      1232 ms         9.0 ms         2194 ms        10.6 ms
+# The two cross between 140 and 210 states, less than 0.5 ms apart, so
+# the cap stays at 200.
 DENSE_CAP = 200
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
 LANCZOS_SEED = 0x5EED
-
-
-def hamiltonian_norm(h) -> float:
-    """Upper bound on ||H||: the largest absolute row sum, which bounds
-    every eigenvalue of H. Summed from the CSR arrays, slot by slot."""
-    h = sp.csr_matrix(h)
-    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    return float(np.bincount(rows, weights=np.abs(h.data),
-                             minlength=h.shape[0]).max())
+# no sector of box:10 to box:12, box:3x4, box:3x3 or the 13-site certify
+# seed, near-gapless and gapless weights included, needs over 25 cycles
+LANCZOS_MAX_CYCLES = 1000
+# a Gram-Schmidt pass that leaves less than this share of the norm is
+# repeated once (the DGKS criterion, with ARPACK's constant)
+DGKS_RATIO = 0.717
 
 
 def lanczos_start(dim: int) -> np.ndarray:
-    """Deterministic but generic unit start vector for ARPACK: a constant
-    vector can be an exact eigenvector, which ARPACK rejects."""
+    """Deterministic but generic unit start vector for Lanczos: a constant
+    vector can be an exact eigenvector, whose Krylov space sees nothing
+    else."""
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     return v0 / np.linalg.norm(v0)
 
 
-def lowest_eigenvalues(h, k: int = 1) -> np.ndarray:
+def _orthogonalize(w: np.ndarray, q: np.ndarray):
+    """w minus its projection on the orthonormal rows of q, by classical
+    Gram-Schmidt with one DGKS correction (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 772 (1976)). Returns the new w, the
+    projection coefficients and the norm of w, 0.0 when w lies in the
+    span of q to rounding."""
+    norm = np.linalg.norm(w)
+    coef = q @ w
+    w = w - coef @ q
+    norm, before = np.linalg.norm(w), norm
+    if norm < DGKS_RATIO * before:
+        again = q @ w
+        w -= again @ q
+        coef += again
+        norm, before = np.linalg.norm(w), norm
+        if norm < DGKS_RATIO * before:
+            norm = 0.0
+    return w, coef, norm
+
+
+def _lanczos(h, k: int, scale: float):
+    """The k lowest Ritz values of H, ascending, and their Ritz vectors as
+    columns, by thick-restart Lanczos: a basis of at most
+    m = max(2k + 1, 20) vectors plus the residual direction, each vector
+    orthogonalized against all before it, restarted from the lowest m // 2
+    Ritz vectors until every wanted Ritz residual estimate is at most
+    KERNEL_TOL_REL / 10 * scale. ComputeError after LANCZOS_MAX_CYCLES
+    cycles."""
+    dim = h.shape[0]
+    m = min(dim, max(2 * k + 1, 20))
+    basis = np.zeros((m + 1, dim))
+    basis[0] = lanczos_start(dim)
+    t = np.zeros((m, m))
+    kept = 0
+    fresh = np.random.default_rng(LANCZOS_SEED + 1)
+    for _ in range(LANCZOS_MAX_CYCLES):
+        for j in range(kept, m):
+            w, coef, beta = _orthogonalize(h @ basis[j], basis[:j + 1])
+            t[j, j] = coef[j]
+            if j + 1 < m:
+                t[j, j + 1] = t[j + 1, j] = beta
+            if beta:
+                basis[j + 1] = w / beta
+            elif j + 1 < m:  # an invariant subspace: go on outside it
+                w, _, norm = _orthogonalize(fresh.standard_normal(dim),
+                                            basis[:j + 1])
+                basis[j + 1] = w / norm
+        theta, s = np.linalg.eigh(t)
+        if np.abs(beta * s[-1, :k]).max() <= KERNEL_TOL_REL / 10 * scale:
+            return theta[:k], (s[:, :k].T @ basis[:m]).T
+        kept = m // 2
+        basis[:kept] = s[:, :kept].T @ basis[:m]
+        basis[kept] = basis[m]
+        t[:] = 0.0
+        t[range(kept), range(kept)] = theta[:kept]
+        t[kept, :kept] = t[:kept, kept] = beta * s[-1, :kept]
+    raise ComputeError(
+        f"Lanczos did not converge in {LANCZOS_MAX_CYCLES} restart cycles")
+
+
+def lowest_eigenvalues(h: operators.SectorMatrix, k: int = 1) -> np.ndarray:
     """The k smallest eigenvalues of H, in ascending order.
 
     Sectors up to DENSE_CAP states are diagonalized densely, larger ones
-    by Lanczos, whose Ritz pairs must have a residual ||Hx - theta x|| of
-    at most KERNEL_TOL_REL * max(1, ||H||), or ComputeError is raised, as
-    it is for an ARPACK error.
+    by `_lanczos`, whose Ritz pairs must have a residual ||Hx - theta x||
+    of at most KERNEL_TOL_REL * max(1, ||H||), with ||H|| bounded by
+    `h.norm`, or ComputeError is raised, as it is when Lanczos does not
+    converge.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise ComputeError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     if dim <= DENSE_CAP or k >= dim - 1:
-        return np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)[:k]
-    try:
-        vals, vecs = spla.eigsh(h, k=k, which="SA", v0=lanczos_start(dim))
-    except spla.ArpackError as exc:
-        raise ComputeError(str(exc)) from exc
-    scale = max(1.0, hamiltonian_norm(h))
+        return np.linalg.eigvalsh(h.toarray())[:k]
+    scale = max(1.0, h.norm)
+    vals, vecs = _lanczos(h, k, scale)
     resid = float(np.linalg.norm(h @ vecs - vecs * vals, axis=0).max())
     if resid > KERNEL_TOL_REL * scale:
         raise ComputeError(
             f"Lanczos eigenpair residual {resid:.3e} exceeds "
             f"{KERNEL_TOL_REL:g} * {scale:.3e}")
-    return np.sort(vals)
+    return vals
 
 
 @dataclass
@@ -121,7 +180,7 @@ def total_gap(v: Volume, p: Params,
     Requires a connected volume, where the kernel is exactly the four
     analytic ground vectors, one in each sector of analytic.GROUND_SECTORS.
     Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
-    its kernel below KERNEL_TOL_REL * max(1, ||H||), and the next one is
+    its kernel below KERNEL_TOL_REL * max(1, h.norm), and the next one is
     its lowest excitation. Sectors whose dimension exceeds sector_cap
     (at least 1) are skipped and the report is flagged partial.
 
@@ -149,7 +208,7 @@ def total_gap(v: Volume, p: Params,
                     patterns[n_a, n_b] = pattern
             basis = pattern.basis
             h = operators.assemble_sector_hamiltonian(pattern, weights)
-            thresh = KERNEL_TOL_REL * max(1.0, hamiltonian_norm(h))
+            thresh = KERNEL_TOL_REL * max(1.0, h.norm)
             which = analytic.GROUND_SECTORS.get((n_a, n_b))
             kernel = 0
             if which is not None:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import projector_oracle
 from pvbs import analytic, cli, fock, martingale, operators, spectra
 from pvbs.lattice import VolumeFamilySpec, build_box, build_tilted_case1
@@ -50,8 +51,7 @@ def test_c01_ground_space_dimension_is_four():
                     h = operators.assemble_sector_hamiltonian(
                         operators.sector_pattern(basis), weights)
                     # the kernel counted in the full dense spectrum
-                    thresh = spectra.KERNEL_TOL_REL * max(
-                        1.0, spectra.hamiltonian_norm(h))
+                    thresh = spectra.KERNEL_TOL_REL * max(1.0, h.norm)
                     kernel += int(np.count_nonzero(
                         np.linalg.eigvalsh(h.toarray()) < thresh))
                     if (na, nb) in GROUND:
@@ -89,7 +89,7 @@ def test_c03_edge_projector_algebra():
         h = operators.edge_projection_block(la, lb)
         worst_idem = max(worst_idem, float(np.max(np.abs(h @ h - h))))
         worst_trace = max(worst_trace, abs(float(np.trace(h)) - 5.0))
-        kv = operators.edge_kernel_vectors(la, lb)
+        kv = oracles.edge_kernel_vectors(la, lb)
         worst_kernel = max(worst_kernel, float(np.max(np.abs(h @ kv.T))))
         assert np.max(np.abs(kv @ kv.T - np.eye(4))) < 1e-12
     ok = worst_idem <= 1e-14 and worst_trace <= 1e-13 and worst_kernel <= 1e-13
@@ -238,10 +238,9 @@ def test_c08_gapless_scaling():
         inner = build_box((L,))
         ambient = build_box((L + 2,)).translate((-1,))
         trial = analytic.trial_state_energy(inner, ambient, p, "a")
-        from pvbs.lattice import boundary_sites
-        c_boundary = sum(analytic.lambda_power(p, "a", x) ** 2
-                         for x in boundary_sites(inner, ambient))
-        c_inner = sum(analytic.lambda_power(p, "a", x) ** 2
+        c_boundary = sum(oracles.lambda_power(p, "a", x) ** 2
+                         for x in oracles.boundary_sites(inner, ambient))
+        c_inner = sum(oracles.lambda_power(p, "a", x) ** 2
                       for x in inner.sites)
         bounded = bounded and trial <= 1 * c_boundary / c_inner + 1e-15
     verdict(8, exact and decreasing and bounded,

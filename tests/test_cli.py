@@ -3,10 +3,11 @@ import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
-import scipy.sparse.linalg as spla
 
 from pvbs import cli, fock, model, spectra
 
@@ -195,29 +196,30 @@ def test_every_offered_format_exits_cleanly(capsys, monkeypatch, verb, fmt):
 
 
 def test_eigensolver_failure(capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
-    # box:8 has sectors of 560 states, above the dense cap
+    # one restart cycle of 20 Lanczos vectors does not converge the
+    # sectors of box:8 with 560 states, above the dense cap
+    monkeypatch.setattr(spectra, "LANCZOS_MAX_CYCLES", 1)
     code, out, err = run_cli(capsys, "gap", "--lambda-a", "10",
                              "--lambda-b", "0.1", "--volume", "box:8")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ARPACK error -1: no convergence")
+    assert err.startswith("error: Lanczos did not converge in 1 restart")
     # sweep sectors are small enough for the dense path; a zero dense cap
-    # sends them to Lanczos
+    # sends them to Lanczos, which converges on them in one cycle, so no
+    # cycle at all is allowed
     monkeypatch.setattr(spectra, "DENSE_CAP", 0)
+    monkeypatch.setattr(spectra, "LANCZOS_MAX_CYCLES", 0)
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
                            "--lambda-b", "2", "--sizes", "3",
                            "--format", "json")
     assert code == 0
     [row] = json.loads(out)["rows"]
     assert row["gap"] is None
-    assert row["status"] == "failed: ARPACK error -1: no convergence"
+    assert row["status"] == ("failed: Lanczos did not converge in 0 "
+                             "restart cycles")
 
 
-def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_eigsh):
+def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
     monkeypatch.setattr(spectra, "DENSE_CAP", 0)
     code, out, err = run_cli(capsys, "gap", "--volume", "box:4",
                              "--lambda-a", "2", "--lambda-b", "1/2")
@@ -233,6 +235,31 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_eigsh):
     assert row["status"].startswith("failed: Lanczos eigenpair residual")
 
 
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from pvbs import cli
+for argv in (["info"],
+             ["gap", "--lambda-a", "2", "--lambda-b", "1/2",
+              "--volume", "box:8"],
+             ["verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+              "--n", "7", "--ell", "7"],
+             ["certify", "--lambda-a", "10", "--lambda-b", "1/10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_program_imports_no_scipy():
+    # a fresh interpreter, since the test process imports scipy for its
+    # oracles; box:8 has sectors above the dense cap, so Lanczos runs too
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_certify_d1(capsys):
     code, out, _ = run_cli(capsys, "certify",
                            "--lambda-a", "10", "--lambda-b", "0.1")
@@ -241,6 +268,8 @@ def test_certify_d1(capsys):
     assert rec["ell"] == 7
     assert rec["final_bound"] > 0
     assert all(c["pass"] for c in rec["conditions"])
+    assert rec["version"].startswith("pvbs ")
+    assert "scipy" not in rec["version"]
     # the dimension is that of the parameter vectors; there is no -d
     with pytest.raises(SystemExit):
         cli.main(["certify", "-d", "1", "--lambda-a", "10",
@@ -485,7 +514,8 @@ def test_info(capsys):
     assert rec["dense_cap"] == 200
     assert rec["eta"] == 0.05
     assert rec["lanczos_seed"] == 0x5EED
-    for gone in ("power_iteration_tol", "action_cap_log3", "lanczos_ncv"):
+    for gone in ("power_iteration_tol", "action_cap_log3", "lanczos_ncv",
+                 "scipy"):
         assert gone not in rec
 
 

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import boundary_sites
 from pvbs import InputError
 from pvbs.lattice import (Volume, VolumeFamilySpec, boundary_edges,
-                          boundary_sites, build_box, build_tilted_case1,
+                          build_box, build_tilted_case1,
                           build_tilted_case2, edges, is_connected)
 
 

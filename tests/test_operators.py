@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import projector_oracle
 import strategies
 from pvbs import ComputeError, InputError, fock, martingale, operators
@@ -31,7 +32,7 @@ def test_edge_block_kernel(lam_a, lam_b):
     exchange = np.zeros((9, 9), dtype=bool)
     exchange[3 * (pair % 3) + pair // 3, pair] = True
     assert not h[~(exchange | np.eye(9, dtype=bool))].any()
-    kv = operators.edge_kernel_vectors(lam_a, lam_b)
+    kv = oracles.edge_kernel_vectors(lam_a, lam_b)
     assert np.max(np.abs(h @ kv.T)) < 1e-13
     # kernel vectors are orthonormal, so kernel dimension is exactly 4
     assert np.max(np.abs(kv @ kv.T - np.eye(4))) < 1e-13
@@ -86,7 +87,7 @@ def test_sector_pattern_reused_across_parameters(data):
             h = operators.assemble_sector_hamiltonian(pattern, w2)
             fresh = operators.assemble_sector_hamiltonian(
                 operators.sector_pattern(b), w2)
-            for part in ("data", "indices", "indptr"):
+            for part in ("vals", "cols", "nnz", "norm"):
                 assert np.array_equal(getattr(h, part), getattr(fresh, part))
             ref = full[np.ix_(b.states, b.states)]
             assert np.max(np.abs(h.toarray() - ref)) <= 1e-14 * max(
@@ -108,7 +109,7 @@ def _expand_pair(block, n, left, right):
     dim = 3 ** n
     out = np.zeros((dim, dim))
     for col in range(dim):
-        digits = fock.decode(col, n)
+        digits = oracles.decode(col, n)
         pair = 3 * digits[left] + digits[right]
         for q in range(9):
             val = block[q, pair]
@@ -117,7 +118,7 @@ def _expand_pair(block, n, left, right):
             qx, qy = divmod(q, 3)
             new = list(digits)
             new[left], new[right] = qx, qy
-            out[fock.encode(new), col] += val
+            out[oracles.encode(new), col] += val
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 
@@ -41,7 +42,51 @@ def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
             dense if dim <= spectra.DENSE_CAP else lanczos)
 
 
-def test_lanczos_residual_check(perturbed_eigsh, monkeypatch):
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("volume, p, sector", [
+    (build_box((8,)), P_CHAIN, (1, 3)),
+    (build_box((15,)), P_CHAIN, (1, 1)),  # a ground sector
+    (build_box((3, 3)), Params(("2", "3"), ("1/2", "1/3")), (1, 3)),
+    (build_tilted_case1((1,), (3, 3)), Params(("2", "3"), ("1/2", "1/3")),
+     (2, 1)),
+], ids=["d1", "d1-ground-sector", "d2", "tilted"])
+def test_lanczos_matches_arpack_and_dense(volume, p, sector, k):
+    """The default solve of a sector above DENSE_CAP, which is Lanczos,
+    against dense eigvalsh and against scipy's ARPACK on the same matrix."""
+    h = operators.assemble_sector_hamiltonian(
+        operators.sector_pattern(fock.enumerate_sector(volume, *sector)),
+        operators.edge_weights(p))
+    dim = h.shape[0]
+    assert dim > spectra.DENSE_CAP
+    got = spectra.lowest_eigenvalues(h, k)
+    dense = np.linalg.eigvalsh(h.toarray())[:k]
+    arpack = np.sort(spla.eigsh(sp.csr_matrix(h.toarray()), k=k, which="SA",
+                                v0=spectra.lanczos_start(dim))[0])
+    for ref in (dense, arpack):
+        assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+def _diagonal(diag):
+    dim = len(diag)
+    return operators.SectorMatrix(np.arange(dim)[None, :], diag[None, :],
+                                  dim, float(np.abs(diag).max()))
+
+
+def test_lanczos_leaves_an_invariant_subspace():
+    # three eigenvalues of multiplicity 100: every Krylov space has
+    # dimension 3, so Lanczos finds the twofold lowest value only by going
+    # on outside the first one
+    h = _diagonal(np.repeat([1.0, 2.0, 3.0], 100))
+    assert list(spectra.lowest_eigenvalues(h, k=2)) == pytest.approx(
+        [1.0, 1.0], rel=1e-12)
+    # with H = 0 the residual of every step is exactly zero, and each
+    # basis vector after the first is a fresh one orthogonal to the others
+    vals, vecs = spectra._lanczos(_diagonal(np.zeros(300)), 2, 1.0)
+    assert list(vals) == [0.0, 0.0]
+    assert np.allclose(vecs.T @ vecs, np.eye(2), rtol=0, atol=1e-14)
+
+
+def test_lanczos_residual_check(perturbed_lanczos, monkeypatch):
     v = build_box((7,))
     b = fock.enumerate_sector(v, 2, 2)
     h = operators.assemble_sector_hamiltonian(
@@ -58,18 +103,18 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
     p2 = Params(("2", "3"), ("1/2", "1/3"))
     cases = ((build_box((6,)), P_CHAIN), (build_box((2, 3)), p2),
              (build_tilted_case1((1,), (3, 2)), p2))
-    real = spla.eigsh
+    real = spectra._lanczos
     ks = []
 
-    def eigsh(a, *args, **kwargs):
-        ks.append(kwargs["k"])
-        return real(a, *args, **kwargs)
+    def counting(h, k, scale):
+        ks.append(k)
+        return real(h, k, scale)
 
     for v, p in cases:
         default = spectra.total_gap(v, p)
         ks.clear()
         with monkeypatch.context() as m:
-            m.setattr(spla, "eigsh", eigsh)
+            m.setattr(spectra, "_lanczos", counting)
             m.setattr(spectra, "DENSE_CAP", 0)
             lanczos = spectra.total_gap(v, p)
         # the ground sectors (1,0), (0,1) and (1,1) of 6 sites went to
@@ -165,9 +210,9 @@ def test_norm_bound_and_kernel_on_random_volumes(case):
             h = operators.assemble_sector_hamiltonian(
                 operators.sector_pattern(b), operators.edge_weights(p))
             vals = np.linalg.eigvalsh(h.toarray())
-            norm = spectra.hamiltonian_norm(h)
-            assert norm == pytest.approx(float(abs(h).sum(axis=1).max()),
-                                         rel=1e-15, abs=0)
+            norm = h.norm
+            assert norm == pytest.approx(
+                float(abs(h.toarray()).sum(axis=1).max()), rel=1e-15, abs=0)
             # slack for the rounding of the dense eigensolve
             assert vals[-1] <= norm * (1 + 1e-12)
             # one kernel vector in each ground sector, none elsewhere

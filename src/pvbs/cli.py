@@ -11,7 +11,6 @@ certificate at these settings, or a solve or check failed).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -130,6 +129,13 @@ def _eta(args) -> float:
     return args.eta
 
 
+def _listed(values: tuple, option: str) -> tuple:
+    """values, or InputError naming the option that listed none."""
+    if not values:
+        raise InputError(f"{option} lists no values")
+    return values
+
+
 def _budget(args) -> int:
     """--budget, clamped to the sector enumeration cap: a sector over
     either is skipped, never an error."""
@@ -145,6 +151,8 @@ def cache_dir(args) -> str | None:
 
 
 def cache_key(inputs: dict) -> str:
+    import hashlib  # here, so that only sweep loads OpenSSL
+
     payload = dumps_canonical({"inputs": inputs, "version": __version__})
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -221,6 +229,8 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
+    if args.ell_cap < 1:
+        raise InputError(f"--ell-cap must be at least 1, got {args.ell_cap}")
     return martingale.certify(_params(args), eta=_eta(args),
                               ell_cap=args.ell_cap,
                               gamma_budget=_budget(args)).to_json()
@@ -276,7 +286,8 @@ def cmd_verify_projection(args) -> dict:
 
 def cmd_scaling(args) -> dict:
     p = _params(args)
-    pts = spectra.gapless_scaling(p, parse_ints(args.sizes))
+    pts = spectra.gapless_scaling(p, _listed(parse_ints(args.sizes),
+                                             "--sizes"))
     return {"columns": ["size", "sites", "trial_energy", "numeric_gap"],
             "rows": [pt.to_json() for pt in pts]}
 
@@ -291,8 +302,9 @@ def _sweep_point(point: dict, patterns: dict):
 
 
 def cmd_sweep(args) -> dict:
-    grid_a = [s.strip() for s in args.grid_a.split(",") if s.strip()]
-    sizes = parse_ints(args.sizes)
+    grid_a = _listed(tuple(s.strip() for s in args.grid_a.split(",")
+                           if s.strip()), "--grid-a")
+    sizes = _listed(parse_ints(args.sizes), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
     rows = []

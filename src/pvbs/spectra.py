@@ -6,12 +6,14 @@ Matrix Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by
 their residual. Every particle sector is solved the same way: its kernel
 (one analytic ground vector in a ground-bearing sector, none elsewhere)
 is counted among the lowest kernel + 1 eigenvalues, and the next one is
-its lowest excitation.
+its lowest excitation. Where a mirror symmetry maps sector (n_a, n_b)
+onto (n_b, n_a) (see `_mirror_twins`), only the sectors with n_a <= n_b
+are solved, and each other one takes its twin's record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +39,10 @@ DENSE_CAP = 200
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
 LANCZOS_SEED = 0x5EED
+# the increment and the two multiply steps of splitmix64's output hash
+SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+SPLITMIX_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 # no sector of box:10 to box:12, box:3x4, box:3x3 or the 13-site certify
 # seed, near-gapless and gapless weights included, needs over 25 cycles
 LANCZOS_MAX_CYCLES = 1000
@@ -45,11 +51,19 @@ LANCZOS_MAX_CYCLES = 1000
 DGKS_RATIO = 0.717
 
 
-def lanczos_start(dim: int) -> np.ndarray:
+def lanczos_start(dim: int, draw: int = 0) -> np.ndarray:
     """Deterministic but generic unit start vector for Lanczos: a constant
     vector can be an exact eigenvector, whose Krylov space sees nothing
-    else."""
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    else. Entry i is output draw * dim + i + 1 of the splitmix64 generator
+    seeded with LANCZOS_SEED (G. Steele, D. Lea and C. Flood, OOPSLA 2014),
+    taken as a uniform float in [-1/2, 1/2); `draw` numbers the further
+    vectors that `_lanczos` needs after a breakdown."""
+    z = np.arange(draw * dim + 1, (draw + 1) * dim + 1, dtype=np.uint64)
+    z = z * SPLITMIX_GAMMA + np.uint64(LANCZOS_SEED)
+    for shift, mult in SPLITMIX_MIX:
+        z = (z ^ (z >> shift)) * mult
+    z ^= z >> np.uint64(31)
+    v0 = (z >> np.uint64(11)) * 2.0 ** -53 - 0.5
     return v0 / np.linalg.norm(v0)
 
 
@@ -86,8 +100,7 @@ def _lanczos(h, k: int, scale: float):
     basis = np.zeros((m + 1, dim))
     basis[0] = lanczos_start(dim)
     t = np.zeros((m, m))
-    kept = 0
-    fresh = np.random.default_rng(LANCZOS_SEED + 1)
+    kept = draws = 0
     for _ in range(LANCZOS_MAX_CYCLES):
         for j in range(kept, m):
             w, coef, beta = _orthogonalize(h @ basis[j], basis[:j + 1])
@@ -97,7 +110,8 @@ def _lanczos(h, k: int, scale: float):
             if beta:
                 basis[j + 1] = w / beta
             elif j + 1 < m:  # an invariant subspace: go on outside it
-                w, _, norm = _orthogonalize(fresh.standard_normal(dim),
+                draws += 1
+                w, _, norm = _orthogonalize(lanczos_start(dim, draws),
                                             basis[:j + 1])
                 basis[j + 1] = w / norm
         theta, s = np.linalg.eigh(t)
@@ -172,6 +186,30 @@ class SpectrumReport:
         return out
 
 
+def _mirror_twins(v: Volume, p: Params) -> bool:
+    """Whether H^v on sector (n_a, n_b) is a permutation of H^v on
+    (n_b, n_a), so that the two have one spectrum.
+
+    Exchanging the species maps the edge term at (lambda_a, lambda_b) to
+    the one at (lambda_b, lambda_a), and sector (n_a, n_b) to (n_b, n_a).
+    Reflecting direction j reverses the order of every edge along it,
+    which maps the edge term at (lambda_a, lambda_b) to the one at
+    (1/lambda_a, 1/lambda_b). So the exchange, followed by the reflection
+    through v's bounding box of every direction with lambda_a != lambda_b,
+    maps H^v to itself if each of those directions has
+    lambda_a * lambda_b = 1 and v is its own image. Compared exactly, in
+    the Fractions of p.
+    """
+    flip = []
+    for a, b in zip(p.lambda_a, p.lambda_b):
+        if a != b and a * b != 1:
+            return False
+        flip.append(a != b)
+    ends = [min(axis) + max(axis) for axis in zip(*v.sites)]
+    return all(tuple(e - x if f else x for x, f, e in zip(s, flip, ends)) in v
+               for s in v.sites)
+
+
 def total_gap(v: Volume, p: Params,
               sector_cap: int = fock.DEFAULT_SECTOR_CAP,
               patterns: dict | None = None) -> SpectrumReport:
@@ -182,7 +220,9 @@ def total_gap(v: Volume, p: Params,
     Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
     its kernel below KERNEL_TOL_REL * max(1, h.norm), and the next one is
     its lowest excitation. Sectors whose dimension exceeds sector_cap
-    (at least 1) are skipped and the report is flagged partial.
+    (at least 1) are skipped and the report is flagged partial. When
+    `_mirror_twins(v, p)` holds, a sector with n_a > n_b is not solved: it
+    takes the record of its twin (n_b, n_a), floats included.
 
     Each sector's `operators.sector_pattern` is dropped once the sector is
     solved, unless the caller passes `patterns`: a dict, kept by the
@@ -193,12 +233,17 @@ def total_gap(v: Volume, p: Params,
     if n < 2 or not is_connected(v):
         raise InputError("total_gap needs a connected volume with >= 2 sites")
     weights = operators.edge_weights(p)
-    records = []
+    mirror = _mirror_twins(v, p)
+    records = {}
     for n_a in range(n + 1):
         for n_b in range(n + 1 - n_a):
+            if mirror and n_a > n_b:
+                records[n_a, n_b] = replace(records[n_b, n_a],
+                                            n_a=n_a, n_b=n_b)
+                continue
             dim = fock.sector_dimension(n, n_a, n_b)
             if dim > sector_cap:
-                records.append(SectorRecord(n_a, n_b, dim, 0, None, True))
+                records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
                 continue
             pattern = None if patterns is None else patterns.get((n_a, n_b))
             if pattern is None:
@@ -228,7 +273,8 @@ def total_gap(v: Volume, p: Params,
                         f"unexpected kernel vector count {found} (expected "
                         f"{kernel}) in sector ({n_a},{n_b})")
                 excited = float(vals[kernel])
-            records.append(SectorRecord(n_a, n_b, dim, kernel, excited))
+            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, kernel, excited)
+    records = list(records.values())
     gap = min(r.lowest_excited for r in records if r.lowest_excited is not None)
     return SpectrumReport(gap, sum(r.kernel for r in records),
                           any(r.skipped for r in records), records)

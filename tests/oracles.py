@@ -55,3 +55,17 @@ def edge_kernel_vectors(lam_a: float, lam_b: float) -> np.ndarray:
     out[2, [2, 6]] = lam_b, 1.0
     out[3, [5, 7]] = lam_b, lam_a
     return out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first `count` outputs of the splitmix64 generator seeded with
+    `seed`, in Python integers. Scalar reference for
+    `spectra.lanczos_start`."""
+    mask = 2 ** 64 - 1
+    out = []
+    for i in range(1, count + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+        out.append(z ^ z >> 31)
+    return out

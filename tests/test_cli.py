@@ -94,6 +94,16 @@ NAMED_IN_MESSAGE = {
      "--n", "7", "--ell", "7", "--lead", "0"): "--lead must be at least 1",
     ("gap", "--lambda-a", "2", "--lambda-b", "1/2",
      "--volume", "box:"): "volume spec 'box:' has no extents",
+    ("sweep", "--grid-a", ",", "--lambda-b", "1/2",
+     "--sizes", "3"): "--grid-a lists no values",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2",
+     "--sizes", ","): "--sizes lists no values",
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2",
+     "--sizes", ","): "--sizes lists no values",
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--ell-cap", "0"): "--ell-cap must be at least 1",
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--ell-cap", "-1"): "--ell-cap must be at least 1",
 }
 
 
@@ -235,8 +245,8 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
     assert row["status"].startswith("failed: Lanczos eigenpair residual")
 
 
-NO_SCIPY_SCRIPT = """
-import contextlib, io, sys
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
 from pvbs import cli
 for argv in (["info"],
              ["gap", "--lambda-a", "2", "--lambda-b", "1/2",
@@ -246,8 +256,17 @@ for argv in (["info"],
              ["certify", "--lambda-a", "10", "--lambda-b", "1/10"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(sorted(sys.modules)))
 """
+# what the answers of those verbs never use: scipy (the tests' oracle),
+# numpy.random and OpenSSL's _hashlib (the sweep cache key)
+UNUSED = ("scipy", "numpy.random", "_hashlib")
+
+
+def _loaded(script, env):
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout))
 
 
 def test_program_imports_no_scipy():
@@ -255,9 +274,23 @@ def test_program_imports_no_scipy():
     # oracles; box:8 has sectors above the dense cap, so Lanczos runs too
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    bare = _loaded("import json, sys; print(json.dumps(sorted(sys.modules)))",
+                   env)
+    extra = _loaded(FOOTPRINT_SCRIPT, env) - bare
+    assert not [m for m in extra
+                if any(m == u or m.startswith(u + ".") for u in UNUSED)]
+
+
+def test_cache_file_names_are_pinned(capsys, tmp_path):
+    # a sweep cache entry is named by the SHA-256 of its canonical inputs
+    point = {"lambda_a": "2", "lambda_b": "1/2", "L": 4}
+    digest = ("b9fc35fc9c5d7e6e2cd84784215ebd80"
+              "3e2dc01e19731afcb01afffd6d6bba57")
+    assert cli.cache_key({"verb": "sweep-point", **point}) == digest
+    code, _, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
+                         "1/2", "--sizes", "4", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert os.listdir(tmp_path) == [digest + ".json"]
 
 
 def test_certify_d1(capsys):

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from pvbs import ComputeError, InputError, analytic, fock, operators, spectra
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
+from oracles import splitmix64
 from strategies import volumes_and_params
 
 P_CHAIN = Params(("2",), ("1/2",))
+P2_SELF_DUAL = Params(("2", "3"), ("1/2", "1/3"))
+# direction 1 has lambda_a = lambda_b = 3, so only direction 0 is reflected
+P2_FLIP_0 = Params(("2", "3"), ("1/2", "3"))
+TILTED = build_tilted_case1((1,), (3, 2))
 
 
 def test_dense_eigenvalues_sorted():
@@ -66,6 +71,17 @@ def test_lanczos_matches_arpack_and_dense(volume, p, sector, k):
         assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
+def test_lanczos_start_is_splitmix64():
+    # the published first output of splitmix64 seeded with 0
+    assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+    outputs = splitmix64(spectra.LANCZOS_SEED, 3 * 7)
+    for draw in range(3):
+        ref = np.array([(z >> 11) * 2.0 ** -53 - 0.5
+                        for z in outputs[7 * draw:7 * draw + 7]])
+        assert np.array_equal(spectra.lanczos_start(7, draw),
+                              ref / np.linalg.norm(ref))
+
+
 def _diagonal(diag):
     dim = len(diag)
     return operators.SectorMatrix(np.arange(dim)[None, :], diag[None, :],
@@ -100,9 +116,15 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
     """Every sector solved by Lanczos (for the kernel and the next
     eigenvalue where it bears a ground state) matches the default run,
     whose sectors here are all dense."""
-    p2 = Params(("2", "3"), ("1/2", "1/3"))
-    cases = ((build_box((6,)), P_CHAIN), (build_box((2, 3)), p2),
-             (build_tilted_case1((1,), (3, 2)), p2))
+    # the ground sectors (1,0), (0,1) and (1,1) of 6 sites go to Lanczos
+    # for two eigenvalues each, but where (1,0) is the mirror twin of
+    # (0,1) it is not solved: on the self-dual boxes, and on the tilted
+    # parallelogram, which is its own image when both directions are
+    # reflected; with lambda_a = lambda_b = 3 in direction 1, only
+    # direction 0 is reflected, and that image is another volume
+    cases = ((build_box((6,)), P_CHAIN, 2),
+             (build_box((2, 3)), P2_SELF_DUAL, 2),
+             (TILTED, P2_SELF_DUAL, 2), (TILTED, P2_FLIP_0, 3))
     real = spectra._lanczos
     ks = []
 
@@ -110,16 +132,14 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
         ks.append(k)
         return real(h, k, scale)
 
-    for v, p in cases:
+    for v, p, ground_solves in cases:
         default = spectra.total_gap(v, p)
         ks.clear()
         with monkeypatch.context() as m:
             m.setattr(spectra, "_lanczos", counting)
             m.setattr(spectra, "DENSE_CAP", 0)
             lanczos = spectra.total_gap(v, p)
-        # the ground sectors (1,0), (0,1) and (1,1) of 6 sites went to
-        # Lanczos for two eigenvalues each
-        assert ks.count(2) == 3
+        assert ks.count(2) == ground_solves
         assert lanczos.kernel_total == default.kernel_total == 4
         for s, t in zip(default.sectors, lanczos.sectors):
             assert (s.n_a, s.n_b, s.kernel) == (t.n_a, t.n_b, t.kernel)
@@ -128,6 +148,99 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
             else:
                 assert t.lowest_excited == pytest.approx(s.lowest_excited,
                                                          rel=1e-10)
+
+
+def _solve(monkeypatch, v, p, **kwargs):
+    """total_gap's report and the sectors it built a pattern for."""
+    real = operators.sector_pattern
+    built = []
+
+    def counting(basis):
+        built.append((basis.n_a, basis.n_b))
+        return real(basis)
+
+    with monkeypatch.context() as m:
+        m.setattr(operators, "sector_pattern", counting)
+        rep = spectra.total_gap(v, p, **kwargs)
+    return rep, built
+
+
+def _direct(monkeypatch, v, p, **kwargs):
+    """total_gap with every sector solved."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_mirror_twins", lambda v, p: False)
+        rep, built = _solve(monkeypatch, v, p, **kwargs)
+    assert built == [(s.n_a, s.n_b) for s in rep.sectors if not s.skipped]
+    return rep
+
+
+def _assert_same_records(rep, direct):
+    """Same sectors, dimensions, kernels and skips; floats to 1e-12."""
+    for s, t in zip(rep.sectors, direct.sectors, strict=True):
+        assert (s.n_a, s.n_b, s.dim, s.kernel, s.skipped) == \
+            (t.n_a, t.n_b, t.dim, t.kernel, t.skipped)
+        if t.lowest_excited is None:
+            assert s.lowest_excited is None
+        else:
+            assert s.lowest_excited == pytest.approx(t.lowest_excited,
+                                                     rel=1e-12, abs=0)
+    assert (rep.kernel_total, rep.partial) == \
+        (direct.kernel_total, direct.partial)
+    assert rep.gap == pytest.approx(direct.gap, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("v, p", [
+    (build_box((7,)), P_CHAIN),
+    (build_box((7,)), Params(("10",), ("1/10",))),
+    (build_box((2, 3)), P2_SELF_DUAL),
+    (build_box((3, 3)), P2_FLIP_0),
+    # a parallelogram is its own image when both directions are reflected
+    (TILTED, P2_SELF_DUAL),
+], ids=["box7-2", "box7-10", "box2x3", "box3x3-flip-0", "tilted"])
+def test_mirror_twin_records_equal_direct_solves(monkeypatch, v, p):
+    rep, built = _solve(monkeypatch, v, p)
+    assert built == [(s.n_a, s.n_b) for s in rep.sectors if s.n_a <= s.n_b]
+    _assert_same_records(rep, _direct(monkeypatch, v, p))
+    assert rep.kernel_total == 4
+    # a copied record carries its twin's float, bit for bit
+    own = {(s.n_a, s.n_b): s.lowest_excited for s in rep.sectors}
+    assert all(own[n_a, n_b] == own[n_b, n_a] for n_a, n_b in own)
+
+
+@pytest.mark.parametrize("v, p", [
+    (build_box((3, 3)), Params(("2", "3"), ("1/2", "1/2"))),
+    (TILTED, P2_FLIP_0),
+], ids=["box3x3", "tilted-flip-0"])
+def test_no_mirror_solves_every_sector(monkeypatch, v, p):
+    assert not spectra._mirror_twins(v, p)
+    rep, built = _solve(monkeypatch, v, p)
+    assert built == [(s.n_a, s.n_b) for s in rep.sectors]
+
+
+def test_mirror_twins_over_budget_are_both_skipped(monkeypatch):
+    # (1,2) and (2,1) of 6 sites have 60 states each
+    v = build_box((6,))
+    rep, built = _solve(monkeypatch, v, P_CHAIN, sector_cap=50)
+    skipped = {(s.n_a, s.n_b) for s in rep.sectors if s.skipped}
+    assert {(1, 2), (2, 1)} <= skipped
+    assert all((n_b, n_a) in skipped for n_a, n_b in skipped)
+    assert built == [(s.n_a, s.n_b) for s in rep.sectors
+                     if s.n_a <= s.n_b and not s.skipped]
+    _assert_same_records(rep, _direct(monkeypatch, v, P_CHAIN,
+                                      sector_cap=50))
+
+
+@pytest.mark.parametrize("la, lb, mirrored", [
+    ("0.1", "10", True),  # exactly 1/10 * 10 = 1
+    ("2", "0.5000000000000001", False),
+    ("1", "1", True),  # the species exchange alone
+    ("2,3", "1/2,1/3", True),
+    ("2,3", "1/2,2", False),
+])
+def test_mirror_twins_compares_exact_weights(la, lb, mirrored):
+    p = Params(tuple(la.split(",")), tuple(lb.split(",")))
+    v = build_box((3,) * p.dim)
+    assert spectra._mirror_twins(v, p) is mirrored
 
 
 def test_total_gap_chain_frozen():

@@ -2,8 +2,11 @@
 checks, scaling studies, and cached parameter sweeps.
 
 Output is canonical JSON (sorted keys, 17-significant-digit floats) so
-identical invocations are byte-identical. Results go to stdout,
-diagnostics and timings to stderr. Exit codes: 0 success, 2 on an
+identical invocations are byte-identical; CSV rows of the tabular verbs
+go through the `csv` module, which quotes a field that holds a comma.
+Results go to stdout, diagnostics and timings to stderr. Sweep cache
+entries are named by a SHA-256 from CPython's built-in module, so no
+verb loads hashlib and with it OpenSSL. Exit codes: 0 success, 2 on an
 `InputError` (the input has no answer), 3 on a `ComputeError` (no
 certificate at these settings, or a solve or check failed).
 """
@@ -65,10 +68,13 @@ def emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(dumps_canonical(record))
     elif fmt == "csv":  # offered only by the tabular verbs
+        import csv  # here, so that only csv output loads it
+
         cols = record["columns"]
-        print(",".join(cols))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(cols)
         for r in record["rows"]:
-            print(",".join(dumps_canonical(r[c]).strip('"') for c in cols))
+            writer.writerow(dumps_canonical(r[c]).strip('"') for c in cols)
     else:  # table
         rows = record.get("rows")
         if rows is None:
@@ -83,13 +89,18 @@ def emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- parsing
 
-def parse_lambda(text: str) -> tuple[str, ...]:
+def _listed(values: tuple, option: str) -> tuple:
+    """values, or InputError naming the option that listed none."""
+    if not values:
+        raise InputError(f"{option} lists no values")
+    return values
+
+
+def parse_lambda(text: str, option: str) -> tuple[str, ...]:
     """The comma-separated decimals/fractions of a parameter vector, which
-    `Params` parses exactly."""
-    parts = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not parts:
-        raise InputError("empty parameter vector")
-    return parts
+    `Params` parses exactly; InputError naming `option` if there are none."""
+    return _listed(tuple(s.strip() for s in text.split(",") if s.strip()),
+                   option)
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
@@ -119,7 +130,8 @@ def parse_volume(text: str) -> Volume:
 
 
 def _params(args) -> Params:
-    return Params(parse_lambda(args.lambda_a), parse_lambda(args.lambda_b))
+    return Params(parse_lambda(args.lambda_a, "--lambda-a"),
+                  parse_lambda(args.lambda_b, "--lambda-b"))
 
 
 def _eta(args) -> float:
@@ -127,13 +139,6 @@ def _eta(args) -> float:
         raise InputError(f"--eta must be finite and nonnegative, "
                          f"got {args.eta}")
     return args.eta
-
-
-def _listed(values: tuple, option: str) -> tuple:
-    """values, or InputError naming the option that listed none."""
-    if not values:
-        raise InputError(f"{option} lists no values")
-    return values
 
 
 def _budget(args) -> int:
@@ -151,13 +156,21 @@ def cache_dir(args) -> str | None:
 
 
 def cache_key(inputs: dict) -> str:
-    import hashlib  # here, so that only sweep loads OpenSSL
+    # CPython's built-in SHA-256, which hashlib also falls back to: hashlib
+    # itself would load OpenSSL for a few short strings
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     payload = dumps_canonical({"inputs": inputs, "version": __version__})
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
-def cache_get(cdir: str | None, key: str, point: dict):
+def cache_get(cdir: str | None, key: str | None, point: dict):
     """The sweep row cached under key for `point`, or None on a miss: when
     the entry cannot be read or parsed, when its keys are not those of
     `point` plus gap and status or its values differ from `point`'s, or
@@ -181,7 +194,7 @@ def cache_get(cdir: str | None, key: str, point: dict):
     return record
 
 
-def cache_put(cdir: str | None, key: str, record: dict) -> None:
+def cache_put(cdir: str | None, key: str | None, record: dict) -> None:
     if not cdir:
         return
     os.makedirs(cdir, exist_ok=True)
@@ -292,9 +305,8 @@ def cmd_scaling(args) -> dict:
             "rows": [pt.to_json() for pt in pts]}
 
 
-def _sweep_point(point: dict, patterns: dict):
-    p = Params(parse_lambda(point["lambda_a"]),
-               parse_lambda(point["lambda_b"]))
+def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
+    p = Params((point["lambda_a"],), lambda_b)
     vol = build_box((point["L"],) * p.dim)
     rep = spectra.total_gap(vol, p, patterns=patterns)
     return {**point, "gap": rep.gap,
@@ -302,8 +314,8 @@ def _sweep_point(point: dict, patterns: dict):
 
 
 def cmd_sweep(args) -> dict:
-    grid_a = _listed(tuple(s.strip() for s in args.grid_a.split(",")
-                           if s.strip()), "--grid-a")
+    grid_a = parse_lambda(args.grid_a, "--grid-a")
+    lambda_b = parse_lambda(args.lambda_b, "--lambda-b")
     sizes = _listed(parse_ints(args.sizes), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
@@ -316,13 +328,13 @@ def cmd_sweep(args) -> dict:
         patterns = {}
         for la in grid_a:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
-            key = cache_key({"verb": "sweep-point", **point})
+            key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
             if row is not None:
                 hits += 1
             else:
                 try:
-                    row = _sweep_point(point, patterns)
+                    row = _sweep_point(point, lambda_b, patterns)
                 except (InputError, ComputeError) as exc:
                     row = {**point, "gap": None, "status": f"failed: {exc}"}
                 else:

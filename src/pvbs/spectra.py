@@ -13,6 +13,7 @@ are solved, and each other one takes its twin's record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,18 +71,19 @@ def lanczos_start(dim: int, draw: int = 0) -> np.ndarray:
 def _orthogonalize(w: np.ndarray, q: np.ndarray):
     """w minus its projection on the orthonormal rows of q, by classical
     Gram-Schmidt with one DGKS correction (Daniel, Gragg, Kaufman and
-    Stewart, Math. Comp. 30, 772 (1976)). Returns the new w, the
+    Stewart, Math. Comp. 30, 772 (1976)), in place. Returns w, the
     projection coefficients and the norm of w, 0.0 when w lies in the
-    span of q to rounding."""
-    norm = np.linalg.norm(w)
+    span of q to rounding. The norms are np.linalg.norm's arithmetic for
+    a real vector, without its dispatch."""
+    norm = math.sqrt(w.dot(w))
     coef = q @ w
-    w = w - coef @ q
-    norm, before = np.linalg.norm(w), norm
+    w -= coef @ q
+    norm, before = math.sqrt(w.dot(w)), norm
     if norm < DGKS_RATIO * before:
         again = q @ w
         w -= again @ q
         coef += again
-        norm, before = np.linalg.norm(w), norm
+        norm, before = math.sqrt(w.dot(w)), norm
         if norm < DGKS_RATIO * before:
             norm = 0.0
     return w, coef, norm

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -104,6 +106,10 @@ NAMED_IN_MESSAGE = {
      "--ell-cap", "0"): "--ell-cap must be at least 1",
     ("certify", "--lambda-a", "10", "--lambda-b", "1/10",
      "--ell-cap", "-1"): "--ell-cap must be at least 1",
+    ("classify", "--lambda-a", ",", "--lambda-b", "2"):
+        "--lambda-a lists no values",
+    ("sweep", "--grid-a", "2", "--lambda-b", ",",
+     "--sizes", "3"): "--lambda-b lists no values",
 }
 
 
@@ -245,40 +251,85 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
     assert row["status"].startswith("failed: Lanczos eigenpair residual")
 
 
-FOOTPRINT_SCRIPT = """
-import contextlib, io, json, sys
-from pvbs import cli
-for argv in (["info"],
-             ["gap", "--lambda-a", "2", "--lambda-b", "1/2",
-              "--volume", "box:8"],
-             ["verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
-              "--n", "7", "--ell", "7"],
-             ["certify", "--lambda-a", "10", "--lambda-b", "1/10"]):
+# prints the modules a fresh interpreter has imported and the files it
+# has mapped (on Linux) after running the verbs of `argvs`
+LOADED_SCRIPT = """
+import contextlib, io, json, os, sys
+argvs = {argvs}
+if argvs:
+    from pvbs import cli
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(sys.modules)))
+maps = set()
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        maps = {{os.path.basename(line.split()[-1]) for line in fh
+                 if len(line.split()) > 5}}
+print(json.dumps([sorted(sys.modules), sorted(maps)]))
 """
+FOOTPRINT_ARGVS = [
+    ["info"],
+    ["gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:8"],
+    ["verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "7", "--ell", "7"],
+    ["certify", "--lambda-a", "10", "--lambda-b", "1/10"],
+]
 # what the answers of those verbs never use: scipy (the tests' oracle),
-# numpy.random and OpenSSL's _hashlib (the sweep cache key)
-UNUSED = ("scipy", "numpy.random", "_hashlib")
+# numpy.random, and hashlib with OpenSSL, since the sweep cache key takes
+# the interpreter's built-in SHA-256
+UNUSED = ("scipy", "numpy.random", "hashlib", "_hashlib")
+UNMAPPED = ("libcrypto", "libssl", "_hashlib")
 
 
-def _loaded(script, env):
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout))
-
-
-def test_program_imports_no_scipy():
-    # a fresh interpreter, since the test process imports scipy for its
-    # oracles; box:8 has sectors above the dense cap, so Lanczos runs too
+def _loaded(argvs):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    bare = _loaded("import json, sys; print(json.dumps(sorted(sys.modules)))",
-                   env)
-    extra = _loaded(FOOTPRINT_SCRIPT, env) - bare
-    assert not [m for m in extra
+    env.pop("PVBS_CACHE_DIR", None)
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT.format(argvs=argvs)],
+        env=env, capture_output=True, text=True, check=True)
+    modules, maps = json.loads(done.stdout)
+    return set(modules), set(maps)
+
+
+def test_program_imports_no_scipy(tmp_path):
+    # a fresh interpreter, since the test process imports scipy for its
+    # oracles; box:8 has sectors above the dense cap, so Lanczos runs too
+    sweep = ["sweep", "--grid-a", "2,3", "--lambda-b", "1/2",
+             "--sizes", "3,4", "--cache-dir", str(tmp_path)]
+    bare_modules, bare_maps = _loaded([])
+    # a cold sweep solves and writes every point, a warm one reads them
+    modules, maps = _loaded(FOOTPRINT_ARGVS + [sweep, sweep])
+    assert len(os.listdir(tmp_path)) == 4
+    assert not [m for m in modules - bare_modules
                 if any(m == u or m.startswith(u + ".") for u in UNUSED)]
+    assert not [f for f in maps - bare_maps
+                if any(f.startswith(u) for u in UNMAPPED)]
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+def test_cache_key_matches_hashlib(monkeypatch, builtin):
+    # the built-in SHA-256 and hashlib's, which cache_key falls back to
+    # where neither _sha2 (3.12 and later) nor _sha256 can be imported
+    real, calls = hashlib.sha256, []
+
+    def spy(data):
+        calls.append(data)
+        return real(data)
+
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    for inputs in ({}, {"verb": "sweep-point", "lambda_a": "2",
+                        "lambda_b": "1/2", "L": 4},
+                   {"lambda_a": "1e-154", "text": "\u03bb,\n\"x\""},
+                   {"n": list(range(1000))}):
+        payload = cli.dumps_canonical({"inputs": inputs,
+                                       "version": cli.__version__}).encode()
+        assert cli.cache_key(inputs) == real(payload).hexdigest()
+    assert len(calls) == (0 if builtin else 4)
 
 
 def test_cache_file_names_are_pinned(capsys, tmp_path):
@@ -523,6 +574,20 @@ def test_sweep_failed_point_is_a_row(capsys):
     assert rows[2]["status"] == "ok"
 
 
+def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+
+    def no_key(inputs):
+        raise AssertionError("cache_key called with no cache directory")
+
+    monkeypatch.setattr(cli, "cache_key", no_key)
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2,3",
+                             "--lambda-b", "1/2", "--sizes", "3,4")
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert "0 cache hits, 4 solves" in err
+
+
 def test_sweep_env_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PVBS_CACHE_DIR", str(tmp_path))
     run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b", "2",
@@ -538,6 +603,21 @@ def test_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lambda_a,lambda_b,L,gap,status"
     assert len(lines) == 2
+
+
+def test_sweep_csv_quotes_a_field_with_a_comma(capsys):
+    # a two-entry lambda_b fails every one-entry lambda_a point; the row
+    # must still read back as the five columns
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
+                           "--lambda-b", "1/2,1/2", "--sizes", "3",
+                           "--format", "csv")
+    assert code == 0
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert list(row) == ["lambda_a", "lambda_b", "L", "gap", "status"]
+    assert None not in row.values()
+    assert row["lambda_b"] == "1/2,1/2"
+    assert row["gap"] == "null"
+    assert row["status"].startswith("failed: ")
 
 
 def test_info(capsys):

@@ -18,7 +18,7 @@ from .model import Params, TiltScheme, c_tilde, projection_bound
 
 
 # the particle-number sectors that carry the four ground states
-GROUND_SECTORS = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
+GROUND_SECTORS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def _log_power(lam: tuple[float, ...], x) -> float:
@@ -121,14 +121,15 @@ def normalization_closed_form(family: VolumeFamilySpec, lo: int,
     return _norm_from_parts(c_a, c_b, d_diag)
 
 
-def ground_state_vector(v: Volume, p: Params, which: str,
+def ground_state_vector(v: Volume, p: Params,
                         basis: fock.SectorBasis) -> np.ndarray:
-    """Unit ground vector of the (vac|a|b|ab) sector on a connected volume."""
+    """Unit ground vector of the sector of `basis`, one of GROUND_SECTORS,
+    on a connected volume."""
     if not is_connected(v):
         raise InputError("ground states are only defined on connected volumes")
-    if GROUND_SECTORS.get((basis.n_a, basis.n_b)) != which:
-        raise InputError(f"basis sector {basis.n_a, basis.n_b} does not "
-                         f"match ground state {which!r}")
+    if (basis.n_a, basis.n_b) not in GROUND_SECTORS:
+        raise InputError(f"basis sector {basis.n_a, basis.n_b} holds no "
+                         f"ground state")
     la = p.floats("a")
     lb = p.floats("b")
     # log amplitude contributed by each site, indexed by its digit

@@ -307,7 +307,7 @@ def cmd_scaling(args) -> dict:
 
 def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
     p = Params((point["lambda_a"],), lambda_b)
-    vol = build_box((point["L"],) * p.dim)
+    vol = build_box((point["L"],))
     rep = spectra.total_gap(vol, p, patterns=patterns)
     return {**point, "gap": rep.gap,
             "status": "partial" if rep.partial else "ok"}
@@ -316,14 +316,16 @@ def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
 def cmd_sweep(args) -> dict:
     grid_a = parse_lambda(args.grid_a, "--grid-a")
     lambda_b = parse_lambda(args.lambda_b, "--lambda-b")
+    if len(lambda_b) != 1:
+        raise InputError("--lambda-b must list one value: every sweep point "
+                         "is a chain")
     sizes = _listed(parse_ints(args.sizes), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
     rows = []
     hits = solves = 0
-    # every point of one size has the same box (lambda_b fixes the
-    # dimension), so its sector patterns are built once and dropped
-    # before the next size
+    # every point of one size has the same chain, so its sector patterns
+    # are built once and dropped before the next size
     for size in sizes:
         patterns = {}
         for la in grid_a:

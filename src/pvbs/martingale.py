@@ -121,9 +121,10 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     largest particle sector is out of budget."""
     vol = sweep_family(t, 0, ell, ell).member(ell)
     n_sites = len(vol)
-    worst = max(fock.sector_dimension(n_sites, na, nb)
-                for na in range(n_sites + 1)
-                for nb in range(n_sites + 1 - na))
+    # the multinomial n! / (n_a! n_b! n_0!) is largest at the most even
+    # split of the sites between a, b and empty
+    worst = fock.sector_dimension(n_sites, (n_sites + 2) // 3,
+                                  (n_sites + 1) // 3)
     if worst > budget:
         return Symbolic("largest particle sector exceeds the eigensolver "
                         "budget", worst)
@@ -196,8 +197,12 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         gamma_val: object = gamma
         final: object = Symbolic("positive multiple of a symbolic seed gap",
                                  gamma.blocking_dimension)
+        try:
+            shown = str(gamma.blocking_dimension)
+        except ValueError:  # over Python's int-to-str digit limit
+            shown = f"10^{math.log10(gamma.blocking_dimension):.1f}"
         notes.append(f"seed gap left symbolic: {gamma.reason} "
-                     f"(dimension {gamma.blocking_dimension})")
+                     f"(dimension {shown})")
     else:
         gamma_val = gamma.gap
         final = gamma.gap * factor ** d

@@ -4,12 +4,13 @@ The two-site interaction blocks are 9x9 and conserve particle numbers, so
 assembly restricted to a fixed-count sector is exact. Each block is
 diagonal plus one exchange of the two end digits when they differ (0a
 with a0, 0b with b0, ab with ba), so a sector Hamiltonian is built in two
-parts: a parameter-independent `SectorPattern` (a padded-row layout,
-each slot's weight index and each edge's pair codes), and a cheap fill
-from the `EdgeWeights` of one parameter value into a `SectorMatrix`,
-which multiplies vectors with numpy alone. `spectra.total_gap` drops
-each pattern once its sector is solved; `pvbs sweep` keeps a size's
-patterns for every lambda of its grid. Ground projectors are never
+parts: a parameter-independent `SectorPattern` (a padded-row layout with
+the diagonal in slot 0 and the exchange on edge e in slot 1 + e, and each
+state's pair code on each edge), and a cheap fill from the `EdgeWeights`
+of one parameter value into a `SectorMatrix`, which multiplies vectors
+with numpy alone. `spectra.total_gap` drops each pattern once its sector
+is solved; `pvbs sweep` keeps a size's patterns for every lambda of its
+grid. Ground projectors are never
 materialized: `projection_product_norm` works in the nine
 particle sectors that can carry ||G_slab E_n||, on orthonormal bases
 built from the four analytic ground vectors of each volume.
@@ -54,8 +55,10 @@ class EdgeWeights:
     Every h_j is diagonal plus one exchange of the two end digits when they
     differ: its only off-diagonal entries pair 0a with a0, 0b with b0 and
     ab with ba. So `diagonal[kind]` is <c|h_j|c>, and `exchange[kind]` is
-    <swap(c)|h_j|c>, or 0.0 when the end digits are equal; `exchange` has
-    one more entry, 0.0, for the diagonal slots of a `SectorPattern`.
+    <swap(c)|h_j|c>, or 0.0 when the end digits are equal; both have 9 d
+    entries. h_j is symmetric, so the exchange weight of a state and of its
+    swapped state is the same, and each row of a `SectorPattern` reads
+    both weights of an edge from its own pair code.
     """
 
     exchange: np.ndarray
@@ -70,31 +73,27 @@ def edge_weights(p: Params) -> EdgeWeights:
     pair = np.arange(9)
     swap = 3 * (pair % 3) + pair // 3
     exchange = np.where(swap != pair, blocks[:, swap, pair], 0.0)
-    return EdgeWeights(np.append(exchange.ravel(), 0.0),
-                       blocks[:, pair, pair].ravel())
+    return EdgeWeights(exchange.ravel(), blocks[:, pair, pair].ravel())
 
 
 @dataclass(frozen=True)
 class SectorPattern:
     """The parameter-independent part of H^v on one particle sector.
 
-    A padded-row (ELL) layout, stored slot by slot: row s holds its
-    diagonal in slot 0, then one slot per exchange, joining s to the
-    state with the end digits of edge e swapped when they differ; the
-    rows are padded to a common width with slots that point at the row
-    itself, and cols[i, s] is the column of slot i of row s. `kinds`
-    gives each slot's index into `EdgeWeights.exchange` (9 * direction +
-    the pair code of the column state, or 9 * dim on the diagonal and the
-    padding, where the weight is 0.0); `edge_kinds[e]` gives each state's index
-    into `EdgeWeights.diagonal` for edge e; `nnz` counts the slots that
-    are not padding. One pattern serves every parameter value on the
-    same basis.
+    A padded-row (ELL) layout, stored slot by slot and edge by edge:
+    cols[i, s] is the column of slot i of row s. Slot 0 holds the
+    diagonal, and slot 1 + e the exchange of edge e = `edges(v)[e]`,
+    joining s to the state with the end digits of edge e swapped; where
+    those digits are equal, the slot is padding and points at the row
+    itself. `kinds[e]` gives each state's kind on edge e (9 * direction
+    + its pair code), the index into both `EdgeWeights.diagonal` and
+    `EdgeWeights.exchange`; `nnz` counts the slots that are not padding.
+    One pattern serves every parameter value on the same basis.
     """
 
     basis: fock.SectorBasis
-    cols: np.ndarray  # (width, states)
-    kinds: np.ndarray  # uint8, (width, states)
-    edge_kinds: np.ndarray  # uint8, (edges, states)
+    cols: np.ndarray  # (1 + edges, states)
+    kinds: np.ndarray  # uint8, (edges, states)
     nnz: int
 
 
@@ -106,36 +105,24 @@ def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
     site_pos = {s: i for i, s in enumerate(v.sites)}
     dim = basis.dim
     vol_edges = edges(v)
-    edge_kinds = np.empty((len(vol_edges), dim), dtype=np.uint8)
-    diagonal = np.arange(dim)
-    rows, cols = [diagonal], [diagonal]
-    kinds = [np.full(dim, 9 * v.dim, dtype=np.uint8)]
+    kinds = np.empty((len(vol_edges), dim), dtype=np.uint8)
+    cols = np.tile(np.arange(dim), (1 + len(vol_edges), 1))
+    nnz = dim
     for e, edge in enumerate(vol_edges):
         ends = (site_pos[edge.base], site_pos[edge.head])
         dx, dy = fock.digits(basis.states, ends)
-        edge_kinds[e] = 9 * edge.direction + 3 * dx + dy
+        kinds[e] = 9 * edge.direction + 3 * dx + dy
         low = np.flatnonzero(dx < dy)
         step = dy[low] - dx[low]
         high = basis.positions(basis.states[low]
                                + fock.place((step, -step), ends))
-        rows += [high, low]
-        cols += [low, high]
-        kinds += [edge_kinds[e, low], edge_kinds[e, high]]
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")  # each row's diagonal first
-    counts = np.bincount(rows, minlength=dim)
-    rows = rows[order]
-    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
-                                             counts)
-    ell_cols = np.tile(diagonal, (counts.max(), 1))
-    ell_kinds = np.full(ell_cols.shape, 9 * v.dim, dtype=np.uint8)
-    ell_cols[slots, rows] = np.concatenate(cols)[order]
-    ell_kinds[slots, rows] = np.concatenate(kinds)[order]
+        cols[1 + e, low] = high
+        cols[1 + e, high] = low
+        nnz += 2 * len(low)
     # shared with every matrix filled from the pattern; cols stays
     # writeable because `take` copies a read-only index array on every call
-    for a in (ell_kinds, edge_kinds):
-        a.setflags(write=False)
-    return SectorPattern(basis, ell_cols, ell_kinds, edge_kinds, len(rows))
+    kinds.setflags(write=False)
+    return SectorPattern(basis, cols, kinds, nnz)
 
 
 @dataclass(frozen=True)
@@ -177,11 +164,10 @@ def assemble_sector_hamiltonian(pattern: SectorPattern,
     (from `edge_weights(p)`), so that a caller can reuse a pattern
     across parameters and weights across sectors. The diagonal is summed
     edge by edge, so every run gives the same bits."""
-    diag = np.zeros(pattern.basis.dim)
-    for kinds in pattern.edge_kinds:
-        diag += weights.diagonal[kinds]
-    vals = weights.exchange[pattern.kinds]
-    vals[0] = diag
+    vals = np.zeros(pattern.cols.shape)
+    for kinds in pattern.kinds:
+        vals[0] += weights.diagonal[kinds]
+    vals[1:] = weights.exchange[pattern.kinds]
     return SectorMatrix(pattern.cols, vals, pattern.nnz,
                         float(np.abs(vals).sum(axis=0).max()))
 
@@ -189,9 +175,9 @@ def assemble_sector_hamiltonian(pattern: SectorPattern,
 def _ground_vectors(v: Volume, p: Params) -> dict:
     """(basis, analytic ground vector) of each ground sector of v."""
     out = {}
-    for sector, which in analytic.GROUND_SECTORS.items():
+    for sector in analytic.GROUND_SECTORS:
         basis = fock.enumerate_sector(v, *sector)
-        out[sector] = basis, analytic.ground_state_vector(v, p, which, basis)
+        out[sector] = basis, analytic.ground_state_vector(v, p, basis)
     return out
 
 
@@ -268,9 +254,8 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
                             weights=val_s[both] * val_i[both],
                             minlength=width_s * width_i
                             ).reshape(width_s, width_i)
-            which = analytic.GROUND_SECTORS.get((n_a, n_b))
-            if which is not None and m.size:
-                psi = analytic.ground_state_vector(ambient, p, which, basis)
+            if (n_a, n_b) in analytic.GROUND_SECTORS and m.size:
+                psi = analytic.ground_state_vector(ambient, p, basis)
                 has = col_i >= 0
                 overlap = np.bincount(col_i[has],
                                       weights=val_i[has] * psi[has],

@@ -256,11 +256,10 @@ def total_gap(v: Volume, p: Params,
             basis = pattern.basis
             h = operators.assemble_sector_hamiltonian(pattern, weights)
             thresh = KERNEL_TOL_REL * max(1.0, h.norm)
-            which = analytic.GROUND_SECTORS.get((n_a, n_b))
             kernel = 0
-            if which is not None:
+            if (n_a, n_b) in analytic.GROUND_SECTORS:
                 kernel = 1
-                psi = analytic.ground_state_vector(v, p, which, basis)
+                psi = analytic.ground_state_vector(v, p, basis)
                 resid = np.linalg.norm(h @ psi)
                 if resid > thresh:
                     raise ComputeError(

@@ -23,9 +23,9 @@ def ground_projector(part, ambient, p) -> sp.csr_matrix:
                                   range(len(rest_pos))), rest_pos)
     rest = np.atleast_1d(rest)  # a single empty configuration
     blocks = []
-    for (n_a, n_b), which in analytic.GROUND_SECTORS.items():
+    for n_a, n_b in analytic.GROUND_SECTORS:
         own = fock.enumerate_sector(part, n_a, n_b)
-        psi = analytic.ground_state_vector(part, p, which, own)
+        psi = analytic.ground_state_vector(part, p, own)
         codes = np.add.outer(
             fock.place(fock.digits(own.states, range(len(part))), part_pos),
             rest)

@@ -20,7 +20,7 @@ from pvbs.lattice import VolumeFamilySpec, build_box, build_tilted_case1
 from pvbs.model import GapClass, Params, classify_zd, select_tilt
 
 TOL_RESIDUAL = 1e-10
-GROUND = {(0, 0): "vac", (1, 0): "a", (0, 1): "b", (1, 1): "ab"}
+GROUND = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -55,8 +55,7 @@ def test_c01_ground_space_dimension_is_four():
                     kernel += int(np.count_nonzero(
                         np.linalg.eigvalsh(h.toarray()) < thresh))
                     if (na, nb) in GROUND:
-                        psi = analytic.ground_state_vector(
-                            vol, p, GROUND[(na, nb)], basis)
+                        psi = analytic.ground_state_vector(vol, p, basis)
                         worst_resid = max(worst_resid,
                                           float(np.linalg.norm(h @ psi)))
             assert kernel == 4, (vol.label, p.to_json(), kernel)

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from pvbs import cli, fock, model, spectra
+from pvbs import (ComputeError, cli, fock, martingale, model, operators,
+                  spectra)
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,8 @@ NAMED_IN_MESSAGE = {
         "--lambda-a lists no values",
     ("sweep", "--grid-a", "2", "--lambda-b", ",",
      "--sizes", "3"): "--lambda-b lists no values",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2,1/2",
+     "--sizes", "3"): "--lambda-b must list one value",
 }
 
 
@@ -381,6 +384,33 @@ def test_budget_above_the_sector_cap_skips_sectors(capsys, monkeypatch):
     assert all(c["pass"] for c in rec["conditions"])
 
 
+def test_certify_d3_leaves_the_seed_symbolic(capsys):
+    # ell = 10: the seed volume has 1000 sites, and its largest sector
+    # (334 a's, 333 b's) is noted exactly
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", "2,3,4",
+                           "--lambda-b", "1/2,1/2,1/2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["ell"] == 10
+    assert rec["gamma_ell"] == rec["final_bound"] == "symbolic"
+    worst = fock.sector_dimension(1000, 334, 333)
+    assert f"(dimension {worst})" in rec["notes"][0]
+
+
+def test_certify_notes_a_huge_seed_dimension_as_a_power_of_ten(
+        capsys, monkeypatch):
+    # 10^5000 has more digits than Python converts an int to text
+    monkeypatch.setattr(martingale, "compute_gamma_ell",
+                        lambda t, ell, budget: martingale.Symbolic(
+                            "largest sector too big", 10 ** 5000))
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", "10",
+                           "--lambda-b", "1/10")
+    assert code == 0
+    notes = json.loads(out)["notes"]
+    assert notes[0] == ("seed gap left symbolic: largest sector too big "
+                        "(dimension 10^5000.0)")
+
+
 # sha256 of `verify-lemmas --trials 25` stdout, recorded before the
 # analytic checks took a sweep family and its cuts: about 200 bound
 # reports of pure-Python floats each, in d = 1, d = 2 (Case 2) and d = 3
@@ -605,19 +635,55 @@ def test_sweep_csv(capsys):
     assert len(lines) == 2
 
 
-def test_sweep_csv_quotes_a_field_with_a_comma(capsys):
-    # a two-entry lambda_b fails every one-entry lambda_a point; the row
-    # must still read back as the five columns
+def test_sweep_csv_quotes_a_field_with_a_comma(capsys, monkeypatch):
+    # a failed point's status names its sector, "(1,2)"; the row must
+    # still read back as the five columns
+    message = "unexpected kernel vector count 0 (expected 1) in sector (1,2)"
+
+    def fail(*args, **kwargs):
+        raise ComputeError(message)
+
+    monkeypatch.setattr(spectra, "total_gap", fail)
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
-                           "--lambda-b", "1/2,1/2", "--sizes", "3",
+                           "--lambda-b", "1/2", "--sizes", "3",
                            "--format", "csv")
     assert code == 0
+    assert f'"failed: {message}"' in out
     [row] = list(csv.DictReader(io.StringIO(out)))
     assert list(row) == ["lambda_a", "lambda_b", "L", "gap", "status"]
     assert None not in row.values()
-    assert row["lambda_b"] == "1/2,1/2"
     assert row["gap"] == "null"
-    assert row["status"].startswith("failed: ")
+    assert row["status"] == f"failed: {message}"
+
+
+def test_bench_tracer_counts_the_assembled_nonzeros(capsys, monkeypatch,
+                                                    tmp_path):
+    # the benchmark's traced mode reads `nnz` off every assembled sector
+    # matrix; run it as the benchmark does and count the same in-process
+    argv = ["gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:6"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PVBS_CACHE_DIR", None)
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, os.path.join(os.path.dirname(src), "bench",
+                                      "tracer.py"), str(spans), "--", *argv],
+        env=env, capture_output=True, text=True)
+    assert traced.returncode == 0, traced.stderr
+    nnz = []
+    assemble = operators.assemble_sector_hamiltonian
+
+    def spy(*args):
+        h = assemble(*args)
+        nnz.append(h.nnz)
+        return h
+
+    monkeypatch.setattr(operators, "assemble_sector_hamiltonian", spy)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert traced.stdout == out
+    counts = json.loads(spans.read_text())["counts"]
+    assert counts["operators.nnz"] == sum(nnz) == 1905
 
 
 def test_info(capsys):

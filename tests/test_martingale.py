@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvbs import ComputeError, InputError, cli, martingale, spectra
+from pvbs import ComputeError, InputError, cli, fock, martingale, spectra
 from pvbs.lattice import Volume, VolumeFamilySpec, build_box
 from pvbs.model import Params, select_tilt
 
@@ -100,6 +100,17 @@ def test_compute_gamma_ell_numeric_and_symbolic():
     sym = martingale.compute_gamma_ell(select_tilt(p2), 7)
     assert isinstance(sym, martingale.Symbolic)
     assert sym.blocking_dimension > martingale.DEFAULT_GAMMA_BUDGET
+
+
+def test_largest_seed_sector_is_the_most_even_split():
+    # with no budget, the Symbolic marker carries the largest sector
+    # dimension of the ell-site seed chain
+    t = tilt10()
+    for n in range(1, 61):
+        worst = max(fock.sector_dimension(n, na, nb)
+                    for na in range(n + 1) for nb in range(n + 1 - na))
+        sym = martingale.compute_gamma_ell(t, n, budget=0)
+        assert sym.blocking_dimension == worst, n
 
 
 def test_certify_d1_frozen_values():

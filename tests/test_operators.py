@@ -94,6 +94,35 @@ def test_sector_pattern_reused_across_parameters(data):
                 1.0, np.abs(ref).max())
 
 
+@given(strategies.volumes_and_params())
+@settings(max_examples=40, deadline=None)
+def test_sector_pattern_is_laid_out_edge_by_edge(vp):
+    # slot 1 + e of row s is edge e's exchange: the state with the end
+    # digits swapped, or s itself (padding) when they are equal
+    v, p = vp
+    n = len(v)
+    vol_edges = edges(v)
+    weights = operators.edge_weights(p)
+    for na in range(n + 1):
+        for nb in range(n + 1 - na):
+            b = fock.enumerate_sector(v, na, nb)
+            pattern = operators.sector_pattern(b)
+            assert pattern.cols.shape == (1 + len(vol_edges), b.dim)
+            row_of = {int(code): s for s, code in enumerate(b.states)}
+            for e, edge in enumerate(vol_edges):
+                i, j = v.sites.index(edge.base), v.sites.index(edge.head)
+                for s, code in enumerate(b.states):
+                    digits = list(oracles.decode(int(code), n))
+                    digits[i], digits[j] = digits[j], digits[i]
+                    assert pattern.cols[1 + e, s] == \
+                        row_of[oracles.encode(digits)]
+            # nnz, the count the benchmark reads, leaves out the padding
+            h = operators.assemble_sector_hamiltonian(pattern, weights)
+            off = h.toarray()
+            np.fill_diagonal(off, 0.0)
+            assert h.nnz == b.dim + np.count_nonzero(off)
+
+
 def _full_hamiltonian(v, p):
     """H^v on all 3^n states, one embedded edge block per edge."""
     la, lb = p.floats("a"), p.floats("b")

@@ -123,6 +123,11 @@ def parse_volume(text: str) -> Volume:
     dims = parse_ints(l_txt.replace("x", ","))
     if not dims:
         raise InputError(f"volume spec {text!r} has no extents")
+    # sector enumeration refuses a volume over the site limit, so refuse
+    # it before building its sites; a non-positive extent is left to the
+    # builders, whose message names it
+    sites = math.prod(max(n, 0) for n in dims)
+    fock.check_site_count(2 * sites if kind == "case2" else sites)
     if kind == "box":
         return build_box(dims, label=text)
     build = build_tilted_case1 if kind == "case1" else build_tilted_case2
@@ -307,6 +312,7 @@ def cmd_scaling(args) -> dict:
 
 def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
     p = Params((point["lambda_a"],), lambda_b)
+    fock.check_site_count(point["L"])
     vol = build_box((point["L"],))
     rep = spectra.total_gap(vol, p, patterns=patterns)
     return {**point, "gap": rep.gap,

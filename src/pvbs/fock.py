@@ -30,6 +30,13 @@ def sector_dimension(n: int, n_a: int, n_b: int) -> int:
     return math.comb(n, n_a) * math.comb(n - n_a, n_b)
 
 
+def check_site_count(n: int) -> None:
+    """InputError unless configurations of n sites fit base-3 codes."""
+    if n > MAX_SITES:
+        raise InputError(f"base-3 codes of {n} sites overflow int64 "
+                         f"(at most {MAX_SITES} sites)")
+
+
 def digits(codes, positions):
     """Yield the digit array of `codes` at each site position in turn.
 
@@ -84,9 +91,7 @@ def enumerate_sector(v: Volume, n_a: int, n_b: int) -> SectorBasis:
     hold species b."""
     n = len(v)
     dim = sector_dimension(n, n_a, n_b)
-    if n > MAX_SITES:
-        raise InputError(f"base-3 codes of {n} sites overflow int64 "
-                         f"(at most {MAX_SITES} sites)")
+    check_site_count(n)
     if dim > DEFAULT_SECTOR_CAP:
         raise InputError(f"sector ({n_a}, {n_b}) on {n} sites has dimension "
                          f"{dim} > cap {DEFAULT_SECTOR_CAP}")

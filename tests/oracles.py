@@ -9,6 +9,8 @@ import math
 import numpy as np
 
 from pvbs import InputError
+from pvbs.lattice import edges
+from pvbs.martingale import sweep_family
 
 
 def encode(symbols) -> int:
@@ -69,3 +71,32 @@ def splitmix64(seed: int, count: int) -> list[int]:
         z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
         out.append(z ^ z >> 31)
     return out
+
+
+def slab_membership_count(t, j: int, ell: int) -> int:
+    """The most width-ell slabs Lambda_n \\ Lambda_(n - ell),
+    ell <= n <= 2 ell, that one edge of member 2 ell of the direction-j
+    sweep family lies in, counted member by member. Scalar reference for
+    `martingale.verify_condition_i`; the members read only `t.case`,
+    `t.v` and `t.dim`."""
+    big = 2 * ell
+    family = sweep_family(t, j, ell, big)
+    full = family.member(big)
+    counts = {e: 0 for e in edges(full)}
+    for n in range(ell, big + 1):
+        outer_sites = set(family.member(n).sites)
+        inner_sites = set(family.member(n - ell).sites)
+        slab_sites = outer_sites - inner_sites
+        for e in counts:
+            if e.base in slab_sites and e.head in slab_sites:
+                counts[e] += 1
+    return max(counts.values()) if counts else 0
+
+
+def one_particle_gap(p, species: str, dims) -> float:
+    """Lowest excitation of one particle of `species` on the box `dims`:
+    min_j [1 - 2 lambda_j cos(pi / L_j) / (1 + lambda_j^2)]. The sector
+    Hamiltonian is a sum over directions of tridiagonal hops, each with
+    a zero ground energy, so its gap is the least one-direction gap."""
+    return min(1.0 - 2.0 * lam * math.cos(math.pi / n) / (1.0 + lam * lam)
+               for lam, n in zip(p.floats(species), dims))

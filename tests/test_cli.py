@@ -397,6 +397,29 @@ def test_certify_d3_leaves_the_seed_symbolic(capsys):
     assert f"(dimension {worst})" in rec["notes"][0]
 
 
+@pytest.mark.parametrize("la,lb,case", [
+    ("2,3,4,5", "1/2,1/2,1/2,1/2", 1),
+    ("2,1,1", "1,3,1", 2),
+    ("2,1,1,1", "1,3,1,1", 2),
+])
+def test_certify_d3_and_d4_end_to_end(capsys, la, lb, case):
+    # condition (i) in closed form: a Case-1 tilt with a zero tilt
+    # integer, or a Case-2 tilt, puts some edge in ell slabs in every
+    # direction
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", la,
+                           "--lambda-b", lb)
+    assert code == 0
+    rec = json.loads(out)
+    d, ell = len(la.split(",")), rec["ell"]
+    assert rec["tilt"]["case"] == case
+    cond_i = [c for c in rec["conditions"] if c["condition"] == "i"]
+    assert [c["inputs"]["j"] for c in cond_i] == list(range(d))
+    assert all(c["measured"] == c["bound"] == ell for c in cond_i)
+    assert all(c["pass"] for c in rec["conditions"])
+    if d == 4 and case == 1:
+        assert rec["notes"][0].endswith("(dimension 10^4767.1)")
+
+
 def test_certify_notes_a_huge_seed_dimension_as_a_power_of_ten(
         capsys, monkeypatch):
     # 10^5000 has more digits than Python converts an int to text
@@ -602,6 +625,51 @@ def test_sweep_failed_point_is_a_row(capsys):
         assert row["gap"] is None
         assert row["status"].startswith("failed: ")
     assert rows[2]["status"] == "ok"
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("volume built")
+
+    for name in ("build_box", "build_tilted_case1", "build_tilted_case2"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("la,lb,spec,sites", [
+    ("2", "1/2", "box:99999999999", 99999999999),
+    ("2", "1/2", "box:40", 40),
+    ("2,3", "1/2,1/2", "box:7x6", 42),
+    ("2,3", "1/2,1/2", "case1:1@5x8", 40),
+    ("2,3", "1/2,1/2", "case2:@4x5", 40),
+    # disconnected: its columns are 5 apart
+    ("2,3", "1/2,1/2", "case1:5@2x20", 40),
+])
+def test_gap_refuses_an_oversized_volume_before_building_it(
+        capsys, monkeypatch, la, lb, spec, sites):
+    _refuse_to_build(monkeypatch)
+    code, out, err = run_cli(capsys, "gap", "--lambda-a", la,
+                             "--lambda-b", lb, "--volume", spec)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: base-3 codes of {sites} sites overflow int64 "
+                   f"(at most 39 sites)\n")
+
+
+def test_sweep_refuses_an_oversized_chain_before_building_it(
+        capsys, monkeypatch):
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    _refuse_to_build(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
+                           "1/2", "--sizes", "100000000,40",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["L"], r["gap"], r["status"]) for r in rows] == [
+        (40, None, "failed: base-3 codes of 40 sites overflow int64 "
+                   "(at most 39 sites)"),
+        (100000000, None, "failed: base-3 codes of 100000000 sites "
+                          "overflow int64 (at most 39 sites)"),
+    ]
 
 
 def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):

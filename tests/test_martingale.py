@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from pvbs import ComputeError, InputError, cli, fock, martingale, spectra
 from pvbs.lattice import Volume, VolumeFamilySpec, build_box
 from pvbs.model import Params, select_tilt
+
+import oracles
 
 P10 = Params(("10",), ("1/10",))
 
@@ -35,6 +39,41 @@ def test_condition_i_perpendicular_edges_hit_ell():
     rep = martingale.verify_condition_i(t, 0, ell)
     assert rep.measured == float(ell)
     assert rep.passed
+
+
+def _stand_in_tilts():
+    """Tilts of both cases in d = 1..3 with every tilt integer in 0..3;
+    the sweep family reads only case, v and dim."""
+    for d in (1, 2, 3):
+        for case in (1, 2):
+            free = d - case
+            if free < 0:
+                continue
+            for v in itertools.product(range(4), repeat=free):
+                yield SimpleNamespace(case=case, v=v, dim=d)
+
+
+@pytest.mark.parametrize("t", list(_stand_in_tilts()),
+                         ids=lambda t: f"case{t.case}-v{t.v}-d{t.dim}")
+def test_condition_i_closed_form_matches_the_lattice_count(t):
+    for j in range(t.dim):
+        for ell in range(1, 6):
+            rep = martingale.verify_condition_i(t, j, ell)
+            count = oracles.slab_membership_count(t, j, ell)
+            assert rep.measured == count, (j, ell)
+            assert rep.inputs == {"j": j, "ell": ell, "L": 2 * ell}
+            assert rep.bound == float(ell)
+
+
+def test_condition_i_builds_no_volume(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition (i) built a volume")
+
+    t = select_tilt(Params(("2", "3", "4", "5"), ("1/2",) * 4))
+    monkeypatch.setattr(VolumeFamilySpec, "member", refuse)
+    monkeypatch.setattr(Volume, "__post_init__", refuse)
+    for j in range(4):
+        assert martingale.verify_condition_i(t, j, 10).passed
 
 
 def test_condition_iii_measured_below_bound():
@@ -133,6 +172,17 @@ def test_certify_lower_bound_consistency_small():
     cert = martingale.certify(P10)
     g8 = spectra.total_gap(build_box((8,)), P10).gap
     assert cert.final_bound <= g8
+
+
+@pytest.mark.parametrize("la,lb", [("10", "1/10"), ("4", "1/4")])
+def test_certify_d1_lies_below_the_one_particle_limit(la, lb):
+    # min (1 - lambda)^2 / (1 + lambda^2) over species and directions is
+    # the L -> infinity limit of `oracles.one_particle_gap`, which bounds
+    # the gap of every chain from above
+    p = Params((la,), (lb,))
+    limit = min((1.0 - lam) ** 2 / (1.0 + lam * lam)
+                for s in "ab" for lam in p.floats(s))
+    assert 0 < martingale.certify(p).final_bound < limit
 
 
 def test_certify_d2_symbolic():

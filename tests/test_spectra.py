@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from pvbs import ComputeError, InputError, analytic, fock, operators, spectra
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
-from oracles import splitmix64
+from oracles import one_particle_gap, splitmix64
 from strategies import volumes_and_params
 
 P_CHAIN = Params(("2",), ("1/2",))
@@ -268,6 +268,26 @@ def test_total_gap_matches_bruteforce():
     rep = spectra.total_gap(v, p)
     assert kernel == 4 == rep.kernel_total
     assert rep.gap == pytest.approx(oracle_gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("la,lb,dims", [
+    *((la, lb, (n,)) for la, lb in [(("2",), ("1/2",)),
+                                    (("10",), ("1/10",)),
+                                    (("2",), ("3",))]
+      for n in (6, 9, 11)),
+    (("2", "3"), ("1/2", "1/2"), (3, 3)),
+    (("2", "3"), ("1/2", "1/2"), (3, 4)),
+])
+def test_one_particle_sectors_match_the_closed_form(la, lb, dims):
+    # the cap skips every sector larger than the one-particle ones
+    p = Params(la, lb)
+    vol = build_box(dims)
+    rep = spectra.total_gap(vol, p, sector_cap=len(vol))
+    records = {(r.n_a, r.n_b): r for r in rep.sectors}
+    assert records[1, 0].lowest_excited == pytest.approx(
+        one_particle_gap(p, "a", dims), abs=1e-13)
+    assert records[0, 1].lowest_excited == pytest.approx(
+        one_particle_gap(p, "b", dims), abs=1e-13)
 
 
 def test_total_gap_tilted_volume():

@@ -1,8 +1,9 @@
 """Closed-form engine: ground-state vectors, normalization constants,
-trial-state energies, and the bound evaluators behind the gap certifier.
+and the bound evaluators behind the gap certifier.
 
-All normalization sums factor out the largest exponent before summing, so
-they survive the dynamic range of lambda^(2x) on big tilted volumes.
+Normalization sums are products of geometric sums, each factored by its
+largest term, so they survive the dynamic range of lambda^(2x) on big
+tilted volumes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ComputeError, InputError, fock
-from .lattice import Volume, VolumeFamilySpec, boundary_edges, is_connected
+from .lattice import Volume, VolumeFamilySpec, is_connected
 from .model import Params, TiltScheme, c_tilde, projection_bound
 
 
@@ -23,17 +24,6 @@ GROUND_SECTORS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 def _log_power(lam: tuple[float, ...], x) -> float:
     return sum(xj * math.log(lj) for xj, lj in zip(x, lam))
-
-
-def _stable_sum_exp(exponents) -> float:
-    """sum of exp(e) over exponents, factored by the maximum."""
-    exponents = list(exponents)
-    if not exponents:
-        return 0.0
-    m = max(exponents)
-    return _in_double_range(
-        lambda: math.exp(m) * sum(math.exp(e - m) for e in exponents),
-        "normalization sum")
 
 
 def _in_double_range(compute, what: str) -> float:
@@ -61,20 +51,6 @@ class NormalizationSet:
 
 def _norm_from_parts(c_a: float, c_b: float, d_diag: float) -> NormalizationSet:
     return NormalizationSet(c_a, c_b, d_diag, c_a * c_b - d_diag)
-
-
-def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
-    """C(v, s) and D(v) by direct summation over sites."""
-    if len(v) < 1:
-        raise InputError("normalization of the empty volume is undefined")
-    la = p.floats("a")
-    lb = p.floats("b")
-    ea = [2.0 * _log_power(la, x) for x in v.sites]
-    eb = [2.0 * _log_power(lb, x) for x in v.sites]
-    c_a = _stable_sum_exp(ea)
-    c_b = _stable_sum_exp(eb)
-    d = _stable_sum_exp([x + y for x, y in zip(ea, eb)])
-    return _norm_from_parts(c_a, c_b, d)
 
 
 def geometric_sum(ratio: float, lo: int, hi: int) -> float:
@@ -106,8 +82,8 @@ def normalization_closed_form(family: VolumeFamilySpec, lo: int,
     Lambda_hi \\ Lambda_lo of `family`, for 0 <= lo <= hi.
 
     The sweep-direction factor runs lo..hi-1; all others run over the
-    full extent. Agrees with normalization_direct on the slab volume, in
-    the tilt's parameters `family.tilt.params`.
+    full extent. Agrees with the direct sum over the sites of the slab
+    volume, in the tilt's parameters `family.tilt.params`.
     """
     t = family.tilt
     ta = [float(x) for x in t.lambda_tilde_a]
@@ -141,31 +117,6 @@ def ground_state_vector(v: Volume, p: Params,
     log_amp -= log_amp.max()
     vec = np.exp(log_amp)
     return vec / np.linalg.norm(vec)
-
-
-def trial_state_energy(inner: Volume, ambient: Volume, p: Params,
-                       species: str) -> float:
-    """Closed-form Rayleigh quotient of Psi_s^inner (x) vacuum in H^ambient.
-
-    Only edges crossing the inner boundary contribute; each edge with the
-    particle at x costs lambda^(2x) times the local projector weight.
-    """
-    if not inner.issubset(ambient) or len(inner) == len(ambient):
-        raise InputError("inner must be strictly contained in ambient")
-    if not is_connected(inner):
-        raise InputError("inner volume must be connected")
-    lam = p.floats(species)
-    c = normalization_direct(inner, p).c(species)
-    total = 0.0
-    for e in boundary_edges(inner, ambient):
-        j = e.direction
-        w = lam[j] ** 2
-        if e.base in inner:
-            # particle at e.base, hopping weight lambda^2/(1+lambda^2)
-            total += math.exp(2.0 * _log_power(lam, e.base)) * w / (1.0 + w)
-        else:
-            total += math.exp(2.0 * _log_power(lam, e.head)) / (1.0 + w)
-    return total / c
 
 
 # --- lemma evaluators -----------------------------------------------------

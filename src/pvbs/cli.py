@@ -28,7 +28,7 @@ import numpy
 from . import (ComputeError, InputError, __version__, analytic, fock,
                martingale, model, spectra)
 from .lattice import (Volume, VolumeFamilySpec, build_box, build_tilted_case1,
-                      build_tilted_case2)
+                      build_tilted_case2, site_count)
 from .model import Params
 
 
@@ -126,8 +126,7 @@ def parse_volume(text: str) -> Volume:
     # sector enumeration refuses a volume over the site limit, so refuse
     # it before building its sites; a non-positive extent is left to the
     # builders, whose message names it
-    sites = math.prod(max(n, 0) for n in dims)
-    fock.check_site_count(2 * sites if kind == "case2" else sites)
+    fock.check_site_count(site_count(2 if kind == "case2" else 1, dims))
     if kind == "box":
         return build_box(dims, label=text)
     build = build_tilted_case1 if kind == "case1" else build_tilted_case2
@@ -304,8 +303,11 @@ def cmd_verify_projection(args) -> dict:
 
 def cmd_scaling(args) -> dict:
     p = _params(args)
-    pts = spectra.gapless_scaling(p, _listed(parse_ints(args.sizes),
-                                             "--sizes"))
+    sizes = _listed(parse_ints(args.sizes), "--sizes")
+    if any(s > 0 and p.dim / s < sys.float_info.min for s in sizes):
+        raise InputError("--sizes entries must keep the trial energy "
+                         "d/size inside double range")
+    pts = spectra.gapless_scaling(p, sizes)
     return {"columns": ["size", "sites", "trial_energy", "numeric_gap"],
             "rows": [pt.to_json() for pt in pts]}
 

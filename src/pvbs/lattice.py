@@ -6,6 +6,7 @@ derived object (edges, bases, serializations) is deterministic.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -56,15 +57,8 @@ class Volume:
     def __contains__(self, site: Site) -> bool:
         return site in self._site_set
 
-    def issubset(self, other: "Volume") -> bool:
-        return self._site_set <= other._site_set
-
     def difference(self, other: "Volume", label: str = "") -> "Volume":
         return Volume(self.dim, tuple(self._site_set - other._site_set), label)
-
-    def translate(self, offset: Site) -> "Volume":
-        moved = tuple(tuple(x + o for x, o in zip(s, offset)) for s in self.sites)
-        return Volume(self.dim, moved, self.label)
 
 
 def build_box(dims: tuple[int, ...], label: str = "") -> Volume:
@@ -108,17 +102,6 @@ def is_connected(v: Volume) -> bool:
                     seen.add(nb)
                     queue.append(nb)
     return len(seen) == len(v)
-
-
-def boundary_edges(inner: Volume, ambient: Volume) -> list[Edge]:
-    """Edges of ambient with exactly one endpoint in inner."""
-    if not inner.issubset(ambient):
-        raise InputError("inner volume is not a subset of the ambient volume")
-    return [
-        e
-        for e in edges(ambient)
-        if (e.base in inner) != (e.head in inner)
-    ]
 
 
 # --- tilted constructions -------------------------------------------------
@@ -187,6 +170,16 @@ def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
     return Volume(d, tuple(sites), label)
 
 
+def site_count(case: int, extents: tuple[int, ...]) -> int:
+    """The number of sites of the box or Case-1 volume (case 1) or the
+    Case-2 volume (case 2) with these extents, without building it:
+    prod(extents) in Case 1, where each tail and each v.x gives one site,
+    and twice that in Case 2, where each tail has 2 L_1 x 2 L_2 pairs
+    (s, t) of which the half with s + t even are sites. An extent below 1
+    counts as 0."""
+    return (2 if case == 2 else 1) * math.prod(max(n, 0) for n in extents)
+
+
 @dataclass(frozen=True)
 class VolumeFamilySpec:
     """Sweep family Lambda^(j)_n of Nachtergaele's martingale method: the
@@ -206,13 +199,21 @@ class VolumeFamilySpec:
         if not 0 <= self.sweep < len(self.extents):
             raise InputError("sweep direction out of range")
 
-    def member(self, n: int) -> Volume:
-        """The family volume with the sweep extent set to n (empty when n=0)."""
+    def _extents(self, n: int) -> tuple[int, ...]:
         ext = list(self.extents)
         ext[self.sweep] = n
+        return tuple(ext)
+
+    def member(self, n: int) -> Volume:
+        """The family volume with the sweep extent set to n (empty when n=0)."""
+        ext = self._extents(n)
         if n == 0:
             return Volume(len(ext), (), "empty")
         t = self.tilt
         if t.case == 1:
-            return build_tilted_case1(t.v, tuple(ext))
-        return build_tilted_case2(t.v, tuple(ext))
+            return build_tilted_case1(t.v, ext)
+        return build_tilted_case2(t.v, ext)
+
+    def member_sites(self, n: int) -> int:
+        """len(self.member(n)), without building it."""
+        return site_count(self.tilt.case, self._extents(n))

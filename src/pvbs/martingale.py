@@ -120,11 +120,16 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
     sectors with N_a, N_b <= 2 then carry the norm, and in each
     E_n = Q Q^T for an orthonormal Q built from analytic ground vectors
     (see `operators.projection_product_norm`). No 3^N vector is formed;
-    the only size limit is fock's 39 sites for base-3 codes.
+    the only size limit is fock's 39 sites for base-3 codes, checked
+    before any member is built.
     """
     j = family.sweep
     # first, so that an ell failing the bound's hypothesis costs nothing
     bound = analytic.lemma1_bound(family.tilt, ell, j)
+    # fock meets the inner volume first and then the ambient one; the
+    # slab, ell / n of the inner volume's sites, is never the first over
+    for m in (n, n + 1):
+        fock.check_site_count(family.member_sites(m))
     ambient = family.member(n + 1)
     inner = family.member(n)
     slab_vol = ambient.difference(family.member(n + 1 - ell), label="slab")
@@ -141,8 +146,8 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
                       budget: int = DEFAULT_GAMMA_BUDGET):
     """Seed gap on the all-ell volume, or a Symbolic marker when the
     largest particle sector is out of budget."""
-    vol = sweep_family(t, 0, ell, ell).member(ell)
-    n_sites = len(vol)
+    family = sweep_family(t, 0, ell, ell)
+    n_sites = family.member_sites(ell)
     # the multinomial n! / (n_a! n_b! n_0!) is largest at the most even
     # split of the sites between a, b and empty
     worst = fock.sector_dimension(n_sites, (n_sites + 2) // 3,
@@ -150,7 +155,7 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     if worst > budget:
         return Symbolic("largest particle sector exceeds the eigensolver "
                         "budget", worst)
-    return spectra.total_gap(vol, t.params, sector_cap=budget)
+    return spectra.total_gap(family.member(ell), t.params, sector_cap=budget)
 
 
 @dataclass
@@ -192,7 +197,7 @@ def _spot_checks(t: TiltScheme, ell: int, j: int):
     reports, notes = [], []
     family = sweep_family(t, j, ell, SPOT_LEAD)
     for n in range(ell, ell + SPOT_CHECKS):
-        sites = len(family.member(n + 1))
+        sites = family.member_sites(n + 1)
         if sites > fock.MAX_SITES:
             notes.append(
                 f"condition (iii) not numerically checkable in direction "

@@ -1,7 +1,8 @@
 """Scalar reference implementations that only the tests use.
 
 Each is the plain, slow definition of something the package computes in
-a vectorized or closed form, kept here to check it against.
+a vectorized or closed form, kept here to check it against; `translate`
+shifts the volumes that tests place off the origin.
 """
 
 import math
@@ -9,8 +10,11 @@ import math
 import numpy as np
 
 from pvbs import InputError
-from pvbs.lattice import edges
+from pvbs.analytic import (NormalizationSet, _in_double_range, _log_power,
+                           _norm_from_parts)
+from pvbs.lattice import Volume, edges
 from pvbs.martingale import sweep_family
+from pvbs.model import Params
 
 
 def encode(symbols) -> int:
@@ -35,9 +39,41 @@ def lambda_power(p, species: str, x) -> float:
                         for xj, lj in zip(x, p.floats(species))))
 
 
+def translate(v, offset) -> Volume:
+    """v moved by the vector `offset`."""
+    moved = tuple(tuple(x + o for x, o in zip(s, offset)) for s in v.sites)
+    return Volume(v.dim, moved, v.label)
+
+
+def _stable_sum_exp(exponents) -> float:
+    """sum of exp(e) over exponents, factored by the maximum."""
+    exponents = list(exponents)
+    if not exponents:
+        return 0.0
+    m = max(exponents)
+    return _in_double_range(
+        lambda: math.exp(m) * sum(math.exp(e - m) for e in exponents),
+        "normalization sum")
+
+
+def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
+    """C(v, s) and D(v) by direct summation over sites. Scalar reference
+    for `analytic.normalization_closed_form`."""
+    if len(v) < 1:
+        raise InputError("normalization of the empty volume is undefined")
+    la = p.floats("a")
+    lb = p.floats("b")
+    ea = [2.0 * _log_power(la, x) for x in v.sites]
+    eb = [2.0 * _log_power(lb, x) for x in v.sites]
+    c_a = _stable_sum_exp(ea)
+    c_b = _stable_sum_exp(eb)
+    d = _stable_sum_exp([x + y for x, y in zip(ea, eb)])
+    return _norm_from_parts(c_a, c_b, d)
+
+
 def boundary_sites(inner, ambient) -> list:
     """Sites of inner with at least one ambient neighbor outside inner."""
-    if not inner.issubset(ambient):
+    if not set(inner.sites) <= set(ambient.sites):
         raise InputError("inner volume is not a subset of the ambient volume")
     out = []
     for s in inner.sites:

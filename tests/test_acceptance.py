@@ -125,7 +125,7 @@ def test_c04_closed_form_normalizations():
         sl = fam.member(n).difference(fam.member(n - width))
         if len(sl) == 0:
             continue
-        nd = analytic.normalization_direct(sl, t.params)
+        nd = oracles.normalization_direct(sl, t.params)
         nc = analytic.normalization_closed_form(fam, n - width, n)
         for attr in ("c_a", "c_b", "d_diag", "c_ab"):
             x, y = getattr(nd, attr), getattr(nc, attr)
@@ -223,20 +223,19 @@ def test_c07_end_to_end_certificate_d1():
                    f"{ {L: round(g, 4) for L, g in gaps.items()} }")
 
 
-def test_c08_gapless_scaling():
+def test_c08_gapless_scaling(monkeypatch):
+    # exact gaps on the boxes of up to 8 sites only
+    monkeypatch.setattr(spectra, "SCALING_NUMERIC_CAP", 8)
     p = Params(("1",), ("2",))
-    exact = all(
-        analytic.trial_state_energy(
-            build_box((L,)), build_box((L + 2,)).translate((-1,)), p, "a")
-        == 1.0 / L
-        for L in range(2, 41))
-    gaps = [spectra.total_gap(build_box((L,)), p).gap for L in range(3, 9)]
+    pts = spectra.gapless_scaling(p, range(2, 41))
+    exact = all(pt.trial_energy == 1.0 / pt.size for pt in pts)
+    gaps = [pt.numeric_gap for pt in pts if 3 <= pt.size <= 8]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     bounded = True
-    for L in range(2, 41):
+    for pt in pts:
+        L, trial = pt.size, pt.trial_energy
         inner = build_box((L,))
-        ambient = build_box((L + 2,)).translate((-1,))
-        trial = analytic.trial_state_energy(inner, ambient, p, "a")
+        ambient = oracles.translate(build_box((L + 2,)), (-1,))
         c_boundary = sum(oracles.lambda_power(p, "a", x) ** 2
                          for x in oracles.boundary_sites(inner, ambient))
         c_inner = sum(oracles.lambda_power(p, "a", x) ** 2

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,9 @@ NAMED_IN_MESSAGE = {
      "--sizes", "3"): "--lambda-b lists no values",
     ("sweep", "--grid-a", "2", "--lambda-b", "1/2,1/2",
      "--sizes", "3"): "--lambda-b must list one value",
+    # 2 / 10^2500 underflows, and 10^5000 sites could not be printed
+    ("scaling", "--lambda-a", "1,1", "--lambda-b", "2,3",
+     "--sizes", "2," + "1" + "0" * 2500): "--sizes entries must keep",
 }
 
 
@@ -136,7 +140,6 @@ NAMED_IN_MESSAGE = {
     ("gap", "--lambda-a", "1e200", "--lambda-b", "1/2", "--volume", "box:4"),
     ("classify", "--lambda-a", "1e-400", "--lambda-b", "2"),
     # inside double range, but a normalization sum or c~^(3/2) is not
-    ("scaling", "--lambda-a", "1e154", "--lambda-b", "1", "--sizes", "2,3"),
     ("verify-lemmas", "--lambda-a", "1e154", "--lambda-b", "1/2",
      "--trials", "2"),
     ("certify", "--lambda-a", "1e-154", "--lambda-b", "1e154"),
@@ -543,12 +546,57 @@ def test_verify_projection(capsys):
     assert rec["condition_i"]["pass"] and rec["condition_iii"]["pass"]
 
 
+def test_verify_projection_refuses_large_n_unbuilt(capsys, monkeypatch):
+    def member(self, n):
+        raise AssertionError(f"member {n} built")
+
+    monkeypatch.setattr(martingale.VolumeFamilySpec, "member", member)
+    code, out, err = run_cli(capsys, "verify-projection", "--lambda-a", "10",
+                             "--lambda-b", "1/10", "--ell", "7",
+                             "--n", "200000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: base-3 codes of 200000 sites overflow int64 "
+                   "(at most 39 sites)\n")
+
+
 def test_scaling(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--lambda-a", "1",
                            "--lambda-b", "2", "--sizes", "2,3,4")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["trial_energy"] for r in rows] == [0.5, 1 / 3, 0.25]
+
+
+def test_scaling_builds_no_large_box(capsys, monkeypatch):
+    # the trial energy d/size is closed form: only the boxes whose exact
+    # gap is attached are built
+    real = spectra.build_box
+
+    def small_box(dims, label=""):
+        assert math.prod(dims) <= spectra.SCALING_NUMERIC_CAP, dims
+        return real(dims, label)
+
+    monkeypatch.setattr(spectra, "build_box", small_box)
+    code, out, _ = run_cli(capsys, "scaling", "--lambda-a", "1,1,1",
+                           "--lambda-b", "2,3,1/2", "--sizes", "300")
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        {"size": 300, "sites": 27000000, "trial_energy": 0.01,
+         "numeric_gap": None}]
+
+
+def test_scaling_ignores_the_other_species(capsys):
+    # lambda_a = 1e154 overflows only the a normalization, which the
+    # trial energy of the flat species b never reads
+    code, out, _ = run_cli(capsys, "scaling", "--lambda-a", "1e154",
+                           "--lambda-b", "1", "--sizes", "2,3")
+    assert code == 0
+    assert out == (
+        '{"columns":["size","sites","trial_energy","numeric_gap"],"rows":['
+        '{"numeric_gap":1.0,"sites":2,"size":2,"trial_energy":0.5},'
+        '{"numeric_gap":0.49999999999999989,"sites":3,"size":3,'
+        '"trial_energy":0.33333333333333331}]}\n')
 
 
 def test_sweep_with_cache(capsys, tmp_path):

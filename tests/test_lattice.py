@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_sites
+from oracles import boundary_sites, translate
 from pvbs import InputError
-from pvbs.lattice import (Volume, VolumeFamilySpec, boundary_edges,
-                          build_box, build_tilted_case1,
-                          build_tilted_case2, edges, is_connected)
+from pvbs.lattice import (Volume, VolumeFamilySpec, build_box,
+                          build_tilted_case1, build_tilted_case2, edges,
+                          is_connected)
 
 
 class FakeTilt:
@@ -114,10 +114,10 @@ def test_connectivity():
 
 
 def test_boundary_sites():
-    inner = build_box((5,)).translate((0,))
-    ambient = build_box((7,)).translate((-1,))
+    inner = translate(build_box((5,)), (0,))
+    ambient = translate(build_box((7,)), (-1,))
     assert boundary_sites(inner, ambient) == [(0,), (4,)]
-    inner2 = build_box((2, 2)).translate((1, 1))
+    inner2 = translate(build_box((2, 2)), (1, 1))
     ambient2 = build_box((4, 4))
     assert len(boundary_sites(inner2, ambient2)) == 4
     assert boundary_sites(ambient2, ambient2) == []
@@ -125,19 +125,31 @@ def test_boundary_sites():
         boundary_sites(ambient2, inner2)
 
 
-def test_boundary_edges_one_endpoint_inside():
-    inner = build_box((2,))
-    ambient = build_box((4,))
-    be = boundary_edges(inner, ambient)
-    assert len(be) == 1 and be[0].base == (1,) and be[0].head == (2,)
-
-
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                 min_size=1, max_size=10, unique=True))
 @settings(max_examples=50, deadline=None)
 def test_translate_preserves_structure(sites):
     v = Volume(2, tuple(sites))
-    w = v.translate((5, -7))
+    w = translate(v, (5, -7))
     assert len(w) == len(v)
     assert len(edges(w)) == len(edges(v))
     assert is_connected(w) == is_connected(v)
+
+
+@st.composite
+def families(draw):
+    """A Case-1 (d <= 3) or Case-2 (2 <= d <= 3) sweep family with tilt
+    integers 0..3 and extents 1..3."""
+    case = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(case, 3))
+    v = tuple(draw(st.integers(0, 3)) for _ in range(d - case))
+    extents = tuple(draw(st.integers(1, 3)) for _ in range(d))
+    return VolumeFamilySpec(FakeTilt(case, v), extents,
+                            draw(st.integers(0, d - 1)))
+
+
+@given(families(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_member_sites_counts_the_built_member(family, n):
+    assert family.member_sites(n) == len(family.member(n))
+

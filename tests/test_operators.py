@@ -196,7 +196,7 @@ def test_en_projector_is_projector_and_nested():
 def test_operator_norm_matches_dense_svd():
     inner = build_box((2,))
     outer = build_box((4,))
-    mid = build_box((3,)).translate((1,))
+    mid = oracles.translate(build_box((3,)), (1,))
     got = operators.projection_product_norm(mid, inner, P_CHAIN)
     g = projector_oracle.ground_projector(mid, outer, P_CHAIN)
     e = projector_oracle.ground_projector(inner, outer, P_CHAIN) \
@@ -220,7 +220,7 @@ def test_ambient_site_limit():
 
 def test_disconnected_inner_rejected():
     bad = Volume(1, ((0,), (2,)))
-    slab = build_box((2,)).translate((1,))
+    slab = oracles.translate(build_box((2,)), (1,))
     with pytest.raises(ComputeError, match="connected"):
         operators.projection_product_norm(slab, bad, P_CHAIN)
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -89,6 +90,11 @@ def emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- parsing
 
+# what int() accepts in base 10, so that a failure to read it can only be
+# the interpreter's digit limit
+_INT_LITERAL = re.compile(r"\s*[-+]?\d+(_\d+)*\s*")
+
+
 def _listed(values: tuple, option: str) -> tuple:
     """values, or InputError naming the option that listed none."""
     if not values:
@@ -103,12 +109,24 @@ def parse_lambda(text: str, option: str) -> tuple[str, ...]:
                    option)
 
 
-def parse_ints(text: str) -> tuple[int, ...]:
-    """The comma-separated integers of `text`, skipping empty entries."""
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`, skipping empty entries;
+    InputError naming `what` and the entry at fault, also for an integer
+    written with more digits than int() reads (4300 by default)."""
+    entries = [s for s in text.split(",") if s.strip()]
+    values = []
+    for i, entry in enumerate(entries, 1):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            if not _INT_LITERAL.fullmatch(entry):
+                raise InputError(f"{what} entry {i} is not an integer: "
+                                 f"{entry.strip()[:20]!r}") from None
+            digits = sum(c.isdigit() for c in entry)
+            raise InputError(f"{what} entry {i} has {digits} digits, more "
+                             f"than the {sys.get_int_max_str_digits()} an "
+                             "integer may be written with") from None
+    return tuple(values)
 
 
 def parse_volume(text: str) -> Volume:
@@ -120,7 +138,7 @@ def parse_volume(text: str) -> Volume:
         v_txt, _, l_txt = rest.partition("@")
     else:
         raise InputError(f"unknown volume spec {text!r}")
-    dims = parse_ints(l_txt.replace("x", ","))
+    dims = parse_ints(l_txt.replace("x", ","), "--volume extents")
     if not dims:
         raise InputError(f"volume spec {text!r} has no extents")
     # sector enumeration refuses a volume over the site limit, so refuse
@@ -130,7 +148,7 @@ def parse_volume(text: str) -> Volume:
     if kind == "box":
         return build_box(dims, label=text)
     build = build_tilted_case1 if kind == "case1" else build_tilted_case2
-    return build(parse_ints(v_txt), dims, label=text)
+    return build(parse_ints(v_txt, "--volume vector"), dims, label=text)
 
 
 def _params(args) -> Params:
@@ -303,7 +321,7 @@ def cmd_verify_projection(args) -> dict:
 
 def cmd_scaling(args) -> dict:
     p = _params(args)
-    sizes = _listed(parse_ints(args.sizes), "--sizes")
+    sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
     if any(s > 0 and p.dim / s < sys.float_info.min for s in sizes):
         raise InputError("--sizes entries must keep the trial energy "
                          "d/size inside double range")
@@ -327,7 +345,7 @@ def cmd_sweep(args) -> dict:
     if len(lambda_b) != 1:
         raise InputError("--lambda-b must list one value: every sweep point "
                          "is a chain")
-    sizes = _listed(parse_ints(args.sizes), "--sizes")
+    sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
     rows = []

@@ -1,6 +1,7 @@
 """Spectral-gap computation on finite volumes.
 
-Dense diagonalization for sectors of at most DENSE_CAP (200) states, and
+Dense diagonalization for sectors of at most DENSE_CAP (64) states, the
+largest whose dense solve leaves OpenBLAS's second thread asleep, and
 above it a thick-restart Lanczos in numpy (K. Wu and H. Simon, SIAM J.
 Matrix Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by
 their residual. Every particle sector is solved the same way: its kernel
@@ -22,21 +23,31 @@ from . import ComputeError, InputError, analytic, fock, operators
 from .lattice import Volume, build_box, is_connected
 from .model import GapClass, Params, classify_zd
 
-# Dense/Lanczos crossover for the lowest eigenvalue of a d=1 sector,
-# measured on a 2-vCPU Xeon VM (median of 15 repeats, 3 at 2520 states;
-# dense includes the conversion to an array, Lanczos the residual check):
-#                 BLAS on 2 threads        BLAS on 1 thread
-#    dim   dense eigvalsh  Lanczos(k=1)  dense eigvalsh  Lanczos(k=1)
-#    120       0.7 ms         1.5 ms         0.9 ms         1.9 ms
-#    140       1.1 ms         1.3 ms         1.0 ms         1.1 ms
-#    168       1.7 ms         1.3 ms         1.5 ms         1.7 ms
-#    210       2.7 ms         1.3 ms         3.5 ms         2.0 ms
-#    252       4.2 ms         2.0 ms         4.1 ms         2.8 ms
-#    420      14.5 ms         2.0 ms        15.4 ms         3.2 ms
-#   2520      1232 ms         9.0 ms         2194 ms        10.6 ms
-# The two cross between 140 and 210 states, less than 0.5 ms apart, so
-# the cap stays at 200.
-DENSE_CAP = 200
+# Dense eigvalsh against Lanczos for the lowest eigenvalue of a d=1
+# sector, per call in ms, measured on a 2-vCPU Xeon VM with numpy's
+# OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels);
+# median of 4 runs, each a median of 15 repeats (3 at 2520 states); dense
+# includes the conversion to an array, Lanczos the residual check, and
+# CPU counts every thread of the process:
+#            BLAS on 2 threads                 BLAS on 1 thread
+#            dense          Lanczos(k=1)       dense          Lanczos(k=1)
+#    dim   wall    cpu     wall    cpu       wall    cpu     wall    cpu
+#     56   0.19    0.19    0.86    0.84      0.20    0.20    1.01    1.01
+#     70   0.33    0.61    1.05    1.06      0.32    0.32    0.92    0.92
+#     90   0.51    1.04    1.47    1.47      0.46    0.47    1.01    1.01
+#    120   0.88    1.73    1.23    1.23      0.63    0.63    0.93    0.93
+#    168   1.63    3.32    1.27    1.27      1.50    1.50    1.25    1.25
+#    210   2.80    5.60    1.80    1.80      2.77    2.77    1.45    1.45
+#    252   4.31    8.52    1.43    1.44      4.08    4.08    1.57    1.57
+#   2520   1105    2082    9.41    9.43      1899    1898    9.06    9.07
+# eigvalsh of an n x n matrix wakes OpenBLAS's second thread from n = 65
+# on (bisected on 56..72: 64 keeps cpu = wall, 65 to 72 all give
+# cpu/wall of about 2), which gains no wall time below 200 states and
+# then spins for about 135 ms of CPU after the call returns, so a sweep
+# that meets such a sector every few solves keeps a second core busy.
+# Lanczos's numpy calls at these sizes run on one thread. The cap is the
+# largest dense size that leaves the pool asleep.
+DENSE_CAP = 64
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
 LANCZOS_SEED = 0x5EED
@@ -136,7 +147,10 @@ def lowest_eigenvalues(h: operators.SectorMatrix, k: int = 1) -> np.ndarray:
     by `_lanczos`, whose Ritz pairs must have a residual ||Hx - theta x||
     of at most KERNEL_TOL_REL * max(1, ||H||), with ||H|| bounded by
     `h.norm`, or ComputeError is raised, as it is when Lanczos does not
-    converge.
+    converge. Lanczos from one start vector can miss the further copies
+    of a repeated eigenvalue, so on that path a kernel of two or more
+    vectors could be counted as one: there `total_gap`'s kernel count
+    rests on the analytic kernel, one vector in each ground sector.
     """
     dim = h.shape[0]
     if k < 1 or k > dim:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from pvbs import (ComputeError, cli, fock, martingale, model, operators,
@@ -117,6 +118,19 @@ NAMED_IN_MESSAGE = {
     # 2 / 10^2500 underflows, and 10^5000 sites could not be printed
     ("scaling", "--lambda-a", "1,1", "--lambda-b", "2,3",
      "--sizes", "2," + "1" + "0" * 2500): "--sizes entries must keep",
+    # int() reads at most 4300 digits; the interpreter limit stays
+    ("scaling", "--lambda-a", "1,1", "--lambda-b", "2,3",
+     "--sizes", "2," + "1" + "0" * 5000):
+        "--sizes entry 2 has 5001 digits, more than the 4300",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2",
+     "--sizes", "1" + "0" * 5000 + ",3"):
+        "--sizes entry 1 has 5001 digits, more than the 4300",
+    ("gap", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2",
+     "--volume", "box:3x1" + "0" * 5000):
+        "--volume extents entry 2 has 5001 digits, more than the 4300",
+    ("gap", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2",
+     "--volume", "case1:1,z@3x3"): "--volume vector entry 2 is not an "
+                                   "integer: 'z'",
 }
 
 
@@ -802,11 +816,40 @@ def test_bench_tracer_counts_the_assembled_nonzeros(capsys, monkeypatch,
     assert counts["operators.nnz"] == sum(nnz) == 1905
 
 
+def test_dense_solves_stay_within_the_cap(capsys, monkeypatch):
+    """No matrix over DENSE_CAP reaches dense eigvalsh on the benchmark's
+    gap, certify and sweep inputs. Above 64 states OpenBLAS's eigvalsh
+    wakes its second thread, which gains no wall time at these sizes and
+    then spins (see the table in spectra)."""
+    assert spectra.DENSE_CAP == 64
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    real = np.linalg.eigvalsh
+    sizes = []
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for argv in (
+            ("gap", "--lambda-a", "2", "--lambda-b", "1/2",
+             "--volume", "box:10"),
+            ("gap", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2",
+             "--volume", "box:3x3"),
+            ("certify", "--lambda-a", "4", "--lambda-b", "1/4"),
+            ("sweep", "--grid-a", "3/2,2,10", "--lambda-b", "1/2",
+             "--sizes", "4,5,6,7,8")):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert sizes
+    assert max(sizes) <= spectra.DENSE_CAP
+
+
 def test_info(capsys):
     code, out, _ = run_cli(capsys, "info")
     rec = json.loads(out)
     assert code == 0
-    assert rec["dense_cap"] == 200
+    assert rec["dense_cap"] == 64
     assert rec["eta"] == 0.05
     assert rec["lanczos_seed"] == 0x5EED
     for gone in ("power_iteration_tol", "action_cap_log3", "lanczos_ncv",

@@ -30,8 +30,8 @@ def test_dense_eigenvalues_sorted():
 def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
     # one sector just below DENSE_CAP (dense by default) and one just
     # above it (Lanczos by default), each solved by both branches
-    assert 168 <= spectra.DENSE_CAP < 210
-    for n, n_a, n_b, dim in ((8, 1, 2, 168), (7, 2, 2, 210)):
+    assert 56 <= spectra.DENSE_CAP < 70
+    for n, n_a, n_b, dim in ((8, 0, 3, 56), (8, 0, 4, 70)):
         v = build_box((n,))
         b = fock.enumerate_sector(v, n_a, n_b)
         h = operators.assemble_sector_hamiltonian(
@@ -54,7 +54,14 @@ def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
     (build_box((3, 3)), Params(("2", "3"), ("1/2", "1/3")), (1, 3)),
     (build_tilted_case1((1,), (3, 3)), Params(("2", "3"), ("1/2", "1/3")),
      (2, 1)),
-], ids=["d1", "d1-ground-sector", "d2", "tilted"])
+    # 65 to 200 states: a dense solve takes little wall time there, but it
+    # wakes OpenBLAS's second thread, so these go to Lanczos too
+    (build_box((8,)), P_CHAIN, (0, 4)),  # 70 states
+    (build_box((10,)), P_CHAIN, (1, 1)),  # a ground sector, 90 states
+    (build_box((8,)), P_CHAIN, (1, 2)),  # 168 states
+    (build_box((3, 3)), P2_SELF_DUAL, (0, 4)),  # 126 states
+], ids=["d1", "d1-ground-sector", "d2", "tilted", "d1-70", "d1-ground-90",
+        "d1-168", "d2-126"])
 def test_lanczos_matches_arpack_and_dense(volume, p, sector, k):
     """The default solve of a sector above DENSE_CAP, which is Lanczos,
     against dense eigvalsh and against scipy's ARPACK on the same matrix."""
@@ -115,7 +122,7 @@ def test_lanczos_residual_check(perturbed_lanczos, monkeypatch):
 def test_total_gap_lanczos_matches_dense(monkeypatch):
     """Every sector solved by Lanczos (for the kernel and the next
     eigenvalue where it bears a ground state) matches the default run,
-    whose sectors here are all dense."""
+    whose sectors here are all dense but (2,2), of 90 states."""
     # the ground sectors (1,0), (0,1) and (1,1) of 6 sites go to Lanczos
     # for two eigenvalues each, but where (1,0) is the mirror twin of
     # (0,1) it is not solved: on the self-dual boxes, and on the tilted

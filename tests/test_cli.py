@@ -820,8 +820,7 @@ def test_dense_solves_stay_within_the_cap(capsys, monkeypatch):
     """No matrix over DENSE_CAP reaches dense eigvalsh on the benchmark's
     gap, certify and sweep inputs. Above 64 states OpenBLAS's eigvalsh
     wakes its second thread, which gains no wall time at these sizes and
-    then spins (see the table in spectra)."""
-    assert spectra.DENSE_CAP == 64
+    then spins (see the table in spectra); test_info pins the cap."""
     monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     real = np.linalg.eigvalsh
     sizes = []

@@ -121,8 +121,8 @@ def test_lanczos_residual_check(perturbed_lanczos, monkeypatch):
 
 def test_total_gap_lanczos_matches_dense(monkeypatch):
     """Every sector solved by Lanczos (for the kernel and the next
-    eigenvalue where it bears a ground state) matches the default run,
-    whose sectors here are all dense but (2,2), of 90 states."""
+    eigenvalue where it bears a ground state) matches a run with every
+    sector dense."""
     # the ground sectors (1,0), (0,1) and (1,1) of 6 sites go to Lanczos
     # for two eigenvalues each, but where (1,0) is the mirror twin of
     # (0,1) it is not solved: on the self-dual boxes, and on the tilted
@@ -140,15 +140,17 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
         return real(h, k, scale)
 
     for v, p, ground_solves in cases:
-        default = spectra.total_gap(v, p)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "DENSE_CAP", 10**9)
+            dense = spectra.total_gap(v, p)
         ks.clear()
         with monkeypatch.context() as m:
             m.setattr(spectra, "_lanczos", counting)
             m.setattr(spectra, "DENSE_CAP", 0)
             lanczos = spectra.total_gap(v, p)
         assert ks.count(2) == ground_solves
-        assert lanczos.kernel_total == default.kernel_total == 4
-        for s, t in zip(default.sectors, lanczos.sectors):
+        assert lanczos.kernel_total == dense.kernel_total == 4
+        for s, t in zip(dense.sectors, lanczos.sectors):
             assert (s.n_a, s.n_b, s.kernel) == (t.n_a, t.n_b, t.kernel)
             if s.lowest_excited is None:
                 assert t.lowest_excited is None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ComputeError, InputError, fock
-from .lattice import Volume, VolumeFamilySpec, is_connected
+from .lattice import VolumeFamilySpec, is_connected
 from .model import Params, TiltScheme, c_tilde, projection_bound
 
 
@@ -97,10 +97,10 @@ def normalization_closed_form(family: VolumeFamilySpec, lo: int,
     return _norm_from_parts(c_a, c_b, d_diag)
 
 
-def ground_state_vector(v: Volume, p: Params,
-                        basis: fock.SectorBasis) -> np.ndarray:
+def ground_state_vector(p: Params, basis: fock.SectorBasis) -> np.ndarray:
     """Unit ground vector of the sector of `basis`, one of GROUND_SECTORS,
-    on a connected volume."""
+    on its volume, which must be connected."""
+    v = basis.volume
     if not is_connected(v):
         raise InputError("ground states are only defined on connected volumes")
     if (basis.n_a, basis.n_b) not in GROUND_SECTORS:

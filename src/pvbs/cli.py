@@ -22,6 +22,7 @@ import re
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy
@@ -146,9 +147,9 @@ def parse_volume(text: str) -> Volume:
     # builders, whose message names it
     fock.check_site_count(site_count(2 if kind == "case2" else 1, dims))
     if kind == "box":
-        return build_box(dims, label=text)
+        return build_box(dims)
     build = build_tilted_case1 if kind == "case1" else build_tilted_case2
-    return build(parse_ints(v_txt, "--volume vector"), dims, label=text)
+    return build(parse_ints(v_txt, "--volume vector"), dims)
 
 
 def _params(args) -> Params:
@@ -175,6 +176,13 @@ def _budget(args) -> int:
 
 def cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("PVBS_CACHE_DIR")
+
+
+def _unusable_cache(args, exc: OSError) -> str:
+    """The message naming what set the sweep cache directory and why the
+    operating system refused it."""
+    source = "--cache-dir" if args.cache_dir else "PVBS_CACHE_DIR"
+    return f"{source} is unusable as a sweep cache: {exc}"
 
 
 def cache_key(inputs: dict) -> str:
@@ -217,9 +225,10 @@ def cache_get(cdir: str | None, key: str | None, point: dict):
 
 
 def cache_put(cdir: str | None, key: str | None, record: dict) -> None:
+    """Write `record` under key in the existing directory cdir, through a
+    temporary file that is removed if the write fails."""
     if not cdir:
         return
-    os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -327,7 +336,7 @@ def cmd_scaling(args) -> dict:
                          "d/size inside double range")
     pts = spectra.gapless_scaling(p, sizes)
     return {"columns": ["size", "sites", "trial_energy", "numeric_gap"],
-            "rows": [pt.to_json() for pt in pts]}
+            "rows": [asdict(pt) for pt in pts]}
 
 
 def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
@@ -345,9 +354,19 @@ def cmd_sweep(args) -> dict:
     if len(lambda_b) != 1:
         raise InputError("--lambda-b must list one value: every sweep point "
                          "is a chain")
+    # Params' rules, applied once here rather than failing every row
+    try:
+        lambda_b = Params(lambda_b, lambda_b).lambda_b
+    except InputError as exc:
+        raise InputError(f"--lambda-b: {exc}") from None
     sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = cache_dir(args)
+    if cdir:
+        try:
+            os.makedirs(cdir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(_unusable_cache(args, exc)) from None
     rows = []
     hits = solves = 0
     # every point of one size has the same chain, so its sector patterns
@@ -366,7 +385,10 @@ def cmd_sweep(args) -> dict:
                 except (InputError, ComputeError) as exc:
                     row = {**point, "gap": None, "status": f"failed: {exc}"}
                 else:
-                    cache_put(cdir, key, row)
+                    try:
+                        cache_put(cdir, key, row)
+                    except OSError as exc:
+                        raise InputError(_unusable_cache(args, exc)) from None
                     solves += 1
             rows.append(row)
     rows.sort(key=lambda r: (r["lambda_a"], r["L"]))

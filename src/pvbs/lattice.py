@@ -7,7 +7,6 @@ derived object (edges, bases, serializations) is deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import InputError
@@ -23,25 +22,12 @@ def _check_dim(d: int) -> None:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Ordered nearest-neighbor pair (base, base + e_direction)."""
-
-    base: Site
-    direction: int  # 0-based coordinate index
-
-    @property
-    def head(self) -> Site:
-        x = list(self.base)
-        x[self.direction] += 1
-        return tuple(x)
-
-
-@dataclass(frozen=True)
 class Volume:
+    """Sites of Z^d in canonical order; site s is `sites[position[s]]`."""
+
     dim: int
     sites: tuple[Site, ...]
-    label: str = ""
-    _site_set: frozenset = field(init=False, repr=False, compare=False)
+    position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -49,19 +35,20 @@ class Volume:
         if len(ordered) != len(self.sites):
             raise InputError("duplicate sites in volume")
         object.__setattr__(self, "sites", ordered)
-        object.__setattr__(self, "_site_set", frozenset(ordered))
+        object.__setattr__(self, "position",
+                           {s: i for i, s in enumerate(ordered)})
 
     def __len__(self) -> int:
         return len(self.sites)
 
     def __contains__(self, site: Site) -> bool:
-        return site in self._site_set
+        return site in self.position
 
-    def difference(self, other: "Volume", label: str = "") -> "Volume":
-        return Volume(self.dim, tuple(self._site_set - other._site_set), label)
+    def difference(self, other: "Volume") -> "Volume":
+        return Volume(self.dim, tuple(self.position.keys() - other.position))
 
 
-def build_box(dims: tuple[int, ...], label: str = "") -> Volume:
+def build_box(dims: tuple[int, ...]) -> Volume:
     """Axis-aligned box {x : 0 <= x_j <= dims_j - 1}."""
     d = len(dims)
     _check_dim(d)
@@ -70,37 +57,34 @@ def build_box(dims: tuple[int, ...], label: str = "") -> Volume:
     sites = [()]
     for n in dims:
         sites = [s + (x,) for s in sites for x in range(n)]
-    return Volume(d, tuple(sites), label or "box:" + "x".join(map(str, dims)))
+    return Volume(d, tuple(sites))
 
 
-def edges(v: Volume) -> list[Edge]:
-    """All ordered nearest-neighbor pairs (x, x+e_j) inside v."""
+def edges(v: Volume) -> list[tuple[int, int, int]]:
+    """All nearest-neighbor pairs of v as position triples (i, k, j), ordered
+    by i and then j: v.sites[k] = v.sites[i] + e_j, j 0-based."""
     out = []
-    for s in v.sites:
+    for i, s in enumerate(v.sites):
         for j in range(v.dim):
-            head = list(s)
-            head[j] += 1
-            if tuple(head) in v:
-                out.append(Edge(s, j))
+            k = v.position.get(s[:j] + (s[j] + 1,) + s[j + 1:])
+            if k is not None:
+                out.append((i, k, j))
     return out
 
 
 def is_connected(v: Volume) -> bool:
-    """True iff the nearest-neighbor graph on v is connected (BFS)."""
+    """True iff the graph on v whose links are `edges(v)` is connected."""
     if len(v) <= 1:
         return True
-    seen = {v.sites[0]}
-    queue = deque([v.sites[0]])
-    while queue:
-        s = queue.popleft()
-        for j in range(v.dim):
-            for step in (1, -1):
-                nb = list(s)
-                nb[j] += step
-                nb = tuple(nb)
-                if nb in v and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
+    links = [[] for _ in v.sites]
+    for i, k, _ in edges(v):
+        links[i].append(k)
+        links[k].append(i)
+    seen, todo = {0}, [0]
+    while todo:
+        new = [k for k in links[todo.pop()] if k not in seen]
+        seen.update(new)
+        todo += new
     return len(seen) == len(v)
 
 
@@ -114,8 +98,7 @@ def is_connected(v: Volume) -> bool:
 # by 2, in integer arithmetic, to avoid boundary misclassification.
 
 
-def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...],
-                       label: str = "") -> Volume:
+def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...]) -> Volume:
     """Case-1 parallelepiped with tilt vector v = (1, *v_tail)."""
     d = len(L)
     _check_dim(d)
@@ -133,11 +116,10 @@ def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...],
         shift = sum(vt * x for vt, x in zip(v_tail, tail))
         for vx in range(L[0]):
             sites.append((vx - shift,) + tail)
-    return Volume(d, tuple(sites), label)
+    return Volume(d, tuple(sites))
 
 
-def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
-                       label: str = "") -> Volume:
+def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...]) -> Volume:
     """Case-2 diamond parallelepiped.
 
     Constraints (scaled by 2, all integer):
@@ -167,7 +149,7 @@ def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...],
                 x2 = (s + t) // 2
                 x1 = (s - t) // 2
                 sites.append((x1, x2) + tail)
-    return Volume(d, tuple(sites), label)
+    return Volume(d, tuple(sites))
 
 
 def site_count(case: int, extents: tuple[int, ...]) -> int:
@@ -208,7 +190,7 @@ class VolumeFamilySpec:
         """The family volume with the sweep extent set to n (empty when n=0)."""
         ext = self._extents(n)
         if n == 0:
-            return Volume(len(ext), (), "empty")
+            return Volume(len(ext), ())
         t = self.tilt
         if t.case == 1:
             return build_tilted_case1(t.v, ext)

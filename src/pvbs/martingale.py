@@ -132,7 +132,7 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
         fock.check_site_count(family.member_sites(m))
     ambient = family.member(n + 1)
     inner = family.member(n)
-    slab_vol = ambient.difference(family.member(n + 1 - ell), label="slab")
+    slab_vol = ambient.difference(family.member(n + 1 - ell))
     if set(slab_vol.sites + inner.sites) != set(ambient.sites):
         raise ComputeError("sweep slab and inner volume do not make up "
                            "the ambient volume")

@@ -101,21 +101,18 @@ def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
     """The `SectorPattern` of H on the volume and sector of `basis`. Each
     exchange is looked up once, from the state whose left end digit is
     the smaller, and its slot mirrored."""
-    v = basis.volume
-    site_pos = {s: i for i, s in enumerate(v.sites)}
     dim = basis.dim
-    vol_edges = edges(v)
+    vol_edges = edges(basis.volume)
     kinds = np.empty((len(vol_edges), dim), dtype=np.uint8)
     cols = np.tile(np.arange(dim), (1 + len(vol_edges), 1))
     nnz = dim
-    for e, edge in enumerate(vol_edges):
-        ends = (site_pos[edge.base], site_pos[edge.head])
-        dx, dy = fock.digits(basis.states, ends)
-        kinds[e] = 9 * edge.direction + 3 * dx + dy
+    for e, (i, k, j) in enumerate(vol_edges):
+        dx, dy = fock.digits(basis.states, (i, k))
+        kinds[e] = 9 * j + 3 * dx + dy
         low = np.flatnonzero(dx < dy)
         step = dy[low] - dx[low]
         high = basis.positions(basis.states[low]
-                               + fock.place((step, -step), ends))
+                               + fock.place((step, -step), (i, k)))
         cols[1 + e, low] = high
         cols[1 + e, high] = low
         nnz += 2 * len(low)
@@ -177,13 +174,12 @@ def _ground_vectors(v: Volume, p: Params) -> dict:
     out = {}
     for sector in analytic.GROUND_SECTORS:
         basis = fock.enumerate_sector(v, *sector)
-        out[sector] = basis, analytic.ground_state_vector(v, p, basis)
+        out[sector] = basis, analytic.ground_state_vector(p, basis)
     return out
 
 
-def _ground_columns(part: Volume, ground: dict, ambient: Volume,
-                    basis: fock.SectorBasis) -> tuple[np.ndarray,
-                                                      np.ndarray, int]:
+def _ground_columns(part: Volume, ground: dict, basis: fock.SectorBasis
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """Orthonormal columns psi_k (x) phi spanning range(G_part x 1) in the
     ambient sector of `basis`: psi_k runs over the ground vectors of part
     (`ground`, from `_ground_vectors`), phi over the configurations of the
@@ -192,10 +188,10 @@ def _ground_columns(part: Volume, ground: dict, ambient: Volume,
     one of the rest, so it lies in at most one column: the columns are
     returned row by row as (col, val, width), state s holding val[s] in
     column col[s], or nothing where col[s] is -1."""
-    at = {s: i for i, s in enumerate(ambient.sites)}
+    ambient = basis.volume
     rest = ambient.difference(part)
-    part_pos = [at[s] for s in part.sites]
-    rest_pos = [at[s] for s in rest.sites]
+    part_pos = [ambient.position[s] for s in part.sites]
+    rest_pos = [ambient.position[s] for s in rest.sites]
     col = np.full(basis.dim, -1)
     val = np.zeros(basis.dim)
     width = 0
@@ -245,17 +241,15 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
     for n_a in range(3):
         for n_b in range(min(3, len(ambient) + 1 - n_a)):
             basis = fock.enumerate_sector(ambient, n_a, n_b)
-            col_i, val_i, width_i = _ground_columns(inner, ground_inner,
-                                                    ambient, basis)
-            col_s, val_s, width_s = _ground_columns(slab, ground_slab,
-                                                    ambient, basis)
+            col_i, val_i, width_i = _ground_columns(inner, ground_inner, basis)
+            col_s, val_s, width_s = _ground_columns(slab, ground_slab, basis)
             both = (col_s >= 0) & (col_i >= 0)
             m = np.bincount(col_s[both] * width_i + col_i[both],
                             weights=val_s[both] * val_i[both],
                             minlength=width_s * width_i
                             ).reshape(width_s, width_i)
             if (n_a, n_b) in analytic.GROUND_SECTORS and m.size:
-                psi = analytic.ground_state_vector(ambient, p, basis)
+                psi = analytic.ground_state_vector(p, basis)
                 has = col_i >= 0
                 overlap = np.bincount(col_i[has],
                                       weights=val_i[has] * psi[has],

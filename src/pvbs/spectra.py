@@ -15,7 +15,7 @@ are solved, and each other one takes its twin's record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -176,11 +176,6 @@ class SectorRecord:
     lowest_excited: float | None
     skipped: bool = False
 
-    def to_json(self) -> dict:
-        return {"n_a": self.n_a, "n_b": self.n_b, "dim": self.dim,
-                "kernel": self.kernel, "lowest_excited": self.lowest_excited,
-                "skipped": self.skipped}
-
 
 @dataclass
 class SpectrumReport:
@@ -195,7 +190,7 @@ class SpectrumReport:
         null."""
         out = {"gap": self.gap, "kernel_total": self.kernel_total,
                "partial": self.partial,
-               "sectors": [s.to_json() for s in self.sectors]}
+               "sectors": [asdict(s) for s in self.sectors]}
         if self.partial:
             out["gap"] = None
             out["gap_upper_bound"] = self.gap
@@ -273,7 +268,7 @@ def total_gap(v: Volume, p: Params,
             kernel = 0
             if (n_a, n_b) in analytic.GROUND_SECTORS:
                 kernel = 1
-                psi = analytic.ground_state_vector(v, p, basis)
+                psi = analytic.ground_state_vector(p, basis)
                 resid = np.linalg.norm(h @ psi)
                 if resid > thresh:
                     raise ComputeError(
@@ -301,11 +296,6 @@ class ScalingPoint:
     sites: int
     trial_energy: float
     numeric_gap: float | None
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "sites": self.sites,
-                "trial_energy": self.trial_energy,
-                "numeric_gap": self.numeric_gap}
 
 
 def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:

@@ -6,6 +6,7 @@ shifts the volumes that tests place off the origin.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -42,7 +43,28 @@ def lambda_power(p, species: str, x) -> float:
 def translate(v, offset) -> Volume:
     """v moved by the vector `offset`."""
     moved = tuple(tuple(x + o for x, o in zip(s, offset)) for s in v.sites)
-    return Volume(v.dim, moved, v.label)
+    return Volume(v.dim, moved)
+
+
+def is_connected_bfs(v: Volume) -> bool:
+    """True iff the nearest-neighbor graph on v is connected (BFS over the
+    +-e_j neighbours of each site). Scalar reference for
+    `lattice.is_connected`."""
+    if len(v) <= 1:
+        return True
+    seen = {v.sites[0]}
+    queue = deque([v.sites[0]])
+    while queue:
+        s = queue.popleft()
+        for j in range(v.dim):
+            for step in (1, -1):
+                nb = list(s)
+                nb[j] += step
+                nb = tuple(nb)
+                if nb in v and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    return len(seen) == len(v)
 
 
 def _stable_sum_exp(exponents) -> float:
@@ -118,14 +140,14 @@ def slab_membership_count(t, j: int, ell: int) -> int:
     big = 2 * ell
     family = sweep_family(t, j, ell, big)
     full = family.member(big)
-    counts = {e: 0 for e in edges(full)}
+    counts = {(full.sites[i], full.sites[k]): 0 for i, k, _ in edges(full)}
     for n in range(ell, big + 1):
         outer_sites = set(family.member(n).sites)
         inner_sites = set(family.member(n - ell).sites)
         slab_sites = outer_sites - inner_sites
-        for e in counts:
-            if e.base in slab_sites and e.head in slab_sites:
-                counts[e] += 1
+        for base, head in counts:
+            if base in slab_sites and head in slab_sites:
+                counts[base, head] += 1
     return max(counts.values()) if counts else 0
 
 

@@ -25,7 +25,7 @@ def ground_projector(part, ambient, p) -> sp.csr_matrix:
     blocks = []
     for n_a, n_b in analytic.GROUND_SECTORS:
         own = fock.enumerate_sector(part, n_a, n_b)
-        psi = analytic.ground_state_vector(part, p, own)
+        psi = analytic.ground_state_vector(p, own)
         codes = np.add.outer(
             fock.place(fock.digits(own.states, range(len(part))), part_pos),
             rest)

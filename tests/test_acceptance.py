@@ -55,10 +55,10 @@ def test_c01_ground_space_dimension_is_four():
                     kernel += int(np.count_nonzero(
                         np.linalg.eigvalsh(h.toarray()) < thresh))
                     if (na, nb) in GROUND:
-                        psi = analytic.ground_state_vector(vol, p, basis)
+                        psi = analytic.ground_state_vector(p, basis)
                         worst_resid = max(worst_resid,
                                           float(np.linalg.norm(h @ psi)))
-            assert kernel == 4, (vol.label, p.to_json(), kernel)
+            assert kernel == 4, (vol.sites, p.to_json(), kernel)
     verdict(1, worst_resid <= TOL_RESIDUAL,
             f"kernel total 4 on 30 volume/parameter draws, "
             f"max ||H psi|| = {worst_resid:.2e} <= 1e-10")

@@ -92,11 +92,10 @@ def test_closed_form_matches_direct_randomized():
 def test_ground_state_vector_normalized_and_sector_checked():
     v = build_box((4,))
     b = fock.enumerate_sector(v, 1, 1)
-    psi = analytic.ground_state_vector(v, P_CHAIN, b)
+    psi = analytic.ground_state_vector(P_CHAIN, b)
     assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(InputError):
-        analytic.ground_state_vector(v, P_CHAIN,
-                                     fock.enumerate_sector(v, 2, 0))
+        analytic.ground_state_vector(P_CHAIN, fock.enumerate_sector(v, 2, 0))
 
 
 def test_ground_state_extreme_parameters_stable():
@@ -104,7 +103,7 @@ def test_ground_state_extreme_parameters_stable():
     v = build_box((9,))
     p = Params(("1000",), ("1/1000",))
     b = fock.enumerate_sector(v, 1, 0)
-    psi = analytic.ground_state_vector(v, p, b)
+    psi = analytic.ground_state_vector(p, b)
     assert np.isfinite(psi).all()
     assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
 

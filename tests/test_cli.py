@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -115,6 +116,15 @@ NAMED_IN_MESSAGE = {
      "--sizes", "3"): "--lambda-b lists no values",
     ("sweep", "--grid-a", "2", "--lambda-b", "1/2,1/2",
      "--sizes", "3"): "--lambda-b must list one value",
+    # every sweep point shares --lambda-b, so a bad one is no row's fault
+    ("sweep", "--grid-a", "2", "--lambda-b", "0", "--sizes", "3"):
+        "--lambda-b: parameters must be strictly positive",
+    ("sweep", "--grid-a", "2", "--lambda-b", "-1", "--sizes", "3"):
+        "--lambda-b: parameters must be strictly positive",
+    ("sweep", "--grid-a", "2", "--lambda-b", "abc", "--sizes", "3"):
+        "--lambda-b: cannot parse parameter 'abc'",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1e400", "--sizes", "3"):
+        "--lambda-b: parameter ~1e+400 is outside double range",
     # 2 / 10^2500 underflows, and 10^5000 sites could not be printed
     ("scaling", "--lambda-a", "1,1", "--lambda-b", "2,3",
      "--sizes", "2," + "1" + "0" * 2500): "--sizes entries must keep",
@@ -587,9 +597,9 @@ def test_scaling_builds_no_large_box(capsys, monkeypatch):
     # gap is attached are built
     real = spectra.build_box
 
-    def small_box(dims, label=""):
+    def small_box(dims):
         assert math.prod(dims) <= spectra.SCALING_NUMERIC_CAP, dims
-        return real(dims, label)
+        return real(dims)
 
     monkeypatch.setattr(spectra, "build_box", small_box)
     code, out, _ = run_cli(capsys, "scaling", "--lambda-a", "1,1,1",
@@ -753,6 +763,68 @@ def test_sweep_env_cache(capsys, tmp_path, monkeypatch):
     run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b", "2",
             "--sizes", "3")
     assert len(os.listdir(tmp_path)) == 1
+
+
+def _unsolvable(monkeypatch):
+    def unsolvable(*args, **kwargs):
+        raise AssertionError("point solved")
+
+    monkeypatch.setattr(spectra, "total_gap", unsolvable)
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_sweep_cache_on_a_regular_file_exits_2_before_solving(
+        capsys, monkeypatch, tmp_path, via_env):
+    # the directory is made once, before any point is solved
+    _unsolvable(monkeypatch)
+    path = tmp_path / "file"
+    path.write_text("")
+    argv = ["sweep", "--grid-a", "2", "--lambda-b", "1/2", "--sizes", "3"]
+    if via_env:
+        monkeypatch.setenv("PVBS_CACHE_DIR", str(path))
+        source = "PVBS_CACHE_DIR"
+    else:
+        monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+        argv += ["--cache-dir", str(path)]
+        source = "--cache-dir"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {source} is unusable as a sweep cache: "
+                          f"[Errno {errno.EEXIST}] ")
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_sweep_cache_that_cannot_be_made_exits_2(capsys, monkeypatch,
+                                                 tmp_path):
+    _unsolvable(monkeypatch)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2",
+                             "--lambda-b", "1/2", "--sizes", "3",
+                             "--cache-dir", str(tmp_path / "file" / "sub"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --cache-dir is unusable as a sweep cache: "
+                          f"[Errno {errno.ENOTDIR}] ")
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_sweep_cache_entry_that_is_a_directory_exits_2(capsys, tmp_path):
+    # the entry cannot be read, so the point is solved; writing it fails
+    # too, and the temporary file is removed
+    point = {"lambda_a": "2", "lambda_b": "1/2", "L": 3}
+    entry = tmp_path / (cli.cache_key({"verb": "sweep-point", **point})
+                        + ".json")
+    entry.mkdir()
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2",
+                             "--lambda-b", "1/2", "--sizes", "3",
+                             "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --cache-dir is unusable as a sweep cache: "
+                          f"[Errno {errno.EISDIR}] ")
+    assert os.listdir(tmp_path) == [entry.name]
+    assert os.listdir(entry) == []
 
 
 def test_sweep_csv(capsys):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_sites, translate
+from oracles import boundary_sites, is_connected_bfs, translate
 from pvbs import InputError
+from pvbs.cli import parse_volume
 from pvbs.lattice import (Volume, VolumeFamilySpec, build_box,
                           build_tilted_case1, build_tilted_case2, edges,
                           is_connected)
@@ -35,8 +36,8 @@ def test_box_basic():
     assert len(v) == 6
     es = edges(v)
     assert len(es) == 7
-    assert sum(1 for e in es if e.direction == 0) == 3
-    assert sum(1 for e in es if e.direction == 1) == 4
+    assert sum(1 for _, _, j in es if j == 0) == 3
+    assert sum(1 for _, _, j in es if j == 1) == 4
 
 
 def test_box_bad_dims():
@@ -105,6 +106,39 @@ def test_slab_tilted_row():
     fam = VolumeFamilySpec(FakeTilt(1, (1,)), (2, 2), 1)
     assert set(fam.member(2).difference(fam.member(1)).sites) == {
         (-1, 1), (0, 1)}
+
+
+def test_volumes_with_the_same_sites_are_equal():
+    # a volume is its dimension and sites, whatever built it
+    chains = [build_box((3,)), build_tilted_case1((), (3,)),
+              parse_volume("case1:@3"), Volume(1, ((0,), (1,), (2,)))]
+    assert all(v == chains[0] for v in chains)
+    assert len(set(chains)) == 1
+    assert build_box((3,)) != Volume(2, ((0, 0), (1, 0), (2, 0)))
+
+
+@st.composite
+def site_sets(draw):
+    """A volume of up to 12 sites drawn from the cube {-2..2}^d, d <= 3."""
+    d = draw(st.integers(1, 3))
+    sites = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                          max_size=12, unique=True))
+    return Volume(d, tuple(sites))
+
+
+@given(site_sets())
+@settings(max_examples=200, deadline=None)
+def test_edges_list_each_adjacent_pair_once(v):
+    assert [v.position[s] for s in v.sites] == list(range(len(v)))
+    es = edges(v)
+    for i, k, j in es:
+        step = tuple(int(a == j) for a in range(v.dim))
+        assert v.sites[k] == tuple(x + e for x, e in zip(v.sites[i], step))
+    adjacent = [(a, b) for a in v.sites for b in v.sites if a < b
+                and sum(abs(x - y) for x, y in zip(a, b)) == 1]
+    assert sorted((v.sites[i], v.sites[k]) for i, k, _ in es) == adjacent
+    # the one neighbour rule decides connectivity as the site BFS does
+    assert is_connected(v) == is_connected_bfs(v)
 
 
 def test_connectivity():

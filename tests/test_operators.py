@@ -109,11 +109,10 @@ def test_sector_pattern_is_laid_out_edge_by_edge(vp):
             pattern = operators.sector_pattern(b)
             assert pattern.cols.shape == (1 + len(vol_edges), b.dim)
             row_of = {int(code): s for s, code in enumerate(b.states)}
-            for e, edge in enumerate(vol_edges):
-                i, j = v.sites.index(edge.base), v.sites.index(edge.head)
+            for e, (i, k, _) in enumerate(vol_edges):
                 for s, code in enumerate(b.states):
                     digits = list(oracles.decode(int(code), n))
-                    digits[i], digits[j] = digits[j], digits[i]
+                    digits[i], digits[k] = digits[k], digits[i]
                     assert pattern.cols[1 + e, s] == \
                         row_of[oracles.encode(digits)]
             # nnz, the count the benchmark reads, leaves out the padding
@@ -126,10 +125,9 @@ def test_sector_pattern_is_laid_out_edge_by_edge(vp):
 def _full_hamiltonian(v, p):
     """H^v on all 3^n states, one embedded edge block per edge."""
     la, lb = p.floats("a"), p.floats("b")
-    return sum(_expand_pair(
-        operators.edge_projection_block(la[e.direction], lb[e.direction]),
-        len(v), v.sites.index(e.base), v.sites.index(e.head))
-        for e in edges(v))
+    return sum(_expand_pair(operators.edge_projection_block(la[j], lb[j]),
+                            len(v), i, k)
+               for i, k, j in edges(v))
 
 
 def _expand_pair(block, n, left, right):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ComputeError, InputError, fock
-from .lattice import VolumeFamilySpec, is_connected
+from .lattice import VolumeFamilySpec
 from .model import Params, TiltScheme, c_tilde, projection_bound
 
 
@@ -101,7 +101,7 @@ def ground_state_vector(p: Params, basis: fock.SectorBasis) -> np.ndarray:
     """Unit ground vector of the sector of `basis`, one of GROUND_SECTORS,
     on its volume, which must be connected."""
     v = basis.volume
-    if not is_connected(v):
+    if not v.connected:
         raise InputError("ground states are only defined on connected volumes")
     if (basis.n_a, basis.n_b) not in GROUND_SECTORS:
         raise InputError(f"basis sector {basis.n_a, basis.n_b} holds no "

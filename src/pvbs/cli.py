@@ -14,6 +14,7 @@ certificate at these settings, or a solve or check failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,13 +26,38 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-import numpy
+# An idle OpenBLAS worker busy-waits for 2^OPENBLAS_THREAD_TIMEOUT cycles
+# (2^28 by default, about 0.13 s of CPU here) after `import numpy` and
+# after every threaded call before it sleeps. OpenBLAS reads the value
+# once, when numpy loads it, so it is set here, above `import numpy`;
+# `pvbs/__init__`, `model` and `lattice` import no numpy. A value the
+# caller set wins, and the thread count stays as the caller pinned it.
+# 2^22 cycles (about 2 ms) ends the spin after the import and after a
+# run's last call, yet outlasts the gap between the threaded calls of one
+# Lanczos solve: at 4, 16 and 20 the worker fell asleep in those gaps and
+# `gap box:12` lost 9-32 % of its wall time to waking it (8-10 pairs
+# each). At 22, per process, medians of 10 alternating pairs with the
+# parent (OPENBLAS_NUM_THREADS=2, 2-vCPU Xeon VM, numpy 2.4.6 with
+# OpenBLAS 0.3.31; stdout byte-identical; quartiles in the README):
+#                             wall s           CPU s      CPU won
+#                          parent  this    parent  this   (pairs)
+#   gap box:10               0.47  0.46      0.60  0.46    10/10
+#   gap box:12               2.17  2.23      4.13  3.61     9/10
+#   gap box:3x4              4.07  4.38      7.89  7.15     9/10
+#   certify 10, 1/10         0.30  0.25      0.43  0.26    10/10
+#   certify 4, 1/4           0.44  0.44      0.57  0.44    10/10
+#   certify 2, 1/2           8.43  8.88     16.32 14.27    10/10
+#   verify-projection 3^10   0.31  0.32      0.42  0.32    10/10
+# No wall time moved beyond the parent's quartile spread.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
-from . import (ComputeError, InputError, __version__, analytic, fock,
-               martingale, model, spectra)
-from .lattice import (Volume, VolumeFamilySpec, build_box, build_tilted_case1,
-                      build_tilted_case2, site_count)
-from .model import Params
+import numpy  # noqa: E402
+
+from . import (ComputeError, InputError, __version__, analytic,  # noqa: E402
+               fock, martingale, model, spectra)
+from .lattice import (Volume, VolumeFamilySpec, build_box,  # noqa: E402
+                      build_tilted_case1, build_tilted_case2, site_count)
+from .model import Params  # noqa: E402
 
 
 # ---------------------------------------------------------------- output
@@ -185,9 +211,11 @@ def _unusable_cache(args, exc: OSError) -> str:
     return f"{source} is unusable as a sweep cache: {exc}"
 
 
-def cache_key(inputs: dict) -> str:
-    # CPython's built-in SHA-256, which hashlib also falls back to: hashlib
-    # itself would load OpenSSL for a few short strings
+@functools.cache
+def _sha256():
+    """CPython's built-in SHA-256, which hashlib also falls back to: hashlib
+    itself would load OpenSSL for a few short strings. Looked up once, as
+    a failed import searches sys.path again on every attempt."""
     try:
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
@@ -195,9 +223,12 @@ def cache_key(inputs: dict) -> str:
             from _sha256 import sha256  # Python 3.10 and 3.11
         except ImportError:
             from hashlib import sha256
+    return sha256
 
+
+def cache_key(inputs: dict) -> str:
     payload = dumps_canonical({"inputs": inputs, "version": __version__})
-    return sha256(payload.encode()).hexdigest()
+    return _sha256()(payload.encode()).hexdigest()
 
 
 def cache_get(cdir: str | None, key: str | None, point: dict):

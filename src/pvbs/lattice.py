@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import InputError
 
@@ -23,7 +24,9 @@ def _check_dim(d: int) -> None:
 
 @dataclass(frozen=True)
 class Volume:
-    """Sites of Z^d in canonical order; site s is `sites[position[s]]`."""
+    """Sites of Z^d in canonical order; site s is `sites[position[s]]`.
+    A volume never changes, so its edge list and its connectivity are each
+    computed once, on first use, and kept as `links` and `connected`."""
 
     dim: int
     sites: tuple[Site, ...]
@@ -46,6 +49,16 @@ class Volume:
 
     def difference(self, other: "Volume") -> "Volume":
         return Volume(self.dim, tuple(self.position.keys() - other.position))
+
+    @cached_property
+    def links(self) -> tuple[tuple[int, int, int], ...]:
+        """`edges(self)`."""
+        return tuple(edges(self))
+
+    @cached_property
+    def connected(self) -> bool:
+        """`is_connected(self)`."""
+        return is_connected(self)
 
 
 def build_box(dims: tuple[int, ...]) -> Volume:
@@ -73,16 +86,16 @@ def edges(v: Volume) -> list[tuple[int, int, int]]:
 
 
 def is_connected(v: Volume) -> bool:
-    """True iff the graph on v whose links are `edges(v)` is connected."""
+    """True iff the graph on v whose links are `v.links` is connected."""
     if len(v) <= 1:
         return True
-    links = [[] for _ in v.sites]
-    for i, k, _ in edges(v):
-        links[i].append(k)
-        links[k].append(i)
+    adjacent = [[] for _ in v.sites]
+    for i, k, _ in v.links:
+        adjacent[i].append(k)
+        adjacent[k].append(i)
     seen, todo = {0}, [0]
     while todo:
-        new = [k for k in links[todo.pop()] if k not in seen]
+        new = [k for k in adjacent[todo.pop()] if k not in seen]
         seen.update(new)
         todo += new
     return len(seen) == len(v)

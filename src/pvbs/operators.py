@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ComputeError, analytic, fock
-from .lattice import Volume, edges, is_connected
+from .lattice import Volume
 from .model import Params
 
 
@@ -102,7 +102,7 @@ def sector_pattern(basis: fock.SectorBasis) -> SectorPattern:
     exchange is looked up once, from the state whose left end digit is
     the smaller, and its slot mirrored."""
     dim = basis.dim
-    vol_edges = edges(basis.volume)
+    vol_edges = basis.volume.links
     kinds = np.empty((len(vol_edges), dim), dtype=np.uint8)
     cols = np.tile(np.arange(dim), (1 + len(vol_edges), 1))
     nnz = dim
@@ -231,7 +231,7 @@ def projection_product_norm(slab: Volume, inner: Volume, p: Params) -> float:
     in the order of the states.
     """
     for part in (slab, inner):
-        if len(part) < 2 or not is_connected(part):
+        if len(part) < 2 or not part.connected:
             raise ComputeError(
                 "projectors need connected volumes with >= 2 sites")
     ambient = Volume(slab.dim, tuple(set(slab.sites + inner.sites)))

@@ -1,10 +1,12 @@
 """Spectral-gap computation on finite volumes.
 
 Dense diagonalization for sectors of at most DENSE_CAP (64) states, the
-largest whose dense solve leaves OpenBLAS's second thread asleep, and
-above it a thick-restart Lanczos in numpy (K. Wu and H. Simon, SIAM J.
-Matrix Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by
-their residual. Every particle sector is solved the same way: its kernel
+largest whose dense solve leaves OpenBLAS's second thread asleep (once
+woken, it busy-waits as long as OPENBLAS_THREAD_TIMEOUT allows, which
+the command line shortens; see the comment above DENSE_CAP), and above
+it a thick-restart Lanczos in numpy (K. Wu and H. Simon, SIAM J. Matrix
+Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by their
+residual. Every particle sector is solved the same way: its kernel
 (one analytic ground vector in a ground-bearing sector, none elsewhere)
 is counted among the lowest kernel + 1 eigenvalues, and the next one is
 its lowest excitation. Where a mirror symmetry maps sector (n_a, n_b)
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import ComputeError, InputError, analytic, fock, operators
-from .lattice import Volume, build_box, is_connected
+from .lattice import Volume, build_box
 from .model import GapClass, Params, classify_zd
 
 # Dense eigvalsh against Lanczos for the lowest eigenvalue of a d=1
@@ -42,11 +44,15 @@ from .model import GapClass, Params, classify_zd
 #   2520   1105    2082    9.41    9.43      1899    1898    9.06    9.07
 # eigvalsh of an n x n matrix wakes OpenBLAS's second thread from n = 65
 # on (bisected on 56..72: 64 keeps cpu = wall, 65 to 72 all give
-# cpu/wall of about 2), which gains no wall time below 200 states and
-# then spins for about 135 ms of CPU after the call returns, so a sweep
-# that meets such a sector every few solves keeps a second core busy.
-# Lanczos's numpy calls at these sizes run on one thread. The cap is the
-# largest dense size that leaves the pool asleep.
+# cpu/wall of about 2), which gains no wall time below 200 states.
+# Lanczos's numpy calls at these sizes run on one thread. The woken
+# thread then busy-waits for 2^OPENBLAS_THREAD_TIMEOUT cycles: 2^22 under
+# `pvbs.cli`, which sets that before numpy loads, so back-to-back dense
+# solves keep it busy (cpu/wall 1.94-2.00 at 65, 120 and 200 states over
+# 300 calls each); OpenBLAS's default 2^28 where numpy loaded before
+# pvbs.cli, about 135 ms of CPU after every such call, so a sweep that
+# meets such a sector every few solves keeps a second core busy. The cap
+# is the largest dense size that leaves the pool asleep.
 DENSE_CAP = 64
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
@@ -241,7 +247,7 @@ def total_gap(v: Volume, p: Params,
     call with other parameters.
     """
     n = len(v)
-    if n < 2 or not is_connected(v):
+    if n < 2 or not v.connected:
         raise InputError("total_gap needs a connected volume with >= 2 sites")
     weights = operators.edge_weights(p)
     mirror = _mirror_twins(v, p)

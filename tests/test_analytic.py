@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pvbs import ComputeError, InputError, analytic, fock, spectra
-from pvbs.lattice import VolumeFamilySpec, build_box
+from pvbs.lattice import Volume, VolumeFamilySpec, build_box
 from pvbs.martingale import sweep_family
 from pvbs.model import Params, select_tilt
 
@@ -96,6 +96,9 @@ def test_ground_state_vector_normalized_and_sector_checked():
     assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(InputError):
         analytic.ground_state_vector(P_CHAIN, fock.enumerate_sector(v, 2, 0))
+    apart = fock.enumerate_sector(Volume(1, ((0,), (2,))), 1, 1)
+    with pytest.raises(InputError, match="connected"):
+        analytic.ground_state_vector(P_CHAIN, apart)
 
 
 def test_ground_state_extreme_parameters_stable():

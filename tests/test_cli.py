@@ -312,15 +312,74 @@ UNUSED = ("scipy", "numpy.random", "hashlib", "_hashlib")
 UNMAPPED = ("libcrypto", "libssl", "_hashlib")
 
 
-def _loaded(argvs):
+def _child_env(**preset):
+    """The environment of a fresh interpreter that runs this checkout's
+    pvbs with no sweep cache and no BLAS thread timeout, then `preset`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PVBS_CACHE_DIR", None)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    return dict(env, **preset)
+
+
+def _loaded(argvs):
     done = subprocess.run(
         [sys.executable, "-c", LOADED_SCRIPT.format(argvs=argvs)],
-        env=env, capture_output=True, text=True, check=True)
+        env=_child_env(), capture_output=True, text=True, check=True)
     modules, maps = json.loads(done.stdout)
     return set(modules), set(maps)
+
+
+# prints whether numpy is loaded once pvbs is, whether the library modules
+# wrote to the environment, and the BLAS thread timeout pvbs.cli leaves
+ORDER_SCRIPT = """
+import json, os, sys
+before = dict(os.environ)
+import pvbs
+numpy_loaded = "numpy" in sys.modules
+from pvbs import (analytic, fock, lattice, martingale, model, operators,
+                  spectra)
+library_wrote = dict(os.environ) != before
+import pvbs.cli
+print(json.dumps([numpy_loaded, library_wrote,
+                  os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+@pytest.mark.parametrize("preset, kept", [
+    ({}, "22"), ({"OPENBLAS_THREAD_TIMEOUT": "20"}, "20")])
+def test_cli_sets_the_blas_thread_timeout_before_numpy_loads(preset, kept):
+    # OpenBLAS reads the timeout once, when numpy loads it; `python -m
+    # pvbs.cli` and the `pvbs` script both import the package first, so
+    # that import must not load numpy
+    done = subprocess.run([sys.executable, "-c", ORDER_SCRIPT],
+                          env=_child_env(**preset), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == [False, False, kept]
+
+
+def test_cli_leaves_no_blas_worker_spinning():
+    """An idle OpenBLAS worker that busy-waits after `import numpy` adds
+    about 0.13 s of CPU to a process whose main thread works alone; with
+    the timeout that pvbs.cli sets, the CPU time stays within the wall
+    time. A loaded machine only widens the wall time."""
+    if not hasattr(os, "wait4"):
+        pytest.skip("needs os.wait4 for the child's CPU time")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not name its BLAS")
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "pvbs.cli", "info"],
+                             env=_child_env(OPENBLAS_NUM_THREADS="2"),
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_utime + usage.ru_stime <= wall + 0.05
 
 
 def test_program_imports_no_scipy(tmp_path):
@@ -352,6 +411,9 @@ def test_cache_key_matches_hashlib(monkeypatch, builtin):
         monkeypatch.setitem(sys.modules, "_sha2", None)
         monkeypatch.setitem(sys.modules, "_sha256", None)
     monkeypatch.setattr(hashlib, "sha256", spy)
+    # a fresh lookup under these imports; the process's own comes back after
+    monkeypatch.setattr(cli, "_sha256",
+                        functools.cache(cli._sha256.__wrapped__))
     for inputs in ({}, {"verb": "sweep-point", "lambda_a": "2",
                         "lambda_b": "1/2", "L": 4},
                    {"lambda_a": "1e-154", "text": "\u03bb,\n\"x\""},
@@ -863,14 +925,12 @@ def test_bench_tracer_counts_the_assembled_nonzeros(capsys, monkeypatch,
     # the benchmark's traced mode reads `nnz` off every assembled sector
     # matrix; run it as the benchmark does and count the same in-process
     argv = ["gap", "--lambda-a", "2", "--lambda-b", "1/2", "--volume", "box:6"]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PVBS_CACHE_DIR", None)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
     spans = tmp_path / "spans.json"
     traced = subprocess.run(
-        [sys.executable, os.path.join(os.path.dirname(src), "bench",
-                                      "tracer.py"), str(spans), "--", *argv],
-        env=env, capture_output=True, text=True)
+        [sys.executable, os.path.join(root, "bench", "tracer.py"),
+         str(spans), "--", *argv],
+        env=_child_env(), capture_output=True, text=True)
     assert traced.returncode == 0, traced.stderr
     nnz = []
     assemble = operators.assemble_sector_hamiltonian
@@ -892,7 +952,9 @@ def test_dense_solves_stay_within_the_cap(capsys, monkeypatch):
     """No matrix over DENSE_CAP reaches dense eigvalsh on the benchmark's
     gap, certify and sweep inputs. Above 64 states OpenBLAS's eigvalsh
     wakes its second thread, which gains no wall time at these sizes and
-    then spins (see the table in spectra); test_info pins the cap."""
+    then busy-waits: for 2^22 cycles under pvbs.cli, which sets
+    OPENBLAS_THREAD_TIMEOUT, and for about 135 ms where numpy loaded
+    first (see the table in spectra); test_info pins the cap."""
     monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     real = np.linalg.eigvalsh
     sizes = []

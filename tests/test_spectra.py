@@ -4,7 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 
-from pvbs import ComputeError, InputError, analytic, fock, operators, spectra
+from pvbs import (ComputeError, InputError, analytic, fock, lattice, operators,
+                  spectra)
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
 from oracles import one_particle_gap, splitmix64
@@ -326,6 +327,22 @@ def test_total_gap_rejects_disconnected():
     from pvbs.lattice import Volume
     with pytest.raises(InputError):
         spectra.total_gap(Volume(1, ((0,), (2,))), P_CHAIN)
+
+
+def test_total_gap_builds_one_edge_list(monkeypatch):
+    # the connectivity check, every sector pattern and every analytic
+    # ground vector share the edge list the volume keeps
+    built = []
+
+    def counting(v):
+        built.append(v)
+        return real(v)
+
+    real = lattice.edges
+    monkeypatch.setattr(lattice, "edges", counting)
+    v = build_box((8,))
+    spectra.total_gap(v, P_CHAIN)
+    assert built == [v]
 
 
 def test_gapless_scaling_flat_species():

@@ -370,13 +370,15 @@ def cmd_scaling(args) -> dict:
             "rows": [asdict(pt) for pt in pts]}
 
 
-def _sweep_point(point: dict, lambda_b: tuple, patterns: dict):
+def _sweep_point(point: dict, lambda_b: tuple, patterns: dict,
+                 floors: dict | None):
+    """The row of one sweep point and the report behind it."""
     p = Params((point["lambda_a"],), lambda_b)
     fock.check_site_count(point["L"])
     vol = build_box((point["L"],))
-    rep = spectra.total_gap(vol, p, patterns=patterns)
+    rep = spectra.total_gap(vol, p, patterns=patterns, floors=floors)
     return {**point, "gap": rep.gap,
-            "status": "partial" if rep.partial else "ok"}
+            "status": "partial" if rep.partial else "ok"}, rep
 
 
 def cmd_sweep(args) -> dict:
@@ -399,31 +401,47 @@ def cmd_sweep(args) -> dict:
         except OSError as exc:
             raise InputError(_unusable_cache(args, exc)) from None
     rows = []
-    hits = solves = 0
-    # every point of one size has the same chain, so its sector patterns
-    # are built once and dropped before the next size
-    for size in sizes:
+    hits = solves = solved = bounded = 0
+    # sizes ascending, so that each point's sectors are floored by the last
+    # point solved at its lambda_a (`spectra.chain_floors`); a cache hit or
+    # a failed point leaves the next size without floors. Every point of
+    # one size has the same chain, so its sector patterns are built once
+    # and dropped before the next size.
+    last = {}
+    for size in sorted(sizes):
         patterns = {}
         for la in grid_a:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
             key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
+            shorter = last.pop(la, None)
             if row is not None:
                 hits += 1
+                rows.append(row)
+                continue
+            floors = None if shorter is None else spectra.chain_floors(
+                shorter[1], size - shorter[0])
+            try:
+                row, rep = _sweep_point(point, lambda_b, patterns, floors)
+            except (InputError, ComputeError) as exc:
+                row = {**point, "gap": None, "status": f"failed: {exc}"}
             else:
                 try:
-                    row = _sweep_point(point, lambda_b, patterns)
-                except (InputError, ComputeError) as exc:
-                    row = {**point, "gap": None, "status": f"failed: {exc}"}
-                else:
-                    try:
-                        cache_put(cdir, key, row)
-                    except OSError as exc:
-                        raise InputError(_unusable_cache(args, exc)) from None
-                    solves += 1
+                    cache_put(cdir, key, row)
+                except OSError as exc:
+                    raise InputError(_unusable_cache(args, exc)) from None
+                solves += 1
+                last[la] = size, rep
+                # a bounded sector is the only unskipped one left without
+                # a value: ground sectors have a kernel, others an excitation
+                low = sum(s.lowest_excited is None and not s.kernel
+                          and not s.skipped for s in rep.sectors)
+                bounded += low
+                solved += sum(not s.skipped for s in rep.sectors) - low
             rows.append(row)
     rows.sort(key=lambda r: (r["lambda_a"], r["L"]))
-    print(f"sweep: {hits} cache hits, {solves} solves", file=sys.stderr)
+    print(f"sweep: {hits} cache hits, {solves} solves, {solved} sectors "
+          f"solved, {bounded} bounded", file=sys.stderr)
     return {"columns": columns, "rows": rows}
 
 

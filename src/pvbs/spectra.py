@@ -11,7 +11,9 @@ residual. Every particle sector is solved the same way: its kernel
 is counted among the lowest kernel + 1 eigenvalues, and the next one is
 its lowest excitation. Where a mirror symmetry maps sector (n_a, n_b)
 onto (n_b, n_a) (see `_mirror_twins`), only the sectors with n_a <= n_b
-are solved, and each other one takes its twin's record.
+are solved, and each other one takes its twin's record. A chain can be
+given floors from a shorter chain's report (`chain_floors`), and then
+skips every sector that its floor puts above the gap.
 """
 
 from __future__ import annotations
@@ -185,10 +187,15 @@ class SectorRecord:
 
 @dataclass
 class SpectrumReport:
+    """`floors[n_a, n_b]` is a lower bound on the lowest eigenvalue of
+    sector (n_a, n_b): its kernel's 0 in a ground sector, its lowest
+    excitation elsewhere. See `total_gap`; it is not part of the JSON."""
+
     gap: float
     kernel_total: int
     partial: bool
     sectors: list[SectorRecord] = field(default_factory=list)
+    floors: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         """A partial report's minimum over the solved sectors is only an
@@ -229,7 +236,8 @@ def _mirror_twins(v: Volume, p: Params) -> bool:
 
 def total_gap(v: Volume, p: Params,
               sector_cap: int = fock.DEFAULT_SECTOR_CAP,
-              patterns: dict | None = None) -> SpectrumReport:
+              patterns: dict | None = None,
+              floors: dict | None = None) -> SpectrumReport:
     """Gap of H^v over all particle sectors.
 
     Requires a connected volume, where the kernel is exactly the four
@@ -241,6 +249,24 @@ def total_gap(v: Volume, p: Params,
     `_mirror_twins(v, p)` holds, a sector with n_a > n_b is not solved: it
     takes the record of its twin (n_b, n_a), floats included.
 
+    `floors`, when given, holds a lower bound on the lowest eigenvalue of
+    every sector, such as `chain_floors` makes from a shorter chain. The
+    sectors are then visited in ascending floor order (the cap check
+    first), keeping the least excitation solved so far, and a sector
+    outside analytic.GROUND_SECTORS whose floor exceeds it is bounded, not
+    solved: no basis, pattern or matrix is built for it, and its record
+    has `lowest_excited` None and `skipped` False. Its lowest eigenvalue
+    is its lowest excitation, so it lies above the gap, which stays the
+    minimum over the same solved floats as without floors.
+
+    The report's `floors` bound each sector's lowest eigenvalue: 0 in a
+    ground sector (H >= 0) and in a skipped one; the given floor in a
+    bounded one; and in a solved one its lowest excitation less
+    KERNEL_TOL_REL * max(1, h.norm). That is the residual bound on a
+    Lanczos value, which is then within it of an eigenvalue of H; what is
+    trusted, as for the gap itself, is that this eigenvalue is the
+    sector's lowest. A dense solve errs far less.
+
     Each sector's `operators.sector_pattern` is dropped once the sector is
     solved, unless the caller passes `patterns`: a dict, kept by the
     caller for one volume v, that holds them by (n_a, n_b) for the next
@@ -251,49 +277,91 @@ def total_gap(v: Volume, p: Params,
         raise InputError("total_gap needs a connected volume with >= 2 sites")
     weights = operators.edge_weights(p)
     mirror = _mirror_twins(v, p)
-    records = {}
-    for n_a in range(n + 1):
-        for n_b in range(n + 1 - n_a):
-            if mirror and n_a > n_b:
-                records[n_a, n_b] = replace(records[n_b, n_a],
-                                            n_a=n_a, n_b=n_b)
-                continue
-            dim = fock.sector_dimension(n, n_a, n_b)
-            if dim > sector_cap:
-                records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
-                continue
-            pattern = None if patterns is None else patterns.get((n_a, n_b))
-            if pattern is None:
-                pattern = operators.sector_pattern(
-                    fock.enumerate_sector(v, n_a, n_b))
-                if patterns is not None:
-                    patterns[n_a, n_b] = pattern
-            basis = pattern.basis
-            h = operators.assemble_sector_hamiltonian(pattern, weights)
-            thresh = KERNEL_TOL_REL * max(1.0, h.norm)
-            kernel = 0
-            if (n_a, n_b) in analytic.GROUND_SECTORS:
-                kernel = 1
-                psi = analytic.ground_state_vector(p, basis)
-                resid = np.linalg.norm(h @ psi)
-                if resid > thresh:
-                    raise ComputeError(
-                        f"analytic ground vector fails in sector ({n_a},{n_b}): "
-                        f"residual {resid:.3e}")
-            excited = None
-            if dim > kernel:
-                vals = lowest_eigenvalues(h, k=kernel + 1)
-                found = int(np.count_nonzero(vals < thresh))
-                if found != kernel:
-                    raise ComputeError(
-                        f"unexpected kernel vector count {found} (expected "
-                        f"{kernel}) in sector ({n_a},{n_b})")
-                excited = float(vals[kernel])
-            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, kernel, excited)
-    records = list(records.values())
+    sectors = [(n_a, n_b) for n_a in range(n + 1) for n_b in range(n + 1 - n_a)]
+    visit = [s for s in sectors if not (mirror and s[0] > s[1])]
+    if floors is not None:
+        visit.sort(key=floors.__getitem__)
+    records, bounds = {}, {}
+    least = math.inf
+    for n_a, n_b in visit:
+        dim = fock.sector_dimension(n, n_a, n_b)
+        if dim > sector_cap:
+            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
+            bounds[n_a, n_b] = 0.0
+            continue
+        ground = (n_a, n_b) in analytic.GROUND_SECTORS
+        if floors is not None and not ground and floors[n_a, n_b] > least:
+            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None)
+            bounds[n_a, n_b] = floors[n_a, n_b]
+            continue
+        pattern = None if patterns is None else patterns.get((n_a, n_b))
+        if pattern is None:
+            pattern = operators.sector_pattern(
+                fock.enumerate_sector(v, n_a, n_b))
+            if patterns is not None:
+                patterns[n_a, n_b] = pattern
+        basis = pattern.basis
+        h = operators.assemble_sector_hamiltonian(pattern, weights)
+        thresh = KERNEL_TOL_REL * max(1.0, h.norm)
+        kernel = 0
+        if ground:
+            kernel = 1
+            psi = analytic.ground_state_vector(p, basis)
+            resid = np.linalg.norm(h @ psi)
+            if resid > thresh:
+                raise ComputeError(
+                    f"analytic ground vector fails in sector ({n_a},{n_b}): "
+                    f"residual {resid:.3e}")
+        excited = None
+        if dim > kernel:
+            vals = lowest_eigenvalues(h, k=kernel + 1)
+            found = int(np.count_nonzero(vals < thresh))
+            if found != kernel:
+                raise ComputeError(
+                    f"unexpected kernel vector count {found} (expected "
+                    f"{kernel}) in sector ({n_a},{n_b})")
+            excited = float(vals[kernel])
+            least = min(least, excited)
+        records[n_a, n_b] = SectorRecord(n_a, n_b, dim, kernel, excited)
+        bounds[n_a, n_b] = 0.0 if kernel else excited - thresh
+    for n_a, n_b in sectors:
+        if (n_a, n_b) not in records:
+            records[n_a, n_b] = replace(records[n_b, n_a], n_a=n_a, n_b=n_b)
+            bounds[n_a, n_b] = bounds[n_b, n_a]
+    records = [records[s] for s in sectors]
     gap = min(r.lowest_excited for r in records if r.lowest_excited is not None)
     return SpectrumReport(gap, sum(r.kernel for r in records),
-                          any(r.skipped for r in records), records)
+                          any(r.skipped for r in records), records, bounds)
+
+
+def chain_floors(shorter: SpectrumReport, k: int) -> dict:
+    """Floors for `total_gap` on a chain of k more sites than the chain of
+    the report `shorter`, from its `floors`: for each sector (n_a, n_b),
+    the least of them over the shorter chain's sectors
+    (n_a - x, n_b - y) with x + y <= k.
+
+    Proof. Each edge term of the longer chain H_L is an orthogonal
+    projector, so dropping the k edges that touch its last k sites leaves
+    H_L >= H_(L-k) (x) 1, with H_(L-k) the shorter chain on the first L - k
+    sites. Both conserve the particle numbers. On sector (n_a, n_b) of the
+    L sites, H_(L-k) (x) 1 is the direct sum, over the configurations of
+    the last k sites with x particles a and y particles b (x + y <= k), of
+    H_(L-k) on its sector (n_a - x, n_b - y). So the lowest eigenvalue of
+    H_L on (n_a, n_b) is at least the least lowest eigenvalue of those
+    sectors, and so at least the least of their floors. Those floors
+    count a ground sector or a sector over the cap as 0 and a bounded
+    sector as its own floor, and lower a solved one by its eigenvalue
+    error (see `total_gap`). The shorter chain may have been solved with
+    floors of its own.
+    """
+    low = shorter.floors
+    short = max(n_a + n_b for n_a, n_b in low)
+    n = short + k
+    return {(n_a, n_b): min(low[n_a - x, n_b - y]
+                            for x in range(min(k, n_a) + 1)
+                            for y in range(min(k - x, n_b) + 1)
+                            if n_a - x + n_b - y <= short)
+            for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
 @dataclass

@@ -5,6 +5,7 @@ a vectorized or closed form, kept here to check it against; `translate`
 shifts the volumes that tests place off the origin.
 """
 
+import itertools
 import math
 from collections import deque
 
@@ -16,6 +17,7 @@ from pvbs.analytic import (NormalizationSet, _in_double_range, _log_power,
 from pvbs.lattice import Volume, edges
 from pvbs.martingale import sweep_family
 from pvbs.model import Params
+from pvbs.operators import edge_projection_block
 
 
 def encode(symbols) -> int:
@@ -158,3 +160,27 @@ def one_particle_gap(p, species: str, dims) -> float:
     a zero ground energy, so its gap is the least one-direction gap."""
     return min(1.0 - 2.0 * lam * math.cos(math.pi / n) / (1.0 + lam * lam)
                for lam, n in zip(p.floats(species), dims))
+
+
+def chain_sector_lowest(p, n: int) -> dict:
+    """The lowest eigenvalue of every particle sector (n_a, n_b) of the
+    n-site chain, by dense eigvalsh of a sector block built entry by entry
+    from the 9x9 edge projector. Scalar reference for the floors of
+    `spectra.chain_floors`."""
+    block = edge_projection_block(*p.floats("a"), *p.floats("b"))
+    # the nonzero entries of each column: (left, right) digits and value
+    column = [[(divmod(out, 3), float(block[out, pair]))
+               for out in range(9) if block[out, pair]] for pair in range(9)]
+    sectors = {}
+    for c in itertools.product(range(3), repeat=n):
+        sectors.setdefault((c.count(1), c.count(2)), []).append(c)
+    lowest = {}
+    for sector, configs in sectors.items():
+        index = {c: i for i, c in enumerate(configs)}
+        h = np.zeros((len(configs),) * 2)
+        for c, col in index.items():
+            for i in range(n - 1):
+                for ends, value in column[3 * c[i] + c[i + 1]]:
+                    h[index[c[:i] + ends + c[i + 2:]], col] += value
+        lowest[sector] = float(np.linalg.eigvalsh(h)[0])
+    return lowest

@@ -33,3 +33,19 @@ def params(d: int):
 def volumes_and_params(draw):
     v = draw(connected_volumes())
     return v, draw(params(v.dim))
+
+
+def chain_params():
+    """d = 1 parameters whose two weights lie on opposite sides of 1, on
+    the same side, with one of them flat (exactly 1), or both near 1."""
+    above = st.fractions(Fraction(11, 10), 5, max_denominator=10)
+    below = above.map(lambda w: 1 / w)
+    side = st.one_of(above, below)
+    near = st.fractions(Fraction(19, 20), Fraction(21, 20),
+                        max_denominator=100)
+    pair = st.one_of(st.tuples(above, below), st.tuples(below, above),
+                     st.tuples(above, above), st.tuples(below, below),
+                     st.tuples(st.just(Fraction(1)), side),
+                     st.tuples(side, st.just(Fraction(1))),
+                     st.tuples(near, near))
+    return pair.map(lambda ab: Params((ab[0],), (ab[1],)))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -748,6 +749,119 @@ def test_sweep_points_share_patterns_but_not_weights(capsys, monkeypatch):
     assert rows_at_3("2,3") == alone
 
 
+# opposite sides with and without mirror twins, the same side, flat and
+# near 1, each with lambda_b = 1/2
+FLOOR_GRID = "1/3,1,11/10,2,3,10"
+
+
+def _sweep_twice(capsys, monkeypatch, sizes, before=None):
+    """stdout and stderr of a sweep over FLOOR_GRID with floors, and of
+    the same sweep without them (`chain_floors` patched to give none),
+    with `before(m)` applied to both."""
+    outs = []
+    for floored in (True, False):
+        with monkeypatch.context() as m:
+            if before:
+                before(m)
+            if not floored:
+                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+            code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
+                                     "--lambda-b", "1/2", "--sizes", sizes,
+                                     "--format", "json")
+        assert code == 0
+        outs.append((out, err))
+    return outs
+
+
+def _bounded(err: str) -> int:
+    return int(re.search(r"(\d+) bounded", err).group(1))
+
+
+@pytest.mark.parametrize("sizes", ["4,5,6,7,8", "8,4,6,5", "4,6,9", "3,3"])
+def test_sweep_floors_keep_rows_byte_identical(capsys, monkeypatch, sizes):
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    (out, err), (free, free_err) = _sweep_twice(capsys, monkeypatch, sizes)
+    assert out == free
+    assert _bounded(err) > 0 == _bounded(free_err)
+
+
+def _recording_total_gap(m, seen, fail_at=None, **fixed):
+    """Patch total_gap to record (L, whether floors were given) per call,
+    to fail at chain length fail_at, and to take the keywords fixed."""
+    real = spectra.total_gap
+
+    def spy(v, p, **kwargs):
+        seen.append((len(v), kwargs["floors"] is not None))
+        if len(v) == fail_at:
+            raise ComputeError("refused for the test")
+        return real(v, p, **{**kwargs, **fixed})
+
+    m.setattr(spectra, "total_gap", spy)
+
+
+def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
+                                                      tmp_path):
+    # size 5 is cached, so size 6 has no shorter report to be floored by
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    caches = [str(tmp_path / name) for name in ("floored", "free")]
+    for cdir in caches:
+        code, _, _ = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
+                             "--lambda-b", "1/2", "--sizes", "5",
+                             "--cache-dir", cdir)
+        assert code == 0
+    outs, seen = [], []
+    for cdir, floored in zip(caches, (True, False)):
+        with monkeypatch.context() as m:
+            _recording_total_gap(m, seen)
+            if not floored:
+                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+            code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
+                                     "--lambda-b", "1/2", "--sizes", "4,5,6,7",
+                                     "--format", "json", "--cache-dir", cdir)
+        assert code == 0
+        assert "6 cache hits, 18 solves" in err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert seen[:18] == [(4, False)] * 6 + [(6, False)] * 6 + [(7, True)] * 6
+
+
+def test_sweep_after_a_failed_point_solves_without_floors(capsys,
+                                                         monkeypatch):
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    seen = []
+    (out, _), (free, _) = _sweep_twice(
+        capsys, monkeypatch, "4,5,6",
+        before=lambda m: _recording_total_gap(m, seen, fail_at=5))
+    assert out == free
+    rows = json.loads(out)["rows"]
+    assert {r["status"] for r in rows if r["L"] == 5} == {
+        "failed: refused for the test"}
+    assert {r["status"] for r in rows if r["L"] != 5} == {"ok"}
+    assert seen[:18] == [(4, False)] * 6 + [(5, True)] * 6 + [(6, False)] * 6
+
+
+def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    (out, err), (free, _) = _sweep_twice(
+        capsys, monkeypatch, "4,5,6,7",
+        before=lambda m: _recording_total_gap(m, [], sector_cap=20))
+    assert out == free
+    assert _bounded(err) > 0
+    status = {r["L"]: r["status"] for r in json.loads(out)["rows"]}
+    assert status == {4: "ok", 5: "partial", 6: "partial", 7: "partial"}
+
+
+def test_sweep_counts_solved_and_bounded_sectors(capsys, monkeypatch):
+    # the 15 sectors of 4 sites are all solved; from 5 sites on only the
+    # four ground sectors and (2,0), (0,2), (2,1), (1,2)
+    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    code, _, err = run_cli(capsys, "sweep", "--grid-a", "3", "--lambda-b",
+                           "1/2", "--sizes", "4,5,6,7,8")
+    assert code == 0
+    assert err.startswith("sweep: 0 cache hits, 5 solves, "
+                          "47 sectors solved, 98 bounded\n")
+
+
 def test_sweep_failed_point_is_a_row(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "0,1/0,2",
                            "--lambda-b", "2", "--sizes", "3",
@@ -971,7 +1085,11 @@ def test_dense_solves_stay_within_the_cap(capsys, monkeypatch):
              "--volume", "box:3x3"),
             ("certify", "--lambda-a", "4", "--lambda-b", "1/4"),
             ("sweep", "--grid-a", "3/2,2,10", "--lambda-b", "1/2",
-             "--sizes", "4,5,6,7,8")):
+             "--sizes", "4,5,6,7,8"),
+            # the 4..8 sweep bounds most 8-site sectors without solving
+            # them; alone, every 8-site sector is solved
+            ("sweep", "--grid-a", "3/2,2,10", "--lambda-b", "1/2",
+             "--sizes", "8")):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
     assert sizes

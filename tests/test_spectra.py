@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pvbs import (ComputeError, InputError, analytic, fock, lattice, operators,
                   spectra)
 from pvbs.lattice import Volume, build_box, build_tilted_case1
 from pvbs.model import Params
-from oracles import one_particle_gap, splitmix64
-from strategies import volumes_and_params
+from oracles import chain_sector_lowest, one_particle_gap, splitmix64
+from strategies import chain_params, volumes_and_params
 
 P_CHAIN = Params(("2",), ("1/2",))
 P2_SELF_DUAL = Params(("2", "3"), ("1/2", "1/3"))
@@ -343,6 +344,62 @@ def test_total_gap_builds_one_edge_list(monkeypatch):
     v = build_box((8,))
     spectra.total_gap(v, P_CHAIN)
     assert built == [v]
+
+
+@given(chain_params(), st.integers(3, 8), st.integers(1, 2))
+@settings(max_examples=25, deadline=None)
+def test_chain_floors_bound_every_sector(p, n, k):
+    # the shorter chain is itself solved with floors where it has room,
+    # so that its bounded sectors feed the floors too
+    m = n - k
+    assume(m >= 2)
+    floors = None
+    if m - k >= 2:
+        floors = spectra.chain_floors(
+            spectra.total_gap(build_box((m - k,)), p), k)
+    shorter = spectra.total_gap(build_box((m,)), p, floors=floors)
+    lowest = chain_sector_lowest(p, n)
+    got = spectra.chain_floors(shorter, k)
+    assert got.keys() == lowest.keys()
+    for sector, floor in got.items():
+        # to the rounding of the oracle's own solve, which can put a
+        # ground sector's zero just below 0
+        assert floor <= lowest[sector] + 1e-12, sector
+
+
+@pytest.mark.parametrize("n, p", [(8, P_CHAIN), (8, Params(("3",), ("1/2",))),
+                                  (7, Params(("1/3",), ("1/2",)))],
+                         ids=["mirror", "opposite", "same-side"])
+def test_floors_bound_sectors_without_building_them(monkeypatch, n, p):
+    # one site longer than the floors' chain: only the ground sectors and
+    # the four two-particle sectors that border them are solved
+    floors = spectra.chain_floors(spectra.total_gap(build_box((n - 1,)), p), 1)
+    rep, built = _solve(monkeypatch, build_box((n,)), p, floors=floors)
+    plain = spectra.total_gap(build_box((n,)), p)
+    assert rep.gap == plain.gap
+    assert (rep.kernel_total, rep.partial) == (plain.kernel_total, False)
+    solved = {(s.n_a, s.n_b) for s in rep.sectors
+              if s.kernel or s.lowest_excited is not None}
+    assert solved == {*analytic.GROUND_SECTORS, (2, 0), (0, 2), (2, 1), (1, 2)}
+    assert set(built) <= solved
+    for s, t in zip(rep.sectors, plain.sectors, strict=True):
+        assert not s.skipped
+        if (s.n_a, s.n_b) in solved:
+            assert s == t
+        else:
+            assert s.lowest_excited is None and s.kernel == 0
+            assert rep.floors[s.n_a, s.n_b] > rep.gap
+            assert rep.floors[s.n_a, s.n_b] <= t.lowest_excited
+
+
+def test_floors_leave_the_cap_check_first():
+    # sectors over the cap stay skipped, so the report stays partial
+    p = Params(("3",), ("1/2",))
+    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p), 1)
+    rep = spectra.total_gap(build_box((6,)), p, sector_cap=50, floors=floors)
+    plain = spectra.total_gap(build_box((6,)), p, sector_cap=50)
+    assert rep.partial and rep.gap == plain.gap
+    assert [s.skipped for s in rep.sectors] == [s.skipped for s in plain.sectors]
 
 
 def test_gapless_scaling_flat_species():

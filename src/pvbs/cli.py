@@ -6,7 +6,9 @@ identical invocations are byte-identical; CSV rows of the tabular verbs
 go through the `csv` module, which quotes a field that holds a comma.
 Results go to stdout, diagnostics and timings to stderr. Sweep cache
 entries are named by a SHA-256 from CPython's built-in module, so no
-verb loads hashlib and with it OpenSSL. Exit codes: 0 success, 2 on an
+verb loads hashlib and with it OpenSSL. BLAS runs on one thread, set
+before numpy loads, so neither the CPU time nor the output depends on the
+caller's OPENBLAS_NUM_THREADS. Exit codes: 0 success, 2 on an
 `InputError` (the input has no answer), 3 on a `ComputeError` (no
 certificate at these settings, or a solve or check failed).
 """
@@ -26,30 +28,14 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-# An idle OpenBLAS worker busy-waits for 2^OPENBLAS_THREAD_TIMEOUT cycles
-# (2^28 by default, about 0.13 s of CPU here) after `import numpy` and
-# after every threaded call before it sleeps. OpenBLAS reads the value
-# once, when numpy loads it, so it is set here, above `import numpy`;
-# `pvbs/__init__`, `model` and `lattice` import no numpy. A value the
-# caller set wins, and the thread count stays as the caller pinned it.
-# 2^22 cycles (about 2 ms) ends the spin after the import and after a
-# run's last call, yet outlasts the gap between the threaded calls of one
-# Lanczos solve: at 4, 16 and 20 the worker fell asleep in those gaps and
-# `gap box:12` lost 9-32 % of its wall time to waking it (8-10 pairs
-# each). At 22, per process, medians of 10 alternating pairs with the
-# parent (OPENBLAS_NUM_THREADS=2, 2-vCPU Xeon VM, numpy 2.4.6 with
-# OpenBLAS 0.3.31; stdout byte-identical; quartiles in the README):
-#                             wall s           CPU s      CPU won
-#                          parent  this    parent  this   (pairs)
-#   gap box:10               0.47  0.46      0.60  0.46    10/10
-#   gap box:12               2.17  2.23      4.13  3.61     9/10
-#   gap box:3x4              4.07  4.38      7.89  7.15     9/10
-#   certify 10, 1/10         0.30  0.25      0.43  0.26    10/10
-#   certify 4, 1/4           0.44  0.44      0.57  0.44    10/10
-#   certify 2, 1/2           8.43  8.88     16.32 14.27    10/10
-#   verify-projection 3^10   0.31  0.32      0.42  0.32    10/10
-# No wall time moved beyond the parent's quartile spread.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+# BLAS runs on one thread, whatever the caller set. A second OpenBLAS
+# thread gains no wall time on these matrices, busy-waits after every
+# threaded call, and changes the last digits that `gap` prints on box:11
+# and larger (see the README, "BLAS threads"). With one thread OpenBLAS
+# starts no worker at all. It reads the count once, when numpy loads it,
+# so it is set here, above `import numpy`; `pvbs/__init__`, `model` and
+# `lattice` import no numpy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy  # noqa: E402
 
@@ -200,15 +186,9 @@ def _budget(args) -> int:
 
 # ---------------------------------------------------------------- cache
 
-def cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("PVBS_CACHE_DIR")
-
-
-def _unusable_cache(args, exc: OSError) -> str:
-    """The message naming what set the sweep cache directory and why the
-    operating system refused it."""
-    source = "--cache-dir" if args.cache_dir else "PVBS_CACHE_DIR"
-    return f"{source} is unusable as a sweep cache: {exc}"
+def _unusable_cache(exc: OSError) -> str:
+    """Why the operating system refused the sweep cache directory."""
+    return f"--cache-dir is unusable as a sweep cache: {exc}"
 
 
 @functools.cache
@@ -394,12 +374,12 @@ def cmd_sweep(args) -> dict:
         raise InputError(f"--lambda-b: {exc}") from None
     sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
-    cdir = cache_dir(args)
+    cdir = args.cache_dir
     if cdir:
         try:
             os.makedirs(cdir, exist_ok=True)
         except OSError as exc:
-            raise InputError(_unusable_cache(args, exc)) from None
+            raise InputError(_unusable_cache(exc)) from None
     rows = []
     hits = solves = solved = bounded = 0
     # sizes ascending, so that each point's sectors are floored by the last
@@ -429,7 +409,7 @@ def cmd_sweep(args) -> dict:
                 try:
                     cache_put(cdir, key, row)
                 except OSError as exc:
-                    raise InputError(_unusable_cache(args, exc)) from None
+                    raise InputError(_unusable_cache(exc)) from None
                 solves += 1
                 last[la] = size, rep
                 # a bounded sector is the only unskipped one left without

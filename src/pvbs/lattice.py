@@ -62,15 +62,9 @@ class Volume:
 
 
 def build_box(dims: tuple[int, ...]) -> Volume:
-    """Axis-aligned box {x : 0 <= x_j <= dims_j - 1}."""
-    d = len(dims)
-    _check_dim(d)
-    if any(n < 1 for n in dims):
-        raise InputError(f"box extents must be >= 1, got {dims}")
-    sites = [()]
-    for n in dims:
-        sites = [s + (x,) for s in sites for x in range(n)]
-    return Volume(d, tuple(sites))
+    """Axis-aligned box {x : 0 <= x_j <= dims_j - 1}: the Case-1 volume
+    with a zero tilt."""
+    return build_tilted_case1((0,) * (len(dims) - 1), dims)
 
 
 def edges(v: Volume) -> list[tuple[int, int, int]]:

@@ -1,19 +1,17 @@
 """Spectral-gap computation on finite volumes.
 
-Dense diagonalization for sectors of at most DENSE_CAP (64) states, the
-largest whose dense solve leaves OpenBLAS's second thread asleep (once
-woken, it busy-waits as long as OPENBLAS_THREAD_TIMEOUT allows, which
-the command line shortens; see the comment above DENSE_CAP), and above
-it a thick-restart Lanczos in numpy (K. Wu and H. Simon, SIAM J. Matrix
-Anal. Appl. 22, 602 (2000)), whose eigenpairs are each checked by their
-residual. Every particle sector is solved the same way: its kernel
-(one analytic ground vector in a ground-bearing sector, none elsewhere)
-is counted among the lowest kernel + 1 eigenvalues, and the next one is
-its lowest excitation. Where a mirror symmetry maps sector (n_a, n_b)
-onto (n_b, n_a) (see `_mirror_twins`), only the sectors with n_a <= n_b
-are solved, and each other one takes its twin's record. A chain can be
-given floors from a shorter chain's report (`chain_floors`), and then
-skips every sector that its floor puts above the gap.
+Dense diagonalization for sectors of at most DENSE_CAP (64) states (see
+the comment above it), and above it a thick-restart Lanczos in numpy
+(K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), whose
+eigenpairs are each checked by their residual. Every particle sector is
+solved the same way: its kernel (one analytic ground vector in a
+ground-bearing sector, none elsewhere) is counted among the lowest
+kernel + 1 eigenvalues, and the next one is its lowest excitation. Where
+a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
+`_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
+other one takes its twin's record. A chain can be given floors from a
+shorter chain's report (`chain_floors`), and then skips every sector
+that its floor puts above the gap.
 """
 
 from __future__ import annotations
@@ -28,33 +26,30 @@ from .lattice import Volume, build_box
 from .model import GapClass, Params, classify_zd
 
 # Dense eigvalsh against Lanczos for the lowest eigenvalue of a d=1
-# sector, per call in ms, measured on a 2-vCPU Xeon VM with numpy's
-# OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels);
-# median of 4 runs, each a median of 15 repeats (3 at 2520 states); dense
-# includes the conversion to an array, Lanczos the residual check, and
-# CPU counts every thread of the process:
-#            BLAS on 2 threads                 BLAS on 1 thread
-#            dense          Lanczos(k=1)       dense          Lanczos(k=1)
-#    dim   wall    cpu     wall    cpu       wall    cpu     wall    cpu
-#     56   0.19    0.19    0.86    0.84      0.20    0.20    1.01    1.01
-#     70   0.33    0.61    1.05    1.06      0.32    0.32    0.92    0.92
-#     90   0.51    1.04    1.47    1.47      0.46    0.47    1.01    1.01
-#    120   0.88    1.73    1.23    1.23      0.63    0.63    0.93    0.93
-#    168   1.63    3.32    1.27    1.27      1.50    1.50    1.25    1.25
-#    210   2.80    5.60    1.80    1.80      2.77    2.77    1.45    1.45
-#    252   4.31    8.52    1.43    1.44      4.08    4.08    1.57    1.57
-#   2520   1105    2082    9.41    9.43      1899    1898    9.06    9.07
-# eigvalsh of an n x n matrix wakes OpenBLAS's second thread from n = 65
-# on (bisected on 56..72: 64 keeps cpu = wall, 65 to 72 all give
-# cpu/wall of about 2), which gains no wall time below 200 states.
-# Lanczos's numpy calls at these sizes run on one thread. The woken
-# thread then busy-waits for 2^OPENBLAS_THREAD_TIMEOUT cycles: 2^22 under
-# `pvbs.cli`, which sets that before numpy loads, so back-to-back dense
-# solves keep it busy (cpu/wall 1.94-2.00 at 65, 120 and 200 states over
-# 300 calls each); OpenBLAS's default 2^28 where numpy loaded before
-# pvbs.cli, about 135 ms of CPU after every such call, so a sweep that
-# meets such a sector every few solves keeps a second core busy. The cap
-# is the largest dense size that leaves the pool asleep.
+# sector, per call in ms, with BLAS on one thread as `pvbs.cli` runs it,
+# measured on a 2-vCPU Xeon VM with numpy's OpenBLAS 0.3.31
+# (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels); median of 4 runs,
+# each a median of 15 repeats (3 at 2520 states); dense includes the
+# conversion to an array, Lanczos the residual check:
+#            dense          Lanczos(k=1)
+#    dim   wall    cpu     wall    cpu
+#     56   0.20    0.20    1.01    1.01
+#     70   0.32    0.32    0.92    0.92
+#     90   0.46    0.47    1.01    1.01
+#    120   0.63    0.63    0.93    0.93
+#    168   1.50    1.50    1.25    1.25
+#    210   2.77    2.77    1.45    1.45
+#    252   4.08    4.08    1.57    1.57
+#   2520   1899    1898    9.06    9.07
+# So at one thread dense is faster up to about 150 states. The cap stays
+# at 64, where it was set for two threads, because moving it changes the
+# last digits of the sectors between the two. It still serves a library
+# caller whose numpy loaded with more than one BLAS thread before
+# `pvbs.cli` could pin it: eigvalsh of an n x n matrix wakes OpenBLAS's
+# second thread from n = 65 on (bisected on 56..72), which gains no wall
+# time at these sizes and then busy-waits, about 135 ms of CPU after
+# every such call at OpenBLAS's default timeout. Up to 64 states, as in
+# Lanczos's numpy calls at these sizes, that thread stays asleep.
 DENSE_CAP = 64
 KERNEL_TOL_REL = 1e-8
 SCALING_NUMERIC_CAP = 12
@@ -249,15 +244,18 @@ def total_gap(v: Volume, p: Params,
     `_mirror_twins(v, p)` holds, a sector with n_a > n_b is not solved: it
     takes the record of its twin (n_b, n_a), floats included.
 
-    `floors`, when given, holds a lower bound on the lowest eigenvalue of
-    every sector, such as `chain_floors` makes from a shorter chain. The
-    sectors are then visited in ascending floor order (the cap check
-    first), keeping the least excitation solved so far, and a sector
-    outside analytic.GROUND_SECTORS whose floor exceeds it is bounded, not
-    solved: no basis, pattern or matrix is built for it, and its record
-    has `lowest_excited` None and `skipped` False. Its lowest eigenvalue
-    is its lowest excitation, so it lies above the gap, which stays the
-    minimum over the same solved floats as without floors.
+    `floors` holds a lower bound on the lowest eigenvalue of sectors, such
+    as `chain_floors` makes from a shorter chain; a sector it omits (all
+    of them when it is None) has floor 0. The sectors are visited in
+    ascending floor order, ties in sector order (the cap check first),
+    keeping the least excitation solved so far, and a sector outside
+    analytic.GROUND_SECTORS whose floor exceeds it is bounded, not solved:
+    no basis, pattern or matrix is built for it, and its record has
+    `lowest_excited` None and `skipped` False. Its lowest eigenvalue is
+    its lowest excitation, so it lies above the gap, which stays the
+    minimum over the same solved floats as without floors. A floor of 0
+    never bounds a sector, since every solved excitation is at least the
+    positive kernel threshold.
 
     The report's `floors` bound each sector's lowest eigenvalue: 0 in a
     ground sector (H >= 0) and in a skipped one; the given floor in a
@@ -278,9 +276,9 @@ def total_gap(v: Volume, p: Params,
     weights = operators.edge_weights(p)
     mirror = _mirror_twins(v, p)
     sectors = [(n_a, n_b) for n_a in range(n + 1) for n_b in range(n + 1 - n_a)]
-    visit = [s for s in sectors if not (mirror and s[0] > s[1])]
-    if floors is not None:
-        visit.sort(key=floors.__getitem__)
+    floors = floors or {}
+    visit = sorted((s for s in sectors if not (mirror and s[0] > s[1])),
+                   key=lambda s: floors.get(s, 0.0))
     records, bounds = {}, {}
     least = math.inf
     for n_a, n_b in visit:
@@ -290,9 +288,10 @@ def total_gap(v: Volume, p: Params,
             bounds[n_a, n_b] = 0.0
             continue
         ground = (n_a, n_b) in analytic.GROUND_SECTORS
-        if floors is not None and not ground and floors[n_a, n_b] > least:
+        floor = floors.get((n_a, n_b), 0.0)
+        if not ground and floor > least:
             records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None)
-            bounds[n_a, n_b] = floors[n_a, n_b]
+            bounds[n_a, n_b] = floor
             continue
         pattern = None if patterns is None else patterns.get((n_a, n_b))
         if pattern is None:

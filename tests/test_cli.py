@@ -230,9 +230,8 @@ def _verb_formats():
 
 
 @pytest.mark.parametrize("verb,fmt", list(_verb_formats()))
-def test_every_offered_format_exits_cleanly(capsys, monkeypatch, verb, fmt):
+def test_every_offered_format_exits_cleanly(capsys, verb, fmt):
     # a format a verb offers must print its record, never a traceback
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     try:
         code = cli.main([verb, *SMALL_ARGV[verb], "--format", fmt])
     except SystemExit as exc:
@@ -315,12 +314,9 @@ UNMAPPED = ("libcrypto", "libssl", "_hashlib")
 
 def _child_env(**preset):
     """The environment of a fresh interpreter that runs this checkout's
-    pvbs with no sweep cache and no BLAS thread timeout, then `preset`."""
+    pvbs, with `preset` on top."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PVBS_CACHE_DIR", None)
-    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-    return dict(env, **preset)
+    return dict(os.environ, PYTHONPATH=src, **preset)
 
 
 def _loaded(argvs):
@@ -332,7 +328,7 @@ def _loaded(argvs):
 
 
 # prints whether numpy is loaded once pvbs is, whether the library modules
-# wrote to the environment, and the BLAS thread timeout pvbs.cli leaves
+# wrote to the environment, and the BLAS thread count pvbs.cli leaves
 ORDER_SCRIPT = """
 import json, os, sys
 before = dict(os.environ)
@@ -343,27 +339,40 @@ from pvbs import (analytic, fock, lattice, martingale, model, operators,
 library_wrote = dict(os.environ) != before
 import pvbs.cli
 print(json.dumps([numpy_loaded, library_wrote,
-                  os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
-@pytest.mark.parametrize("preset, kept", [
-    ({}, "22"), ({"OPENBLAS_THREAD_TIMEOUT": "20"}, "20")])
-def test_cli_sets_the_blas_thread_timeout_before_numpy_loads(preset, kept):
-    # OpenBLAS reads the timeout once, when numpy loads it; `python -m
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "preset-2"])
+def test_cli_pins_blas_to_one_thread_before_numpy_loads(preset):
+    # OpenBLAS reads the thread count once, when numpy loads it; `python -m
     # pvbs.cli` and the `pvbs` script both import the package first, so
     # that import must not load numpy
-    done = subprocess.run([sys.executable, "-c", ORDER_SCRIPT],
-                          env=_child_env(**preset), capture_output=True,
-                          text=True, check=True)
-    assert json.loads(done.stdout) == [False, False, kept]
+    env = _child_env(**preset)
+    if not preset:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", ORDER_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [False, False, "1"]
+
+
+def test_gap_stdout_does_not_depend_on_the_callers_blas_threads():
+    # on box:11 a second BLAS thread changes the last digits of the
+    # Lanczos values, unless pvbs.cli pins one thread
+    argv = [sys.executable, "-m", "pvbs.cli", "gap", "--lambda-a", "2",
+            "--lambda-b", "1/2", "--volume", "box:11"]
+    one, two = (subprocess.run(argv, env=_child_env(OPENBLAS_NUM_THREADS=n),
+                               capture_output=True, text=True, check=True)
+                for n in ("1", "2"))
+    assert one.stdout == two.stdout
 
 
 def test_cli_leaves_no_blas_worker_spinning():
     """An idle OpenBLAS worker that busy-waits after `import numpy` adds
     about 0.13 s of CPU to a process whose main thread works alone; with
-    the timeout that pvbs.cli sets, the CPU time stays within the wall
-    time. A loaded machine only widens the wall time."""
+    the one BLAS thread that pvbs.cli pins, the CPU time stays within the
+    wall time. A loaded machine only widens the wall time."""
     if not hasattr(os, "wait4"):
         pytest.skip("needs os.wait4 for the child's CPU time")
     try:
@@ -732,11 +741,9 @@ def test_sweep_with_cache(capsys, tmp_path):
             assert fh.read() == text
 
 
-def test_sweep_points_share_patterns_but_not_weights(capsys, monkeypatch):
+def test_sweep_points_share_patterns_but_not_weights(capsys):
     # at each size, lambda_a = 3 reuses the sector patterns built for
     # lambda_a = 2; its rows must be those of a sweep over 3 alone
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
-
     def rows_at_3(grid):
         code, out, _ = run_cli(capsys, "sweep", "--grid-a", grid,
                                "--lambda-b", "1/2", "--sizes", "3,4",
@@ -779,7 +786,6 @@ def _bounded(err: str) -> int:
 
 @pytest.mark.parametrize("sizes", ["4,5,6,7,8", "8,4,6,5", "4,6,9", "3,3"])
 def test_sweep_floors_keep_rows_byte_identical(capsys, monkeypatch, sizes):
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     (out, err), (free, free_err) = _sweep_twice(capsys, monkeypatch, sizes)
     assert out == free
     assert _bounded(err) > 0 == _bounded(free_err)
@@ -802,7 +808,6 @@ def _recording_total_gap(m, seen, fail_at=None, **fixed):
 def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
                                                       tmp_path):
     # size 5 is cached, so size 6 has no shorter report to be floored by
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     caches = [str(tmp_path / name) for name in ("floored", "free")]
     for cdir in caches:
         code, _, _ = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
@@ -827,7 +832,6 @@ def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
 
 def test_sweep_after_a_failed_point_solves_without_floors(capsys,
                                                          monkeypatch):
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     seen = []
     (out, _), (free, _) = _sweep_twice(
         capsys, monkeypatch, "4,5,6",
@@ -841,7 +845,6 @@ def test_sweep_after_a_failed_point_solves_without_floors(capsys,
 
 
 def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     (out, err), (free, _) = _sweep_twice(
         capsys, monkeypatch, "4,5,6,7",
         before=lambda m: _recording_total_gap(m, [], sector_cap=20))
@@ -851,10 +854,9 @@ def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
     assert status == {4: "ok", 5: "partial", 6: "partial", 7: "partial"}
 
 
-def test_sweep_counts_solved_and_bounded_sectors(capsys, monkeypatch):
+def test_sweep_counts_solved_and_bounded_sectors(capsys):
     # the 15 sectors of 4 sites are all solved; from 5 sites on only the
     # four ground sectors and (2,0), (0,2), (2,1), (1,2)
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     code, _, err = run_cli(capsys, "sweep", "--grid-a", "3", "--lambda-b",
                            "1/2", "--sizes", "4,5,6,7,8")
     assert code == 0
@@ -905,7 +907,6 @@ def test_gap_refuses_an_oversized_volume_before_building_it(
 
 def test_sweep_refuses_an_oversized_chain_before_building_it(
         capsys, monkeypatch):
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
     _refuse_to_build(monkeypatch)
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
                            "1/2", "--sizes", "100000000,40",
@@ -921,8 +922,6 @@ def test_sweep_refuses_an_oversized_chain_before_building_it(
 
 
 def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
-
     def no_key(inputs):
         raise AssertionError("cache_key called with no cache directory")
 
@@ -934,13 +933,6 @@ def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):
     assert "0 cache hits, 4 solves" in err
 
 
-def test_sweep_env_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PVBS_CACHE_DIR", str(tmp_path))
-    run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b", "2",
-            "--sizes", "3")
-    assert len(os.listdir(tmp_path)) == 1
-
-
 def _unsolvable(monkeypatch):
     def unsolvable(*args, **kwargs):
         raise AssertionError("point solved")
@@ -948,25 +940,17 @@ def _unsolvable(monkeypatch):
     monkeypatch.setattr(spectra, "total_gap", unsolvable)
 
 
-@pytest.mark.parametrize("via_env", [False, True])
 def test_sweep_cache_on_a_regular_file_exits_2_before_solving(
-        capsys, monkeypatch, tmp_path, via_env):
+        capsys, monkeypatch, tmp_path):
     # the directory is made once, before any point is solved
     _unsolvable(monkeypatch)
     path = tmp_path / "file"
     path.write_text("")
-    argv = ["sweep", "--grid-a", "2", "--lambda-b", "1/2", "--sizes", "3"]
-    if via_env:
-        monkeypatch.setenv("PVBS_CACHE_DIR", str(path))
-        source = "PVBS_CACHE_DIR"
-    else:
-        monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
-        argv += ["--cache-dir", str(path)]
-        source = "--cache-dir"
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
+                             "1/2", "--sizes", "3", "--cache-dir", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {source} is unusable as a sweep cache: "
+    assert err.startswith("error: --cache-dir is unusable as a sweep cache: "
                           f"[Errno {errno.EEXIST}] ")
     assert os.listdir(tmp_path) == ["file"]
 
@@ -1064,12 +1048,11 @@ def test_bench_tracer_counts_the_assembled_nonzeros(capsys, monkeypatch,
 
 def test_dense_solves_stay_within_the_cap(capsys, monkeypatch):
     """No matrix over DENSE_CAP reaches dense eigvalsh on the benchmark's
-    gap, certify and sweep inputs. Above 64 states OpenBLAS's eigvalsh
-    wakes its second thread, which gains no wall time at these sizes and
-    then busy-waits: for 2^22 cycles under pvbs.cli, which sets
-    OPENBLAS_THREAD_TIMEOUT, and for about 135 ms where numpy loaded
-    first (see the table in spectra); test_info pins the cap."""
-    monkeypatch.delenv("PVBS_CACHE_DIR", raising=False)
+    gap, certify and sweep inputs. Where numpy loaded with two BLAS
+    threads before pvbs.cli could pin one, OpenBLAS's eigvalsh wakes its
+    second thread above 64 states, which gains no wall time at these
+    sizes and then busy-waits for about 135 ms (see the comment above
+    spectra.DENSE_CAP); test_info pins the cap."""
     real = np.linalg.eigvalsh
     sizes = []
 

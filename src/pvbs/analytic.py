@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ComputeError, InputError, fock
+from . import InputError, fock
 from .lattice import VolumeFamilySpec
-from .model import Params, TiltScheme, c_tilde, projection_bound
+from .model import Params, c_tilde
 
 
 # the particle-number sectors that carry the four ground states
@@ -171,8 +171,7 @@ def check_diagonal_bound(family: VolumeFamilySpec, lo: int,
         raise InputError("diagonal bound needs hi > lo")
     ns = normalization_closed_form(family, lo, hi)
     lhs = ns.d_diag / (ns.c_a * ns.c_b)
-    rhs = (hi - lo) * math.exp(-2.0 * (hi - lo - 1)
-                               * min(abs(loga), abs(logb)))
+    rhs = (hi - lo) * math.exp(-2.0 * (hi - lo - 1) * t.margins[j])
     return BoundReport("diagonal", lhs, rhs)
 
 
@@ -214,10 +213,3 @@ def check_ratio_bounds(family: VolumeFamilySpec, n: int,
             ])
     return out
 
-
-def lemma1_bound(t: TiltScheme, ell: int, j: int) -> float:
-    """Analytic bound on ||G_slab E_n|| for sweep direction j."""
-    mlog = t.min_log_direction(j)
-    if not (ell - 2) * mlog > 1.0:
-        raise ComputeError("projection bound needs (ell-2) min|log| > 1")
-    return projection_bound(t, ell, mlog)

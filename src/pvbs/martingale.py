@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy
 
 from . import __version__ as _pkg_version
-from . import ComputeError, analytic, fock, operators, spectra
+from . import ComputeError, fock, operators, spectra
 from .lattice import VolumeFamilySpec
 from .model import (DEFAULT_ELL_CAP, DEFAULT_ETA, Params, TiltScheme,
-                    c_tilde, choose_ell, select_tilt)
+                    c_tilde, choose_ell, projection_bound, select_tilt)
 
 DEFAULT_GAMMA_BUDGET = 150_000
 PASS_SLACK = 1e-10
@@ -123,9 +123,9 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
     the only size limit is fock's 39 sites for base-3 codes, checked
     before any member is built.
     """
-    j = family.sweep
+    t, j = family.tilt, family.sweep
     # first, so that an ell failing the bound's hypothesis costs nothing
-    bound = analytic.lemma1_bound(family.tilt, ell, j)
+    bound = projection_bound(t, ell, t.margins[j])
     # fock meets the inner volume first and then the ambient one; the
     # slab, ell / n of the inner volume's sites, is never the first over
     for m in (n, n + 1):
@@ -136,8 +136,7 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
     if set(slab_vol.sites + inner.sites) != set(ambient.sites):
         raise ComputeError("sweep slab and inner volume do not make up "
                            "the ambient volume")
-    measured = operators.projection_product_norm(slab_vol, inner,
-                                                 family.tilt.params)
+    measured = operators.projection_product_norm(slab_vol, inner, t.params)
     return ConditionReport(
         "iii", {"j": j, "n": n, "ell": ell}, measured, bound)
 
@@ -145,7 +144,9 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
 def compute_gamma_ell(t: TiltScheme, ell: int,
                       budget: int = DEFAULT_GAMMA_BUDGET):
     """Seed gap on the all-ell volume, or a Symbolic marker when the
-    largest particle sector is out of budget."""
+    largest particle sector is out of budget. In d = 1 that volume is the
+    ell-site chain, climbed to by `spectra.climb_chain`; no sector of a
+    shorter chain is larger than the largest of the longest."""
     family = sweep_family(t, 0, ell, ell)
     n_sites = family.member_sites(ell)
     # the multinomial n! / (n_a! n_b! n_0!) is largest at the most even
@@ -155,6 +156,8 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     if worst > budget:
         return Symbolic("largest particle sector exceeds the eigensolver "
                         "budget", worst)
+    if t.dim == 1:  # member(ell) is the ell-site chain
+        return spectra.climb_chain(t.params, ell, sector_cap=budget)
     return spectra.total_gap(family.member(ell), t.params, sector_cap=budget)
 
 

@@ -200,16 +200,14 @@ class TiltScheme:
         return tuple(math.log(v) for v in self.tilde(s))
 
     @property
-    def min_log(self) -> float:
-        return min(
-            abs(math.log(v))
-            for vec in (self.lambda_tilde_a, self.lambda_tilde_b)
-            for v in vec
-        )
+    def margins(self) -> tuple[float, ...]:
+        """min_s |log lambda~_s,j| for each direction j."""
+        return tuple(min(abs(math.log(a)), abs(math.log(b)))
+                     for a, b in zip(self.lambda_tilde_a, self.lambda_tilde_b))
 
-    def min_log_direction(self, j: int) -> float:
-        return min(abs(math.log(self.lambda_tilde_a[j])),
-                   abs(math.log(self.lambda_tilde_b[j])))
+    @property
+    def min_log(self) -> float:
+        return min(self.margins)
 
     def to_json(self) -> dict:
         return {
@@ -307,8 +305,7 @@ def c_tilde(t: TiltScheme) -> float:
     x_j = exp(-2 min_s |log lambda~_s,j|); always > 1. 1 - prod is taken
     as -expm1(-sum log1p(x_j)), accurate even for x_j below double
     epsilon; InputError when c~^(3/2), which the bounds take, overflows."""
-    x = [math.exp(-2.0 * min(abs(math.log(a)), abs(math.log(b))))
-         for a, b in zip(t.lambda_tilde_a, t.lambda_tilde_b)]
+    x = [math.exp(-2.0 * m) for m in t.margins]
     one_minus_prod = -math.expm1(-math.fsum(math.log1p(v) for v in x))
     if one_minus_prod < sys.float_info.max ** (-2.0 / 3.0):
         raise InputError(f"c~ = 1/{one_minus_prod:.3g} is outside double "
@@ -316,34 +313,32 @@ def c_tilde(t: TiltScheme) -> float:
     return 1.0 / one_minus_prod
 
 
-def projection_bound(t: TiltScheme, ell: int, min_log: float) -> float:
-    """sqrt(60 l) c~^(3/2) exp(-(l-2) min_log), as the exponential of the
-    sum of the logs: for strong weights c~^(3/2) is huge and the last
-    factor underflows on its own, though the product is in range. The
-    sum cannot overflow: c~ <= 1 + exp(2 min|log|) and c_tilde caps
-    c~^(3/2) at double range, so it stays below about 500."""
+def projection_bound(t: TiltScheme, ell: int, margin: float) -> float:
+    """The projection-product bound sqrt(60 l) c~^(3/2) exp(-(l-2) margin)
+    on ||G_slab E_n|| at slab width l, for `margin` one of t.margins (or
+    their minimum, t.min_log, for every direction at once). ComputeError
+    unless its hypothesis (l-2) margin > 1 holds.
+
+    Taken as the exponential of the sum of the logs: for strong weights
+    c~^(3/2) is huge and the last factor underflows on its own, though the
+    product is in range. The sum cannot overflow: c~ <= 1 + exp(2 margin)
+    and c_tilde caps c~^(3/2) at double range, so it stays below about
+    500."""
+    if not (ell - 2) * margin > 1.0:
+        raise ComputeError("projection bound needs (ell-2) min|log| > 1")
     return math.exp(0.5 * math.log(60.0 * ell) + 1.5 * math.log(c_tilde(t))
-                    - (ell - 2) * min_log)
-
-
-def epsilon_ell(t: TiltScheme, ell: int) -> float:
-    """Projection-product bound sqrt(60 l) c~^(3/2) exp(-(l-2) min|log|)."""
-    if ell < 3:
-        raise InputError("epsilon_ell needs ell >= 3")
-    return projection_bound(t, ell, t.min_log)
+                    - (ell - 2) * margin)
 
 
 def choose_ell(t: TiltScheme, cap: int = DEFAULT_ELL_CAP) -> tuple[int, float]:
     """Smallest slab width satisfying connectivity, the projection-bound
     hypothesis, and eps_ell < 1/sqrt(ell)."""
     vmax = max(t.v) if t.v else 0
-    mlog = t.min_log
-    for ell in range(3, cap + 1):
-        if ell < vmax + 1:
+    for ell in range(max(3, vmax + 1), cap + 1):
+        try:
+            eps = projection_bound(t, ell, t.min_log)
+        except ComputeError:
             continue
-        if not (ell - 2) * mlog > 1.0:
-            continue
-        eps = epsilon_ell(t, ell)
         if eps < 1.0 / math.sqrt(ell):
             return ell, eps
     raise ComputeError(

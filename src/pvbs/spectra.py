@@ -11,7 +11,9 @@ a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
 `_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
 other one takes its twin's record. A chain can be given floors from a
 shorter chain's report (`chain_floors`), and then skips every sector
-that its floor puts above the gap.
+that its floor puts above the gap; `climb_chain` solves a chain so, each
+length floored by the one before it from 2 sites up, which is how
+`certify` gets a d=1 seed gap and `scaling` its d=1 exact gaps.
 """
 
 from __future__ import annotations
@@ -363,6 +365,25 @@ def chain_floors(shorter: SpectrumReport, k: int) -> dict:
             for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
+def climb_chain(p: Params, size: int, shorter: SpectrumReport | None = None,
+                sector_cap: int = fock.DEFAULT_SECTOR_CAP) -> SpectrumReport:
+    """The `total_gap` report of the `size`-site chain, reached by a
+    climb: every chain from 2 sites, or from one site past `shorter` (an
+    earlier report of a chain of at most `size` sites at p), up to `size`
+    is solved with the floors `chain_floors(prev, 1)` of the chain before
+    it. The gap is a floor-free solve's, bit for bit: floors leave
+    `total_gap`'s minimum over the same solved floats, and only spare it
+    the sectors, mostly the largest, that they put above the gap."""
+    report = shorter
+    start = 2 if shorter is None else max(
+        s.n_a + s.n_b for s in shorter.sectors) + 1
+    for n in range(start, size + 1):
+        floors = None if report is None else chain_floors(report, 1)
+        report = total_gap(build_box((n,)), p, sector_cap=sector_cap,
+                           floors=floors)
+    return report
+
+
 @dataclass
 class ScalingPoint:
     size: int
@@ -393,12 +414,17 @@ def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
         raise InputError("no species with a flat parameter vector")
     d = p.dim
     out = []
+    chain = None  # in d = 1, the last chain solved: the next one climbs on
     for size in sorted(sizes):
         if size < 1:
             raise InputError("box sizes must be positive")
         sites = size ** d
         gap = None
         if 2 <= sites <= SCALING_NUMERIC_CAP:
-            gap = total_gap(build_box((size,) * d), p).gap
+            if d == 1:
+                chain = climb_chain(p, size, chain)
+                gap = chain.gap
+            else:
+                gap = total_gap(build_box((size,) * d), p).gap
         out.append(ScalingPoint(size, sites, d / size, gap))
     return out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pvbs import ComputeError, InputError, analytic, fock, spectra
+from pvbs import InputError, analytic, fock, spectra
 from pvbs.lattice import Volume, VolumeFamilySpec, build_box
 from pvbs.martingale import sweep_family
 from pvbs.model import Params, select_tilt
@@ -166,13 +166,6 @@ def test_ratio_bounds_randomized():
         for r in analytic.check_ratio_bounds(fam, n, ell):
             assert r.passed, (r.name, r.lhs, r.rhs, p.to_json(), j, n, ell)
         checked += 1
-
-
-def test_lemma1_bound_hypothesis():
-    t = select_tilt(Params(("10",), ("1/10",)))
-    with pytest.raises(ComputeError):
-        analytic.lemma1_bound(t, 2, 0)
-    assert analytic.lemma1_bound(t, 8, 0) == pytest.approx(0.0222, abs=2e-4)
 
 
 def test_bound_report_slack_sign():

@@ -791,6 +791,38 @@ def test_sweep_floors_keep_rows_byte_identical(capsys, monkeypatch, sizes):
     assert _bounded(err) > 0 == _bounded(free_err)
 
 
+@pytest.mark.parametrize("lam", [("4", "1/4"), ("10", "1/10")],
+                         ids=["4,1/4", "10,1/10"])
+def test_certify_seed_climb_keeps_stdout(capsys, monkeypatch, lam):
+    outs = []
+    for floored in (True, False):
+        with monkeypatch.context() as m:
+            if not floored:
+                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+            code, out, _ = run_cli(capsys, "certify", "--lambda-a", lam[0],
+                                   "--lambda-b", lam[1])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_certify_seed_climbs_the_chain(capsys, monkeypatch):
+    # the 13-site seed at (2, 1/2) has sectors of 90090 states; floored by
+    # the 12-site chain, none over 858 is built
+    dims = []
+    real = operators.sector_pattern
+
+    def spy(basis):
+        dims.append(basis.dim)
+        return real(basis)
+
+    monkeypatch.setattr(operators, "sector_pattern", spy)
+    code, out, _ = run_cli(capsys, "certify", "--lambda-a", "2",
+                           "--lambda-b", "1/2")
+    assert code == 0 and json.loads(out)["ell"] == 13
+    assert max(dims) <= 858
+
+
 def _recording_total_gap(m, seen, fail_at=None, **fixed):
     """Patch total_gap to record (L, whether floors were given) per call,
     to fail at chain length fail_at, and to take the keywords fixed."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pvbs import ComputeError, InputError
 from pvbs.model import (DIVERGENT, GapClass, Params, c_orthant,
                         c_tilde, choose_ell, classify_zd,
-                        epsilon_ell, infinite_gs_census, log_lambda,
+                        infinite_gs_census, log_lambda, projection_bound,
                         select_tilt)
 
 
@@ -156,16 +156,16 @@ def test_choose_ell_frozen_values():
     assert eps == pytest.approx(0.2080, abs=1e-4)
     assert eps < 1 / math.sqrt(7)
     # one step earlier must fail
-    assert epsilon_ell(t10, 6) > 1 / math.sqrt(6)
+    assert projection_bound(t10, 6, t10.min_log) > 1 / math.sqrt(6)
 
     t2 = select_tilt(Params(("2",), ("1/2",)))
     ell2, eps2 = choose_ell(t2)
     assert ell2 == 13
-    assert epsilon_ell(t2, 12) > 1 / math.sqrt(12)
+    assert projection_bound(t2, 12, t2.min_log) > 1 / math.sqrt(12)
     assert eps2 < 1 / math.sqrt(13)
 
 
-def test_epsilon_ell_is_the_direct_product_where_that_is_in_range():
+def test_projection_bound_is_the_direct_product_where_that_is_in_range():
     for la, lb in (("10", "1/10"), ("4", "1/4")):
         t = select_tilt(Params((la,), (lb,)))
         ell, eps = choose_ell(t)
@@ -174,12 +174,28 @@ def test_epsilon_ell_is_the_direct_product_where_that_is_in_range():
         assert eps == pytest.approx(direct, rel=1e-14, abs=0)
 
 
-def test_epsilon_ell_strong_weights_do_not_underflow():
+def test_projection_bound_strong_weights_do_not_underflow():
     # c~ = 1 + 1e204 and exp(-4 min|log|) = 1e-408: the last factor alone
     # underflows, the bound sqrt(360) * 1e-102 does not
     t = select_tilt(Params(("1e-102",), ("1e102",)))
     assert choose_ell(t) == (6, pytest.approx(math.sqrt(360) * 1e-102,
                                               rel=1e-12))
+
+
+def test_projection_bound_hypothesis():
+    t = select_tilt(Params(("10",), ("1/10",)))
+    with pytest.raises(ComputeError):
+        projection_bound(t, 2, t.margins[0])
+    assert projection_bound(t, 8, t.margins[0]) == pytest.approx(0.0222,
+                                                                 abs=2e-4)
+
+
+def test_margins_per_direction():
+    # Case 1 leads with the coordinate of margin log 3 and needs no tilt
+    t = select_tilt(Params(("2", "3"), ("1/2", "1/3")))
+    assert t.permutation == (1, 0) and t.v == (0,)
+    assert t.margins == pytest.approx((math.log(3), math.log(2)), rel=1e-15)
+    assert t.min_log == t.margins[1]
 
 
 def test_choose_ell_cap():
@@ -195,5 +211,7 @@ def test_choose_ell_cap():
 @settings(max_examples=25, deadline=None)
 def test_epsilon_monotone_in_ell(la, lb):
     t = select_tilt(Params((la,), (lb,)))
-    vals = [epsilon_ell(t, ell) for ell in range(3, 12)]
+    # min|log| >= log 2 here, so the hypothesis (ell-2) min|log| > 1
+    # holds from ell = 4 on
+    vals = [projection_bound(t, ell, t.min_log) for ell in range(4, 12)]
     assert all(x > y for x, y in zip(vals, vals[1:]))

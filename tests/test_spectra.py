@@ -402,6 +402,16 @@ def test_floors_leave_the_cap_check_first():
     assert [s.skipped for s in rep.sectors] == [s.skipped for s in plain.sectors]
 
 
+@given(chain_params(), st.integers(2, 8), st.integers(3, 9))
+@settings(max_examples=15, deadline=None)
+def test_climb_is_a_floor_free_solve(p, m, n):
+    # continuing a climb from m sites must solve every length after it
+    assume(m < n)
+    plain = spectra.total_gap(build_box((n,)), p).gap
+    assert spectra.climb_chain(p, n).gap == plain
+    assert spectra.climb_chain(p, n, spectra.climb_chain(p, m)).gap == plain
+
+
 def test_gapless_scaling_flat_species():
     p = Params(("1",), ("2",))
     pts = spectra.gapless_scaling(p, [2, 3, 4])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -44,6 +45,9 @@ from . import (ComputeError, InputError, __version__, analytic,  # noqa: E402
 from .lattice import (Volume, VolumeFamilySpec, build_box,  # noqa: E402
                       build_tilted_case1, build_tilted_case2, site_count)
 from .model import Params  # noqa: E402
+
+# import-time objects live as long as the process; no GC pass need scan them
+gc.freeze()
 
 
 # ---------------------------------------------------------------- output
@@ -351,12 +355,12 @@ def cmd_scaling(args) -> dict:
 
 
 def _sweep_point(point: dict, lambda_b: tuple, patterns: dict,
-                 floors: dict | None):
-    """The row of one sweep point and the report behind it."""
+                 shorter: spectra.SpectrumReport | None):
+    """The row of one sweep point and the report behind it, climbed to
+    from the report `shorter` of a chain no longer, or from 2 sites."""
     p = Params((point["lambda_a"],), lambda_b)
     fock.check_site_count(point["L"])
-    vol = build_box((point["L"],))
-    rep = spectra.total_gap(vol, p, patterns=patterns, floors=floors)
+    rep = spectra.climb_chain(p, point["L"], shorter, patterns=patterns)
     return {**point, "gap": rep.gap,
             "status": "partial" if rep.partial else "ok"}, rep
 
@@ -382,11 +386,10 @@ def cmd_sweep(args) -> dict:
             raise InputError(_unusable_cache(exc)) from None
     rows = []
     hits = solves = solved = bounded = 0
-    # sizes ascending, so that each point's sectors are floored by the last
-    # point solved at its lambda_a (`spectra.chain_floors`); a cache hit or
-    # a failed point leaves the next size without floors. Every point of
-    # one size has the same chain, so its sector patterns are built once
-    # and dropped before the next size.
+    # sizes ascending, so that each point climbs (`spectra.climb_chain`)
+    # from the last point solved at its lambda_a, or from 2 sites. Every
+    # point of one size has the same chain, so its sector patterns are
+    # built once and dropped before the next size.
     last = {}
     for size in sorted(sizes):
         patterns = {}
@@ -394,15 +397,13 @@ def cmd_sweep(args) -> dict:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
             key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
-            shorter = last.pop(la, None)
             if row is not None:
                 hits += 1
                 rows.append(row)
                 continue
-            floors = None if shorter is None else spectra.chain_floors(
-                shorter[1], size - shorter[0])
             try:
-                row, rep = _sweep_point(point, lambda_b, patterns, floors)
+                row, rep = _sweep_point(point, lambda_b, patterns,
+                                        last.get(la))
             except (InputError, ComputeError) as exc:
                 row = {**point, "gap": None, "status": f"failed: {exc}"}
             else:
@@ -411,7 +412,7 @@ def cmd_sweep(args) -> dict:
                 except OSError as exc:
                     raise InputError(_unusable_cache(exc)) from None
                 solves += 1
-                last[la] = size, rep
+                last[la] = rep
                 # a bounded sector is the only unskipped one left without
                 # a value: ground sectors have a kernel, others an excitation
                 low = sum(s.lowest_excited is None and not s.kernel

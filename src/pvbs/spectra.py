@@ -9,11 +9,10 @@ ground-bearing sector, none elsewhere) is counted among the lowest
 kernel + 1 eigenvalues, and the next one is its lowest excitation. Where
 a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
 `_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
-other one takes its twin's record. A chain can be given floors from a
-shorter chain's report (`chain_floors`), and then skips every sector
-that its floor puts above the gap; `climb_chain` solves a chain so, each
-length floored by the one before it from 2 sites up, which is how
-`certify` gets a d=1 seed gap and `scaling` its d=1 exact gaps.
+other one takes its twin's record. `climb_chain` solves a d=1 chain for
+every verb that floors one: each length from 2 sites up, with floors
+from the one before (`chain_floors`), skips every sector that its floor
+puts above the gap, whether or not it is over the sector cap.
 """
 
 from __future__ import annotations
@@ -241,17 +240,17 @@ def total_gap(v: Volume, p: Params,
     analytic ground vectors, one in each sector of analytic.GROUND_SECTORS.
     Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
     its kernel below KERNEL_TOL_REL * max(1, h.norm), and the next one is
-    its lowest excitation. Sectors whose dimension exceeds sector_cap
-    (at least 1) are skipped and the report is flagged partial. When
+    its lowest excitation. A sector over sector_cap (at least 1) that no
+    floor bounds (below) is skipped, and the report flagged partial. When
     `_mirror_twins(v, p)` holds, a sector with n_a > n_b is not solved: it
     takes the record of its twin (n_b, n_a), floats included.
 
     `floors` holds a lower bound on the lowest eigenvalue of sectors, such
     as `chain_floors` makes from a shorter chain; a sector it omits (all
     of them when it is None) has floor 0. The sectors are visited in
-    ascending floor order, ties in sector order (the cap check first),
-    keeping the least excitation solved so far, and a sector outside
-    analytic.GROUND_SECTORS whose floor exceeds it is bounded, not solved:
+    ascending floor order, ties in sector order, keeping the least
+    excitation solved so far, and a sector outside analytic.GROUND_SECTORS
+    whose floor exceeds it is bounded, not solved, over sector_cap or not:
     no basis, pattern or matrix is built for it, and its record has
     `lowest_excited` None and `skipped` False. Its lowest eigenvalue is
     its lowest excitation, so it lies above the gap, which stays the
@@ -285,15 +284,15 @@ def total_gap(v: Volume, p: Params,
     least = math.inf
     for n_a, n_b in visit:
         dim = fock.sector_dimension(n, n_a, n_b)
-        if dim > sector_cap:
-            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
-            bounds[n_a, n_b] = 0.0
-            continue
         ground = (n_a, n_b) in analytic.GROUND_SECTORS
         floor = floors.get((n_a, n_b), 0.0)
         if not ground and floor > least:
             records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None)
             bounds[n_a, n_b] = floor
+            continue
+        if dim > sector_cap:
+            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
+            bounds[n_a, n_b] = 0.0
             continue
         pattern = None if patterns is None else patterns.get((n_a, n_b))
         if pattern is None:
@@ -335,51 +334,51 @@ def total_gap(v: Volume, p: Params,
                           any(r.skipped for r in records), records, bounds)
 
 
-def chain_floors(shorter: SpectrumReport, k: int) -> dict:
-    """Floors for `total_gap` on a chain of k more sites than the chain of
+def chain_floors(shorter: SpectrumReport) -> dict:
+    """Floors for `total_gap` on a chain one site longer than the chain of
     the report `shorter`, from its `floors`: for each sector (n_a, n_b),
-    the least of them over the shorter chain's sectors
-    (n_a - x, n_b - y) with x + y <= k.
+    the least of them over the shorter chain's sectors (n_a, n_b),
+    (n_a - 1, n_b) and (n_a, n_b - 1) that exist.
 
     Proof. Each edge term of the longer chain H_L is an orthogonal
-    projector, so dropping the k edges that touch its last k sites leaves
-    H_L >= H_(L-k) (x) 1, with H_(L-k) the shorter chain on the first L - k
+    projector, so dropping the edge that touches its last site leaves
+    H_L >= H_(L-1) (x) 1, with H_(L-1) the shorter chain on the first L - 1
     sites. Both conserve the particle numbers. On sector (n_a, n_b) of the
-    L sites, H_(L-k) (x) 1 is the direct sum, over the configurations of
-    the last k sites with x particles a and y particles b (x + y <= k), of
-    H_(L-k) on its sector (n_a - x, n_b - y). So the lowest eigenvalue of
-    H_L on (n_a, n_b) is at least the least lowest eigenvalue of those
-    sectors, and so at least the least of their floors. Those floors
-    count a ground sector or a sector over the cap as 0 and a bounded
-    sector as its own floor, and lower a solved one by its eigenvalue
-    error (see `total_gap`). The shorter chain may have been solved with
-    floors of its own.
+    L sites, H_(L-1) (x) 1 is the direct sum, over the last site empty,
+    holding a or holding b, of H_(L-1) on its sector (n_a, n_b),
+    (n_a - 1, n_b) or (n_a, n_b - 1). So the lowest eigenvalue of H_L on
+    (n_a, n_b) is at least the least lowest eigenvalue of those sectors,
+    and so at least the least of their floors. Those floors count a
+    ground sector or a sector over the cap as 0 and a bounded sector as
+    its own floor, and lower a solved one by its eigenvalue error (see
+    `total_gap`). The shorter chain may have been solved with floors of
+    its own.
     """
     low = shorter.floors
-    short = max(n_a + n_b for n_a, n_b in low)
-    n = short + k
-    return {(n_a, n_b): min(low[n_a - x, n_b - y]
-                            for x in range(min(k, n_a) + 1)
-                            for y in range(min(k - x, n_b) + 1)
-                            if n_a - x + n_b - y <= short)
+    n = max(n_a + n_b for n_a, n_b in low) + 1
+    return {(n_a, n_b): min(low[s] for s in ((n_a, n_b), (n_a - 1, n_b),
+                                             (n_a, n_b - 1)) if s in low)
             for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
 def climb_chain(p: Params, size: int, shorter: SpectrumReport | None = None,
-                sector_cap: int = fock.DEFAULT_SECTOR_CAP) -> SpectrumReport:
+                sector_cap: int = fock.DEFAULT_SECTOR_CAP,
+                patterns: dict | None = None) -> SpectrumReport:
     """The `total_gap` report of the `size`-site chain, reached by a
     climb: every chain from 2 sites, or from one site past `shorter` (an
-    earlier report of a chain of at most `size` sites at p), up to `size`
-    is solved with the floors `chain_floors(prev, 1)` of the chain before
-    it. The gap is a floor-free solve's, bit for bit: floors leave
+    earlier report at p of a chain of at most `size` sites, which floors
+    a rerun of its own length), up to `size` is solved with the floors
+    `chain_floors(prev)` of the one before it; `patterns` goes to the last
+    solve. The gap is a floor-free solve's, bit for bit: floors leave
     `total_gap`'s minimum over the same solved floats, and only spare it
     the sectors, mostly the largest, that they put above the gap."""
     report = shorter
     start = 2 if shorter is None else max(
         s.n_a + s.n_b for s in shorter.sectors) + 1
-    for n in range(start, size + 1):
-        floors = None if report is None else chain_floors(report, 1)
+    for n in range(min(start, size), size + 1):
+        floors = None if report is None else chain_floors(report)
         report = total_gap(build_box((n,)), p, sector_cap=sector_cap,
+                           patterns=patterns if n == size else None,
                            floors=floors)
     return report
 

@@ -14,9 +14,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvbs import (ComputeError, cli, fock, martingale, model, operators,
                   spectra)
+from pvbs.lattice import build_box
+from strategies import chain_params
 
 
 def run_cli(capsys, *argv):
@@ -61,9 +65,10 @@ def test_gap_partial_is_upper_bound(capsys, monkeypatch):
     solved = [s["lowest_excited"] for s in rec["sectors"]
               if s["lowest_excited"] is not None]
     assert rec["gap_upper_bound"] == min(solved)
-    # a sweep point whose report is partial is labelled so
-    monkeypatch.setattr(spectra, "total_gap", functools.partial(
-        spectra.total_gap, sector_cap=10))
+    # a sweep point whose report is partial is labelled so: ground sector
+    # (1,1) has 30 states, and no floor bounds a ground sector
+    monkeypatch.setattr(spectra, "climb_chain", functools.partial(
+        spectra.climb_chain, sector_cap=10))
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
                            "--lambda-b", "1/2", "--sizes", "6",
                            "--format", "json")
@@ -771,7 +776,7 @@ def _sweep_twice(capsys, monkeypatch, sizes, before=None):
             if before:
                 before(m)
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+                m.setattr(spectra, "chain_floors", lambda shorter: None)
             code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
                                      "--lambda-b", "1/2", "--sizes", sizes,
                                      "--format", "json")
@@ -798,7 +803,7 @@ def test_certify_seed_climb_keeps_stdout(capsys, monkeypatch, lam):
     for floored in (True, False):
         with monkeypatch.context() as m:
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+                m.setattr(spectra, "chain_floors", lambda shorter: None)
             code, out, _ = run_cli(capsys, "certify", "--lambda-a", lam[0],
                                    "--lambda-b", lam[1])
         assert code == 0
@@ -837,9 +842,8 @@ def _recording_total_gap(m, seen, fail_at=None, **fixed):
     m.setattr(spectra, "total_gap", spy)
 
 
-def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
-                                                      tmp_path):
-    # size 5 is cached, so size 6 has no shorter report to be floored by
+def test_sweep_after_a_cache_hit_climbs(capsys, monkeypatch, tmp_path):
+    # size 5 is cached, so size 6 climbs from the 4-site report through 5
     caches = [str(tmp_path / name) for name in ("floored", "free")]
     for cdir in caches:
         code, _, _ = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
@@ -851,7 +855,7 @@ def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
         with monkeypatch.context() as m:
             _recording_total_gap(m, seen)
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter, k: None)
+                m.setattr(spectra, "chain_floors", lambda shorter: None)
             code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
                                      "--lambda-b", "1/2", "--sizes", "4,5,6,7",
                                      "--format", "json", "--cache-dir", cdir)
@@ -859,24 +863,30 @@ def test_sweep_after_a_cache_hit_solves_without_floors(capsys, monkeypatch,
         assert "6 cache hits, 18 solves" in err
         outs.append(out)
     assert outs[0] == outs[1]
-    assert seen[:18] == [(4, False)] * 6 + [(6, False)] * 6 + [(7, True)] * 6
+    assert seen[:36] == ([(2, False), (3, True), (4, True)] * 6
+                         + [(5, True), (6, True)] * 6 + [(7, True)] * 6)
 
 
-def test_sweep_after_a_failed_point_solves_without_floors(capsys,
-                                                         monkeypatch):
+def test_sweep_after_a_failed_point_climbs_through_it(capsys, monkeypatch):
+    # size 6 climbs from the 4-site report, so it meets the failing 5-site
+    # chain again and reports its error
     seen = []
     (out, _), (free, _) = _sweep_twice(
         capsys, monkeypatch, "4,5,6",
         before=lambda m: _recording_total_gap(m, seen, fail_at=5))
     assert out == free
     rows = json.loads(out)["rows"]
-    assert {r["status"] for r in rows if r["L"] == 5} == {
+    assert {r["status"] for r in rows if r["L"] != 4} == {
         "failed: refused for the test"}
-    assert {r["status"] for r in rows if r["L"] != 5} == {"ok"}
-    assert seen[:18] == [(4, False)] * 6 + [(5, True)] * 6 + [(6, False)] * 6
+    assert {r["status"] for r in rows if r["L"] == 4} == {"ok"}
+    assert seen[:30] == ([(2, False), (3, True), (4, True)] * 6
+                         + [(5, True)] * 12)
 
 
 def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
+    # (2,1) and (1,2) take floor 0 from the shorter chain's ground sector
+    # (1,1), so no floor bounds them, and from 5 sites on they have over
+    # 20 states
     (out, err), (free, _) = _sweep_twice(
         capsys, monkeypatch, "4,5,6,7",
         before=lambda m: _recording_total_gap(m, [], sector_cap=20))
@@ -887,13 +897,59 @@ def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
 
 
 def test_sweep_counts_solved_and_bounded_sectors(capsys):
-    # the 15 sectors of 4 sites are all solved; from 5 sites on only the
-    # four ground sectors and (2,0), (0,2), (2,1), (1,2)
+    # every point's own chain is floored, 4 sites included, so each solves
+    # only the four ground sectors and (2,0), (0,2), (2,1), (1,2); the
+    # shorter chains a point climbs through are not counted
     code, _, err = run_cli(capsys, "sweep", "--grid-a", "3", "--lambda-b",
                            "1/2", "--sizes", "4,5,6,7,8")
     assert code == 0
     assert err.startswith("sweep: 0 cache hits, 5 solves, "
-                          "47 sectors solved, 98 bounded\n")
+                          "40 sectors solved, 105 bounded\n")
+
+
+@given(chain_params(), st.lists(st.integers(2, 10), min_size=1, max_size=4))
+@settings(max_examples=10, deadline=None)
+def test_sweep_rows_are_floor_free_gaps(p, sizes):
+    # whatever the order and repeats of --sizes, each point climbs to a
+    # row whose gap is a floor-free solve's, bit for bit
+    args = cli.build_parser().parse_args([
+        "sweep", "--grid-a", str(p.lambda_a[0]),
+        "--lambda-b", str(p.lambda_b[0]),
+        "--sizes", ",".join(map(str, sizes))])
+    rows = cli.cmd_sweep(args)["rows"]
+    assert [r["L"] for r in rows] == sorted(sizes)
+    plain = {n: spectra.total_gap(build_box((n,)), p).gap for n in set(sizes)}
+    assert [(r["gap"], r["status"]) for r in rows] == [
+        (plain[r["L"]], "ok") for r in rows]
+
+
+def test_sweep_climbs_to_its_first_size(capsys, monkeypatch):
+    # the 14-site chain has sectors of up to 252252 states; floored by the
+    # 13-site chain, none over 1092 is built
+    dims = []
+    real = operators.sector_pattern
+
+    def spy(basis):
+        dims.append(basis.dim)
+        return real(basis)
+
+    monkeypatch.setattr(operators, "sector_pattern", spy)
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
+                           "1/2", "--sizes", "14", "--format", "json")
+    assert code == 0 and json.loads(out)["rows"][0]["status"] == "ok"
+    assert max(dims) <= 1092
+
+
+def test_sweep_rows_below_two_sites_fail(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
+                           "1/2", "--sizes", "1,0,-2,4", "--format", "json")
+    assert code == 0
+    assert [(r["L"], r["gap"], r["status"])
+            for r in json.loads(out)["rows"]] == [
+        (-2, None, "failed: extents must be >= 1, got (-2,)"),
+        (0, None, "failed: extents must be >= 1, got (0,)"),
+        (1, None, "failed: total_gap needs a connected volume with >= 2 sites"),
+        (4, 0.43431457505076193, "ok")]
 
 
 def test_sweep_failed_point_is_a_row(capsys):

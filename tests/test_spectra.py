@@ -346,20 +346,18 @@ def test_total_gap_builds_one_edge_list(monkeypatch):
     assert built == [v]
 
 
-@given(chain_params(), st.integers(3, 8), st.integers(1, 2))
+@given(chain_params(), st.integers(3, 8))
 @settings(max_examples=25, deadline=None)
-def test_chain_floors_bound_every_sector(p, n, k):
+def test_chain_floors_bound_every_sector(p, n):
     # the shorter chain is itself solved with floors where it has room,
     # so that its bounded sectors feed the floors too
-    m = n - k
-    assume(m >= 2)
     floors = None
-    if m - k >= 2:
+    if n - 2 >= 2:
         floors = spectra.chain_floors(
-            spectra.total_gap(build_box((m - k,)), p), k)
-    shorter = spectra.total_gap(build_box((m,)), p, floors=floors)
+            spectra.total_gap(build_box((n - 2,)), p))
+    shorter = spectra.total_gap(build_box((n - 1,)), p, floors=floors)
     lowest = chain_sector_lowest(p, n)
-    got = spectra.chain_floors(shorter, k)
+    got = spectra.chain_floors(shorter)
     assert got.keys() == lowest.keys()
     for sector, floor in got.items():
         # to the rounding of the oracle's own solve, which can put a
@@ -373,7 +371,7 @@ def test_chain_floors_bound_every_sector(p, n, k):
 def test_floors_bound_sectors_without_building_them(monkeypatch, n, p):
     # one site longer than the floors' chain: only the ground sectors and
     # the four two-particle sectors that border them are solved
-    floors = spectra.chain_floors(spectra.total_gap(build_box((n - 1,)), p), 1)
+    floors = spectra.chain_floors(spectra.total_gap(build_box((n - 1,)), p))
     rep, built = _solve(monkeypatch, build_box((n,)), p, floors=floors)
     plain = spectra.total_gap(build_box((n,)), p)
     assert rep.gap == plain.gap
@@ -392,14 +390,28 @@ def test_floors_bound_sectors_without_building_them(monkeypatch, n, p):
             assert rep.floors[s.n_a, s.n_b] <= t.lowest_excited
 
 
-def test_floors_leave_the_cap_check_first():
-    # sectors over the cap stay skipped, so the report stays partial
+@pytest.mark.parametrize("cap, skipped", [(50, {(2, 1), (1, 2)}),
+                                          (60, set())],
+                         ids=["partial", "exact"])
+def test_floors_outrank_the_cap(cap, skipped):
+    # a sector over the cap that its floor puts above the gap is bounded,
+    # not skipped; (2,1) and (1,2), of 60 states, have floor 0 from the
+    # ground sector (1,1), so under a cap of 50 they stay skipped and the
+    # report partial, while under 60 only bounded sectors are over the cap
     p = Params(("3",), ("1/2",))
-    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p), 1)
-    rep = spectra.total_gap(build_box((6,)), p, sector_cap=50, floors=floors)
-    plain = spectra.total_gap(build_box((6,)), p, sector_cap=50)
-    assert rep.partial and rep.gap == plain.gap
-    assert [s.skipped for s in rep.sectors] == [s.skipped for s in plain.sectors]
+    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p))
+    rep = spectra.total_gap(build_box((6,)), p, sector_cap=cap, floors=floors)
+    plain = spectra.total_gap(build_box((6,)), p, sector_cap=cap)
+    assert {(s.n_a, s.n_b) for s in rep.sectors if s.skipped} == skipped
+    assert (rep.gap, rep.partial) == (plain.gap, bool(skipped))
+    if not skipped:
+        assert rep.gap == spectra.total_gap(build_box((6,)), p).gap
+    assert plain.partial
+    for s, t in zip(rep.sectors, plain.sectors, strict=True):
+        assert t.skipped == (s.dim > cap)
+        if t.skipped and not s.skipped:
+            assert rep.floors[s.n_a, s.n_b] > rep.gap
+            assert s.lowest_excited is None and s.kernel == 0
 
 
 @given(chain_params(), st.integers(2, 8), st.integers(3, 9))

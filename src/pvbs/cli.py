@@ -43,7 +43,7 @@ import numpy  # noqa: E402
 from . import (ComputeError, InputError, __version__, analytic,  # noqa: E402
                fock, martingale, model, spectra)
 from .lattice import (Volume, VolumeFamilySpec, build_box,  # noqa: E402
-                      build_tilted_case1, build_tilted_case2, site_count)
+                      build_tilted, site_count)
 from .model import Params  # noqa: E402
 
 # import-time objects live as long as the process; no GC pass need scan them
@@ -161,11 +161,11 @@ def parse_volume(text: str) -> Volume:
     # sector enumeration refuses a volume over the site limit, so refuse
     # it before building its sites; a non-positive extent is left to the
     # builders, whose message names it
-    fock.check_site_count(site_count(2 if kind == "case2" else 1, dims))
+    case = 2 if kind == "case2" else 1
+    fock.check_site_count(site_count(case, dims))
     if kind == "box":
         return build_box(dims)
-    build = build_tilted_case1 if kind == "case1" else build_tilted_case2
-    return build(parse_ints(v_txt, "--volume vector"), dims)
+    return build_tilted(case, parse_ints(v_txt, "--volume vector"), dims)
 
 
 def _params(args) -> Params:
@@ -386,12 +386,12 @@ def cmd_sweep(args) -> dict:
             raise InputError(_unusable_cache(exc)) from None
     rows = []
     hits = solves = solved = bounded = 0
-    # sizes ascending, so that each point climbs (`spectra.climb_chain`)
-    # from the last point solved at its lambda_a, or from 2 sites. Every
-    # point of one size has the same chain, so its sector patterns are
-    # built once and dropped before the next size.
+    # each distinct size once and ascending, so that each point climbs
+    # (`spectra.climb_chain`) from the last point solved at its lambda_a,
+    # or from 2 sites. Every point of one size has the same chain, so its
+    # sector patterns are built once and dropped before the next size.
     last = {}
-    for size in sorted(sizes):
+    for size in sorted(set(sizes)):
         patterns = {}
         for la in grid_a:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}

@@ -6,6 +6,7 @@ derived object (edges, bases, serializations) is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,47 +53,38 @@ class Volume:
 
     @cached_property
     def links(self) -> tuple[tuple[int, int, int], ...]:
-        """`edges(self)`."""
-        return tuple(edges(self))
+        """All nearest-neighbor pairs as position triples (i, k, j), ordered
+        by i and then j: sites[k] = sites[i] + e_j, j 0-based."""
+        out = []
+        for i, s in enumerate(self.sites):
+            for j in range(self.dim):
+                k = self.position.get(s[:j] + (s[j] + 1,) + s[j + 1:])
+                if k is not None:
+                    out.append((i, k, j))
+        return tuple(out)
 
     @cached_property
     def connected(self) -> bool:
-        """`is_connected(self)`."""
-        return is_connected(self)
+        """True iff the graph on the sites whose links are `links` is
+        connected; vacuously so with at most one site."""
+        if len(self) <= 1:
+            return True
+        adjacent = [[] for _ in self.sites]
+        for i, k, _ in self.links:
+            adjacent[i].append(k)
+            adjacent[k].append(i)
+        seen, todo = {0}, [0]
+        while todo:
+            new = [k for k in adjacent[todo.pop()] if k not in seen]
+            seen.update(new)
+            todo += new
+        return len(seen) == len(self)
 
 
 def build_box(dims: tuple[int, ...]) -> Volume:
     """Axis-aligned box {x : 0 <= x_j <= dims_j - 1}: the Case-1 volume
     with a zero tilt."""
-    return build_tilted_case1((0,) * (len(dims) - 1), dims)
-
-
-def edges(v: Volume) -> list[tuple[int, int, int]]:
-    """All nearest-neighbor pairs of v as position triples (i, k, j), ordered
-    by i and then j: v.sites[k] = v.sites[i] + e_j, j 0-based."""
-    out = []
-    for i, s in enumerate(v.sites):
-        for j in range(v.dim):
-            k = v.position.get(s[:j] + (s[j] + 1,) + s[j + 1:])
-            if k is not None:
-                out.append((i, k, j))
-    return out
-
-
-def is_connected(v: Volume) -> bool:
-    """True iff the graph on v whose links are `v.links` is connected."""
-    if len(v) <= 1:
-        return True
-    adjacent = [[] for _ in v.sites]
-    for i, k, _ in v.links:
-        adjacent[i].append(k)
-        adjacent[k].append(i)
-    seen, todo = {0}, [0]
-    while todo:
-        new = [k for k in adjacent[todo.pop()] if k not in seen]
-        seen.update(new)
-        todo += new
-    return len(seen) == len(v)
+    return build_tilted(1, (0,) * (len(dims) - 1), dims)
 
 
 # --- tilted constructions -------------------------------------------------
@@ -105,57 +97,41 @@ def is_connected(v: Volume) -> bool:
 # by 2, in integer arithmetic, to avoid boundary misclassification.
 
 
-def build_tilted_case1(v_tail: tuple[int, ...], L: tuple[int, ...]) -> Volume:
-    """Case-1 parallelepiped with tilt vector v = (1, *v_tail)."""
-    d = len(L)
+def build_tilted(case: int, v_tail: tuple[int, ...],
+                 extents: tuple[int, ...]) -> Volume:
+    """The Case-1 parallelepiped with tilt vector v = (1, *v_tail), or
+    the Case-2 diamond parallelepiped with v = (1/2, 1/2, *v_tail).
+
+    With L = extents, both walk the tail coordinates x_j, j > case, over
+    0..L_j - 1 and place the leading ones against shift = sum(v(j) x_j).
+    Case 1 takes v.x = x1 + shift in 0..L_1 - 1. Case 2's constraints,
+    scaled by 2:
+      0 <= x1 + x2 + 2 shift <= 2 L_1 - 1
+      0 <= -x1 + x2          <= 2 L_2 - 1
+    """
+    d = len(extents)
     _check_dim(d)
-    if len(v_tail) != d - 1:
-        raise InputError("tilt vector length must be d - 1")
-    if any(n < 1 for n in L):
-        raise InputError(f"extents must be >= 1, got {L}")
-    if any(t < 0 for t in v_tail):
+    if case == 2 and d < 2:
+        raise InputError("Case-2 volumes need d >= 2")
+    if len(v_tail) != d - case:
+        raise InputError(f"tilt vector length must be d - {case}")
+    if any(n < 1 for n in extents):
+        raise InputError(f"extents must be >= 1, got {extents}")
+    if case == 1 and any(t < 0 for t in v_tail):
         raise InputError("tilt entries must be nonnegative")
     sites = []
-    tails = [()]
-    for n in L[1:]:
-        tails = [t + (x,) for t in tails for x in range(n)]
-    for tail in tails:
+    for tail in itertools.product(*(range(n) for n in extents[case:])):
         shift = sum(vt * x for vt, x in zip(v_tail, tail))
-        for vx in range(L[0]):
-            sites.append((vx - shift,) + tail)
-    return Volume(d, tuple(sites))
-
-
-def build_tilted_case2(v_tail: tuple[int, ...], L: tuple[int, ...]) -> Volume:
-    """Case-2 diamond parallelepiped.
-
-    Constraints (scaled by 2, all integer):
-      0 <= x1 + x2 + 2*sum(v(j) x_j) <= 2 L_1 - 1
-      0 <= -x1 + x2               <= 2 L_2 - 1
-      0 <= x_j <= L_j - 1  for j >= 3
-    """
-    d = len(L)
-    _check_dim(d)
-    if d < 2:
-        raise InputError("Case-2 volumes need d >= 2")
-    if len(v_tail) != d - 2:
-        raise InputError("tilt vector length must be d - 2")
-    if any(n < 1 for n in L):
-        raise InputError(f"extents must be >= 1, got {L}")
-    sites = []
-    tails = [()]
-    for n in L[2:]:
-        tails = [t + (x,) for t in tails for x in range(n)]
-    for tail in tails:
-        shift = 2 * sum(vt * x for vt, x in zip(v_tail, tail))
-        # s = x1 + x2 ranges so that 2 v.x = s + shift is in bounds
-        for s in range(-shift, 2 * L[0] - shift):
-            for t in range(2 * L[1]):
-                if (s + t) % 2:
-                    continue
-                x2 = (s + t) // 2
-                x1 = (s - t) // 2
-                sites.append((x1, x2) + tail)
+        if case == 1:
+            for vx in range(extents[0]):
+                sites.append((vx - shift,) + tail)
+        else:
+            # s = x1 + x2 ranges so that 2 v.x = s + 2 shift is in bounds,
+            # and t = x2 - x1 has the parity of s
+            for s in range(-2 * shift, 2 * extents[0] - 2 * shift):
+                for t in range(2 * extents[1]):
+                    if (s + t) % 2 == 0:
+                        sites.append(((s - t) // 2, (s + t) // 2) + tail)
     return Volume(d, tuple(sites))
 
 
@@ -198,10 +174,7 @@ class VolumeFamilySpec:
         ext = self._extents(n)
         if n == 0:
             return Volume(len(ext), ())
-        t = self.tilt
-        if t.case == 1:
-            return build_tilted_case1(t.v, ext)
-        return build_tilted_case2(t.v, ext)
+        return build_tilted(self.tilt.case, self.tilt.v, ext)
 
     def member_sites(self, n: int) -> int:
         """len(self.member(n)), without building it."""

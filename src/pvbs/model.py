@@ -239,7 +239,8 @@ def _pick_v(la: Fraction, lb: Fraction, base_a: Fraction, base_b: Fraction,
 
 
 def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
-    """Choose a Case-1 or Case-2 tilt scheme for gapped parameters."""
+    """Choose a Case-1 or Case-2 tilt scheme for gapped parameters. The
+    cases differ only in their leading coordinates, tildes and kappas."""
     if classify_zd(p) is not GapClass.GAPPED:
         raise InputError("tilt selection requires gapped parameters")
     d = p.dim
@@ -254,50 +255,40 @@ def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
             raise ComputeError(
                 "parameters too close to gapless manifold: leading "
                 f"coordinate margin below eta={eta}")
-        perm = (lead,) + tuple(j for j in range(d) if j != lead)
-        pa = [la[j] for j in perm]
-        pb = [lb[j] for j in perm]
-        vs, ta, tb = [], [pa[0]], [pb[0]]
-        for j in range(1, d):
-            v, a, b = _pick_v(pa[j], pb[j], pa[0], pb[0], eta)
-            vs.append(v)
-            ta.append(a)
-            tb.append(b)
-        return TiltScheme(1, perm, tuple(vs), tuple(ta), tuple(tb),
-                          kappa_a=1.0, kappa_b=1.0, kappa_d=1.0,
-                          params=Params(tuple(pa), tuple(pb)))
-
-    # Case 2: lambda_a and lambda_b are never jointly != 1 on a coordinate
-    a_free = [j for j in range(d) if la[j] != 1]
-    b_free = [j for j in range(d) if lb[j] != 1]
-    lead_a = max(a_free, key=lambda j: abs(math.log(la[j])))
-    lead_b = max(b_free, key=lambda j: abs(math.log(lb[j])))
-    if abs(math.log(la[lead_a])) < eta or abs(math.log(lb[lead_b])) < eta:
-        raise ComputeError(
-            "parameters too close to gapless manifold: Case-2 leading "
-            f"margins below eta={eta}")
-    perm = (lead_a, lead_b) + tuple(
-        j for j in range(d) if j not in (lead_a, lead_b))
+        case, leads = 1, (lead,)
+        ta, tb = [la[lead]], [lb[lead]]
+        kappas = (1.0, 1.0, 1.0)
+    else:
+        # Case 2: no coordinate has both lambda_a and lambda_b != 1
+        a_free = [j for j in range(d) if la[j] != 1]
+        b_free = [j for j in range(d) if lb[j] != 1]
+        lead_a = max(a_free, key=lambda j: abs(math.log(la[j])))
+        lead_b = max(b_free, key=lambda j: abs(math.log(lb[j])))
+        if (abs(math.log(la[lead_a])) < eta
+                or abs(math.log(lb[lead_b])) < eta):
+            raise ComputeError(
+                "parameters too close to gapless manifold: Case-2 leading "
+                f"margins below eta={eta}")
+        case, leads = 2, (lead_a, lead_b)
+        # the weights on the two leads: a1 = b0 = 1, so the tilde
+        # parameters are a0^(+-1) and b1, whose margins are the leading
+        # margins just checked
+        a0, a1, b0, b1 = la[lead_a], la[lead_b], lb[lead_a], lb[lead_b]
+        ta = [a0 * a1, a0 ** -1 * a1]
+        tb = [b0 * b1, b0 ** -1 * b1]
+        kappas = (1.0 + float(a1) ** 2, 1.0 + float(b1) ** 2,
+                  1.0 + float(a1 * b1) ** 2)
+    perm = leads + tuple(j for j in range(d) if j not in leads)
     pa = [la[j] for j in perm]
     pb = [lb[j] for j in perm]
-    # after permutation: pa[0] != 1, pb[1] != 1, pa[1] = pb[0] = 1, so
-    # the tilde parameters are pa[0]^(+-1) and pb[1], whose margins are
-    # the leading margins just checked
-    ta = [pa[0] * pa[1], pa[0] ** -1 * pa[1]]
-    tb = [pb[0] * pb[1], pb[0] ** -1 * pb[1]]
     vs = []
-    for j in range(2, d):
+    for j in range(case, d):
         v, a, b = _pick_v(pa[j], pb[j], ta[0], tb[0], eta)
         vs.append(v)
         ta.append(a)
         tb.append(b)
-    return TiltScheme(
-        2, perm, tuple(vs), tuple(ta), tuple(tb),
-        kappa_a=1.0 + float(pa[1]) ** 2,
-        kappa_b=1.0 + float(pb[1]) ** 2,
-        kappa_d=1.0 + float(pa[1] * pb[1]) ** 2,
-        params=Params(tuple(pa), tuple(pb)),
-    )
+    return TiltScheme(case, perm, tuple(vs), tuple(ta), tuple(tb), *kappas,
+                      params=Params(tuple(pa), tuple(pb)))
 
 
 def c_tilde(t: TiltScheme) -> float:

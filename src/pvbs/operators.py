@@ -10,10 +10,10 @@ state's pair code on each edge), and a cheap fill from the `EdgeWeights`
 of one parameter value into a `SectorMatrix`, which multiplies vectors
 with numpy alone. `spectra.total_gap` drops each pattern once its sector
 is solved; `pvbs sweep` keeps a size's patterns for every lambda of its
-grid. Ground projectors are never
-materialized: `projection_product_norm` works in the nine
-particle sectors that can carry ||G_slab E_n||, on orthonormal bases
-built from the four analytic ground vectors of each volume.
+grid. Ground projectors are never materialized: `projection_product_norm`
+works in the nine particle sectors that can carry ||G_slab E_n||, on
+orthonormal bases built from the four analytic ground vectors of each
+volume.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class SectorPattern:
 
     A padded-row (ELL) layout, stored slot by slot and edge by edge:
     cols[i, s] is the column of slot i of row s. Slot 0 holds the
-    diagonal, and slot 1 + e the exchange of edge e = `edges(v)[e]`,
+    diagonal, and slot 1 + e the exchange of edge e = `v.links[e]`,
     joining s to the state with the end digits of edge e swapped; where
     those digits are equal, the slot is padding and points at the row
     itself. `kinds[e]` gives each state's kind on edge e (9 * direction

@@ -10,9 +10,10 @@ kernel + 1 eigenvalues, and the next one is its lowest excitation. Where
 a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
 `_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
 other one takes its twin's record. `climb_chain` solves a d=1 chain for
-every verb that floors one: each length from 2 sites up, with floors
-from the one before (`chain_floors`), skips every sector that its floor
-puts above the gap, whether or not it is over the sector cap.
+every verb that floors one: it solves each length from 2 sites up with
+floors from the one before (`chain_floors`), and each solve skips every
+sector that its floor puts above the gap, whether or not it is over the
+sector cap.
 """
 
 from __future__ import annotations

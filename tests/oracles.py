@@ -14,7 +14,7 @@ import numpy as np
 from pvbs import InputError
 from pvbs.analytic import (NormalizationSet, _in_double_range, _log_power,
                            _norm_from_parts)
-from pvbs.lattice import Volume, edges
+from pvbs.lattice import Volume
 from pvbs.martingale import sweep_family
 from pvbs.model import Params
 from pvbs.operators import edge_projection_block
@@ -51,7 +51,7 @@ def translate(v, offset) -> Volume:
 def is_connected_bfs(v: Volume) -> bool:
     """True iff the nearest-neighbor graph on v is connected (BFS over the
     +-e_j neighbours of each site). Scalar reference for
-    `lattice.is_connected`."""
+    `Volume.connected`."""
     if len(v) <= 1:
         return True
     seen = {v.sites[0]}
@@ -142,7 +142,7 @@ def slab_membership_count(t, j: int, ell: int) -> int:
     big = 2 * ell
     family = sweep_family(t, j, ell, big)
     full = family.member(big)
-    counts = {(full.sites[i], full.sites[k]): 0 for i, k, _ in edges(full)}
+    counts = {(full.sites[i], full.sites[k]): 0 for i, k, _ in full.links}
     for n in range(ell, big + 1):
         outer_sites = set(family.member(n).sites)
         inner_sites = set(family.member(n - ell).sites)

@@ -16,7 +16,7 @@ import pytest
 import oracles
 import projector_oracle
 from pvbs import analytic, cli, fock, martingale, operators, spectra
-from pvbs.lattice import VolumeFamilySpec, build_box, build_tilted_case1
+from pvbs.lattice import VolumeFamilySpec, build_box, build_tilted
 from pvbs.model import GapClass, Params, classify_zd, select_tilt
 
 TOL_RESIDUAL = 1e-10
@@ -37,7 +37,7 @@ def random_params(rng, d):
 def test_c01_ground_space_dimension_is_four():
     rng = random.Random(2024)
     volumes = [build_box((6,)), build_box((2, 3)),
-               build_tilted_case1((1,), (3, 2))]
+               build_tilted(1, (1,), (3, 2))]
     worst_resid = 0.0
     for vol in volumes:
         for _ in range(10):

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import (ComputeError, cli, fock, martingale, model, operators,
-                  spectra)
+from pvbs import (ComputeError, InputError, cli, fock, martingale, model,
+                  operators, spectra)
 from pvbs.lattice import build_box
 from strategies import chain_params
 
@@ -917,10 +917,18 @@ def test_sweep_rows_are_floor_free_gaps(p, sizes):
         "--lambda-b", str(p.lambda_b[0]),
         "--sizes", ",".join(map(str, sizes))])
     rows = cli.cmd_sweep(args)["rows"]
-    assert [r["L"] for r in rows] == sorted(sizes)
+    assert [r["L"] for r in rows] == sorted(set(sizes))
     plain = {n: spectra.total_gap(build_box((n,)), p).gap for n in set(sizes)}
     assert [(r["gap"], r["status"]) for r in rows] == [
         (plain[r["L"]], "ok") for r in rows]
+
+
+def test_sweep_solves_a_repeated_size_once(capsys):
+    grid = ("sweep", "--grid-a", "1/3,1,11/10,2,3,10", "--lambda-b", "1/2")
+    code, out, err = run_cli(capsys, *grid, "--sizes", "3,3")
+    assert code == 0
+    assert err.startswith("sweep: 0 cache hits, 6 solves, ")
+    assert (code, out) == run_cli(capsys, *grid, "--sizes", "3")[:2]
 
 
 def test_sweep_climbs_to_its_first_size(capsys, monkeypatch):
@@ -969,7 +977,7 @@ def _refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("volume built")
 
-    for name in ("build_box", "build_tilted_case1", "build_tilted_case2"):
+    for name in ("build_box", "build_tilted"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -1184,8 +1192,23 @@ def test_parse_volume():
     assert len(v) == 4
     v2 = cli.parse_volume("case2:@1x1")
     assert len(v2) == 2
+    # only Case 1 checks the sign of its tilt entries
+    assert len(cli.parse_volume("case2:-1@1x1x2")) == 4
     with pytest.raises(ValueError):
         cli.parse_volume("sphere:3")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("case2:@4", "Case-2 volumes need d >= 2"),
+    ("case1:@3x2", "tilt vector length must be d - 1"),
+    ("case2:1@3x2", "tilt vector length must be d - 2"),
+    ("case1:-1@3x2", "tilt entries must be nonnegative"),
+    ("case1:1@0x2", "extents must be >= 1, got (0, 2)"),
+])
+def test_parse_volume_builder_messages(spec, message):
+    with pytest.raises(InputError) as info:
+        cli.parse_volume(spec)
+    assert str(info.value) == message
 
 
 def test_canonical_json_17_digits():

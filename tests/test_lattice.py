@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from oracles import boundary_sites, is_connected_bfs, translate
 from pvbs import InputError
 from pvbs.cli import parse_volume
-from pvbs.lattice import (Volume, VolumeFamilySpec, build_box,
-                          build_tilted_case1, build_tilted_case2, edges,
-                          is_connected)
+from pvbs.lattice import Volume, VolumeFamilySpec, build_box, build_tilted
 
 
 class FakeTilt:
@@ -26,15 +24,15 @@ def box_family(extents, sweep):
 def test_box_basic():
     v = build_box((3,))
     assert [s for s in v.sites] == [(0,), (1,), (2,)]
-    assert len(edges(v)) == 2
+    assert len(v.links) == 2
 
     v = build_box((2, 2))
     assert len(v) == 4
-    assert len(edges(v)) == 4
+    assert len(v.links) == 4
 
     v = build_box((2, 3))
     assert len(v) == 6
-    es = edges(v)
+    es = v.links
     assert len(es) == 7
     assert sum(1 for _, _, j in es if j == 0) == 3
     assert sum(1 for _, _, j in es if j == 1) == 4
@@ -50,26 +48,26 @@ def test_box_bad_dims():
 
 
 def test_tilted_case1_zero_tilt_is_box():
-    assert build_tilted_case1((0,), (2, 2)).sites == build_box((2, 2)).sites
+    assert build_tilted(1, (0,), (2, 2)).sites == build_box((2, 2)).sites
 
 
 def test_tilted_case1_example():
-    v = build_tilted_case1((1,), (2, 2))
+    v = build_tilted(1, (1,), (2, 2))
     assert set(v.sites) == {(0, 0), (1, 0), (-1, 1), (0, 1)}
     assert len(v) == 4
 
 
 def test_tilted_case1_d1_is_chain():
-    assert build_tilted_case1((), (5,)).sites == build_box((5,)).sites
+    assert build_tilted(1, (), (5,)).sites == build_box((5,)).sites
 
 
 def test_tilted_case2_examples():
-    v = build_tilted_case2((), (1, 1))
+    v = build_tilted(2, (), (1, 1))
     assert set(v.sites) == {(0, 0), (0, 1)}
-    v = build_tilted_case2((), (2, 1))
+    v = build_tilted(2, (), (2, 1))
     assert len(v) == 4
     with pytest.raises(InputError):
-        build_tilted_case2((), (2, 0))
+        build_tilted(2, (), (2, 0))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2))
@@ -77,19 +75,19 @@ def test_tilted_case2_examples():
 def test_tilted_case2_site_count(l1, l2, vtail_flag):
     # |volume| = 2 * prod(L) in any dimension
     if vtail_flag == 0:
-        v = build_tilted_case2((), (l1, l2))
+        v = build_tilted(2, (), (l1, l2))
         assert len(v) == 2 * l1 * l2
     else:
-        v = build_tilted_case2((vtail_flag,), (l1, l2, 2))
+        v = build_tilted(2, (vtail_flag,), (l1, l2, 2))
         assert len(v) == 2 * l1 * l2 * 2
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2))
 @settings(max_examples=20, deadline=None)
 def test_tilted_case1_site_count(l1, l2, vj):
-    v = build_tilted_case1((vj,), (l1, l2))
+    v = build_tilted(1, (vj,), (l1, l2))
     assert len(v) == l1 * l2
-    assert is_connected(v) or l1 < vj + 1  # thin volumes may disconnect
+    assert v.connected or l1 < vj + 1  # thin volumes may disconnect
 
 
 def test_slab():
@@ -110,7 +108,7 @@ def test_slab_tilted_row():
 
 def test_volumes_with_the_same_sites_are_equal():
     # a volume is its dimension and sites, whatever built it
-    chains = [build_box((3,)), build_tilted_case1((), (3,)),
+    chains = [build_box((3,)), build_tilted(1, (), (3,)),
               parse_volume("case1:@3"), Volume(1, ((0,), (1,), (2,)))]
     assert all(v == chains[0] for v in chains)
     assert len(set(chains)) == 1
@@ -130,7 +128,7 @@ def site_sets(draw):
 @settings(max_examples=200, deadline=None)
 def test_edges_list_each_adjacent_pair_once(v):
     assert [v.position[s] for s in v.sites] == list(range(len(v)))
-    es = edges(v)
+    es = v.links
     for i, k, j in es:
         step = tuple(int(a == j) for a in range(v.dim))
         assert v.sites[k] == tuple(x + e for x, e in zip(v.sites[i], step))
@@ -138,13 +136,13 @@ def test_edges_list_each_adjacent_pair_once(v):
                 and sum(abs(x - y) for x, y in zip(a, b)) == 1]
     assert sorted((v.sites[i], v.sites[k]) for i, k, _ in es) == adjacent
     # the one neighbour rule decides connectivity as the site BFS does
-    assert is_connected(v) == is_connected_bfs(v)
+    assert v.connected == is_connected_bfs(v)
 
 
 def test_connectivity():
-    assert is_connected(build_box((4, 2)))
-    assert not is_connected(Volume(1, ((0,), (2,))))
-    assert is_connected(Volume(2, ()))  # vacuously
+    assert build_box((4, 2)).connected
+    assert not Volume(1, ((0,), (2,))).connected
+    assert Volume(2, ()).connected  # vacuously
 
 
 def test_boundary_sites():
@@ -166,8 +164,8 @@ def test_translate_preserves_structure(sites):
     v = Volume(2, tuple(sites))
     w = translate(v, (5, -7))
     assert len(w) == len(v)
-    assert len(edges(w)) == len(edges(v))
-    assert is_connected(w) == is_connected(v)
+    assert len(w.links) == len(v.links)
+    assert w.connected == v.connected
 
 
 @st.composite

@@ -9,7 +9,7 @@ from pvbs import ComputeError, InputError
 from pvbs.model import (DIVERGENT, GapClass, Params, c_orthant,
                         c_tilde, choose_ell, classify_zd,
                         infinite_gs_census, log_lambda, projection_bound,
-                        select_tilt)
+                        TiltScheme, select_tilt)
 
 
 def test_params_parsing_is_exact():
@@ -116,6 +116,31 @@ def test_select_tilt_case2_tildes_are_the_leading_parameters(la, lb):
         assert t.case == 2
         assert t.lambda_tilde_a[:2] == (Fraction(la), 1 / Fraction(la))
         assert t.lambda_tilde_b[:2] == (Fraction(lb), Fraction(lb))
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("la,lb,expected", [
+    (("2", "1", "1"), ("1", "3", "1"), TiltScheme(
+        2, (0, 1, 2), (1,), (F(2), F(1, 2), F(1, 2)), (F(3), F(3), F(1, 3)),
+        kappa_a=2.0, kappa_b=10.0, kappa_d=10.0,
+        params=Params(("2", "1", "1"), ("1", "3", "1")))),
+    (("2", "1", "1", "1/2"), ("1", "3", "1", "1"), TiltScheme(
+        2, (0, 1, 2, 3), (1, 1), (F(2), F(1, 2), F(1, 2), F(1, 4)),
+        (F(3), F(3), F(1, 3), F(1, 3)),
+        kappa_a=2.0, kappa_b=10.0, kappa_d=10.0,
+        params=Params(("2", "1", "1", "1/2"), ("1", "3", "1", "1")))),
+    (("1", "1/3", "1", "1"), ("5/4", "1", "1", "2"), TiltScheme(
+        2, (1, 3, 0, 2), (1, 1), (F(1, 3), F(3), F(3), F(3)),
+        (F(2), F(2), F(5, 8), F(1, 2)),
+        kappa_a=2.0, kappa_b=5.0, kappa_d=5.0,
+        params=Params(("1/3", "1", "1", "1"), ("1", "2", "5/4", "1")))),
+])
+def test_select_tilt_case2_tilts_the_tail(la, lb, expected):
+    # the coordinates after the two leads are tilted against the first
+    # tilde pair, as in Case 1
+    assert select_tilt(Params(la, lb)) == expected
 
 
 def test_select_tilt_case2_margin_failure():

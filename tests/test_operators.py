@@ -7,7 +7,7 @@ import oracles
 import projector_oracle
 import strategies
 from pvbs import ComputeError, InputError, fock, martingale, operators
-from pvbs.lattice import Volume, build_box, edges, is_connected
+from pvbs.lattice import Volume, build_box
 from pvbs.model import GapClass, Params, classify_zd, select_tilt
 
 P_CHAIN = Params(("2",), ("1/2",))
@@ -101,7 +101,7 @@ def test_sector_pattern_is_laid_out_edge_by_edge(vp):
     # digits swapped, or s itself (padding) when they are equal
     v, p = vp
     n = len(v)
-    vol_edges = edges(v)
+    vol_edges = v.links
     weights = operators.edge_weights(p)
     for na in range(n + 1):
         for nb in range(n + 1 - na):
@@ -127,7 +127,7 @@ def _full_hamiltonian(v, p):
     la, lb = p.floats("a"), p.floats("b")
     return sum(_expand_pair(operators.edge_projection_block(la[j], lb[j]),
                             len(v), i, k)
-               for i, k, j in edges(v))
+               for i, k, j in v.links)
 
 
 def _expand_pair(block, n, left, right):
@@ -243,7 +243,7 @@ def sweep_volumes(draw):
     ambient, inner = family.member(n + 1), family.member(n)
     slab = ambient.difference(family.member(n + 1 - ell))
     assume(len(ambient) <= 9)
-    assume(all(len(v) >= 2 and is_connected(v) for v in (slab, inner)))
+    assume(all(len(v) >= 2 and v.connected for v in (slab, inner)))
     return slab, inner, ambient, t.params
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from pvbs import (ComputeError, InputError, analytic, fock, lattice, operators,
                   spectra)
-from pvbs.lattice import Volume, build_box, build_tilted_case1
+from pvbs.lattice import Volume, build_box, build_tilted
 from pvbs.model import Params
 from oracles import chain_sector_lowest, one_particle_gap, splitmix64
 from strategies import chain_params, volumes_and_params
@@ -16,7 +18,7 @@ P_CHAIN = Params(("2",), ("1/2",))
 P2_SELF_DUAL = Params(("2", "3"), ("1/2", "1/3"))
 # direction 1 has lambda_a = lambda_b = 3, so only direction 0 is reflected
 P2_FLIP_0 = Params(("2", "3"), ("1/2", "3"))
-TILTED = build_tilted_case1((1,), (3, 2))
+TILTED = build_tilted(1, (1,), (3, 2))
 
 
 def test_dense_eigenvalues_sorted():
@@ -54,7 +56,7 @@ def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
     (build_box((8,)), P_CHAIN, (1, 3)),
     (build_box((15,)), P_CHAIN, (1, 1)),  # a ground sector
     (build_box((3, 3)), Params(("2", "3"), ("1/2", "1/3")), (1, 3)),
-    (build_tilted_case1((1,), (3, 3)), Params(("2", "3"), ("1/2", "1/3")),
+    (build_tilted(1, (1,), (3, 3)), Params(("2", "3"), ("1/2", "1/3")),
      (2, 1)),
     # 65 to 200 states: a dense solve takes little wall time there, but it
     # wakes OpenBLAS's second thread, so these go to Lanczos too
@@ -302,7 +304,7 @@ def test_one_particle_sectors_match_the_closed_form(la, lb, dims):
 
 
 def test_total_gap_tilted_volume():
-    v = build_tilted_case1((1,), (3, 2))
+    v = build_tilted(1, (1,), (3, 2))
     p = Params(("2", "3"), ("1/2", "1/3"))
     rep = spectra.total_gap(v, p)
     assert rep.kernel_total == 4
@@ -339,8 +341,10 @@ def test_total_gap_builds_one_edge_list(monkeypatch):
         built.append(v)
         return real(v)
 
-    real = lattice.edges
-    monkeypatch.setattr(lattice, "edges", counting)
+    real = lattice.Volume.links.func
+    links = functools.cached_property(counting)
+    links.__set_name__(lattice.Volume, "links")
+    monkeypatch.setattr(lattice.Volume, "links", links)
     v = build_box((8,))
     spectra.total_gap(v, P_CHAIN)
     assert built == [v]

@@ -354,19 +354,8 @@ def cmd_scaling(args) -> dict:
             "rows": [asdict(pt) for pt in pts]}
 
 
-def _sweep_point(point: dict, lambda_b: tuple, patterns: dict,
-                 shorter: spectra.SpectrumReport | None):
-    """The row of one sweep point and the report behind it, climbed to
-    from the report `shorter` of a chain no longer, or from 2 sites."""
-    p = Params((point["lambda_a"],), lambda_b)
-    fock.check_site_count(point["L"])
-    rep = spectra.climb_chain(p, point["L"], shorter, patterns=patterns)
-    return {**point, "gap": rep.gap,
-            "status": "partial" if rep.partial else "ok"}, rep
-
-
 def cmd_sweep(args) -> dict:
-    grid_a = parse_lambda(args.grid_a, "--grid-a")
+    grid_a = dict.fromkeys(parse_lambda(args.grid_a, "--grid-a"))
     lambda_b = parse_lambda(args.lambda_b, "--lambda-b")
     if len(lambda_b) != 1:
         raise InputError("--lambda-b must list one value: every sweep point "
@@ -376,7 +365,7 @@ def cmd_sweep(args) -> dict:
         lambda_b = Params(lambda_b, lambda_b).lambda_b
     except InputError as exc:
         raise InputError(f"--lambda-b: {exc}") from None
-    sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
+    sizes = sorted(set(_listed(parse_ints(args.sizes, "--sizes"), "--sizes")))
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = args.cache_dir
     if cdir:
@@ -384,16 +373,11 @@ def cmd_sweep(args) -> dict:
             os.makedirs(cdir, exist_ok=True)
         except OSError as exc:
             raise InputError(_unusable_cache(exc)) from None
-    rows = []
+    rows, todo = [], []  # todo: each lambda_a's Params and points to solve
     hits = solves = solved = bounded = 0
-    # each distinct size once and ascending, so that each point climbs
-    # (`spectra.climb_chain`) from the last point solved at its lambda_a,
-    # or from 2 sites. Every point of one size has the same chain, so its
-    # sector patterns are built once and dropped before the next size.
-    last = {}
-    for size in sorted(set(sizes)):
-        patterns = {}
-        for la in grid_a:
+    for la in grid_a:
+        wanted = {}
+        for size in sizes:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
             key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
@@ -401,25 +385,38 @@ def cmd_sweep(args) -> dict:
                 hits += 1
                 rows.append(row)
                 continue
-            try:
-                row, rep = _sweep_point(point, lambda_b, patterns,
-                                        last.get(la))
-            except (InputError, ComputeError) as exc:
-                row = {**point, "gap": None, "status": f"failed: {exc}"}
+            try:  # a point whose input has no answer fails before any solve
+                p = Params((la,), lambda_b)
+                fock.check_site_count(size)
+                if size < 2:  # the builder or the solver says why
+                    spectra.total_gap(build_box((size,)), p)
+            except InputError as exc:
+                rows.append({**point, "gap": None, "status": f"failed: {exc}"})
             else:
-                try:
-                    cache_put(cdir, key, row)
-                except OSError as exc:
-                    raise InputError(_unusable_cache(exc)) from None
-                solves += 1
-                last[la] = rep
-                # a bounded sector is the only unskipped one left without
-                # a value: ground sectors have a kernel, others an excitation
-                low = sum(s.lowest_excited is None and not s.kernel
-                          and not s.skipped for s in rep.sectors)
-                bounded += low
-                solved += sum(not s.skipped for s in rep.sectors) - low
+                wanted[size] = point, key
+        if wanted:
+            todo.append((p, wanted))
+    # one climb, one length at a time, takes each lambda_a to its last point
+    for n, reports in spectra.climb_chains([p for p, _ in todo],
+                                           [max(w) for _, w in todo]):
+        for (_, wanted), rep in zip(todo, reports):
+            if n not in wanted:
+                continue
+            point, key = wanted[n]
+            row = {**point, "gap": rep.gap,
+                   "status": "partial" if rep.partial else "ok"}
+            try:
+                cache_put(cdir, key, row)
+            except OSError as exc:
+                raise InputError(_unusable_cache(exc)) from None
             rows.append(row)
+            solves += 1
+            # a bounded sector is the only unskipped one left without a
+            # value: ground sectors have a kernel, others an excitation
+            low = sum(s.lowest_excited is None and not s.kernel
+                      and not s.skipped for s in rep.sectors)
+            bounded += low
+            solved += sum(not s.skipped for s in rep.sectors) - low
     rows.sort(key=lambda r: (r["lambda_a"], r["L"]))
     print(f"sweep: {hits} cache hits, {solves} solves, {solved} sectors "
           f"solved, {bounded} bounded", file=sys.stderr)

@@ -13,6 +13,7 @@ by measuring it at the smallest sweep positions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy
@@ -34,10 +35,11 @@ SPOT_CHECKS = 2
 @dataclass(frozen=True)
 class Symbolic:
     """Marker for a quantity that is provably positive but out of numeric
-    reach; carries the dimension that blocked the computation."""
+    reach; carries the dimension that blocked the computation, or past
+    the digits Python writes an int with, its power of ten "10^x.x"."""
 
     reason: str
-    blocking_dimension: int
+    blocking_dimension: int | str
 
     def to_json(self):
         return "symbolic"
@@ -145,19 +147,28 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
                       budget: int = DEFAULT_GAMMA_BUDGET):
     """Seed gap on the all-ell volume, or a Symbolic marker when the
     largest particle sector is out of budget. In d = 1 that volume is the
-    ell-site chain, climbed to by `spectra.climb_chain`; no sector of a
+    ell-site chain, climbed to by `spectra.climb_chains`; no sector of a
     shorter chain is larger than the largest of the longest."""
     family = sweep_family(t, 0, ell, ell)
     n_sites = family.member_sites(ell)
     # the multinomial n! / (n_a! n_b! n_0!) is largest at the most even
     # split of the sites between a, b and empty
-    worst = fock.sector_dimension(n_sites, (n_sites + 2) // 3,
-                                  (n_sites + 1) // 3)
+    n_a, n_b = (n_sites + 2) // 3, (n_sites + 1) // 3
+    reason = "largest particle sector exceeds the eigensolver budget"
+    # exact, it takes seconds past a million sites: a digit past the
+    # budget and Python's int-to-str limit, only its power of ten is kept,
+    # from log-gammas that err far below the 0.1 shown
+    log10 = (math.lgamma(n_sites + 1) - sum(math.lgamma(k + 1) for k in (
+        n_a, n_b, n_sites - n_a - n_b))) / math.log(10)
+    shown = sys.get_int_max_str_digits() or math.inf
+    if log10 > max(shown, math.log10(max(budget, 1))) + 1:
+        return Symbolic(reason, f"10^{log10:.1f}")
+    worst = fock.sector_dimension(n_sites, n_a, n_b)
     if worst > budget:
-        return Symbolic("largest particle sector exceeds the eigensolver "
-                        "budget", worst)
+        return Symbolic(reason, worst)
     if t.dim == 1:  # member(ell) is the ell-site chain
-        return spectra.climb_chain(t.params, ell, sector_cap=budget)
+        *_, (_, [seed]) = spectra.climb_chains([t.params], [ell])
+        return seed
     return spectra.total_gap(family.member(ell), t.params, sector_cap=budget)
 
 

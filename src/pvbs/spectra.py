@@ -9,11 +9,11 @@ ground-bearing sector, none elsewhere) is counted among the lowest
 kernel + 1 eigenvalues, and the next one is its lowest excitation. Where
 a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
 `_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
-other one takes its twin's record. `climb_chain` solves a d=1 chain for
-every verb that floors one: it solves each length from 2 sites up with
-floors from the one before (`chain_floors`), and each solve skips every
-sector that its floor puts above the gap, whether or not it is over the
-sector cap.
+other one takes its twin's record. `climb_chains` solves every floored
+d=1 chain: all points of a verb go from 2 sites up one length at a time,
+each length floored by the one before (`chain_floors`) and sharing its
+sector patterns, and each solve skips every sector that its floor puts
+above the gap, whether or not it is over the sector cap.
 """
 
 from __future__ import annotations
@@ -362,26 +362,23 @@ def chain_floors(shorter: SpectrumReport) -> dict:
             for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
-def climb_chain(p: Params, size: int, shorter: SpectrumReport | None = None,
-                sector_cap: int = fock.DEFAULT_SECTOR_CAP,
-                patterns: dict | None = None) -> SpectrumReport:
-    """The `total_gap` report of the `size`-site chain, reached by a
-    climb: every chain from 2 sites, or from one site past `shorter` (an
-    earlier report at p of a chain of at most `size` sites, which floors
-    a rerun of its own length), up to `size` is solved with the floors
-    `chain_floors(prev)` of the one before it; `patterns` goes to the last
-    solve. The gap is a floor-free solve's, bit for bit: floors leave
+def climb_chains(ps, tops):
+    """Climb the chain at each point ps[i] from 2 to tops[i] sites, one
+    length at a time for all points: yield n = 2 .. max(tops) with the
+    n-site chains' `total_gap` reports, None past a point's top. Each
+    length after 2 is floored by `chain_floors` of the point's report
+    before it, and its sector patterns serve every point until the next
+    length. Each gap is a floor-free solve's, bit for bit: floors leave
     `total_gap`'s minimum over the same solved floats, and only spare it
-    the sectors, mostly the largest, that they put above the gap."""
-    report = shorter
-    start = 2 if shorter is None else max(
-        s.n_a + s.n_b for s in shorter.sectors) + 1
-    for n in range(min(start, size), size + 1):
-        floors = None if report is None else chain_floors(report)
-        report = total_gap(build_box((n,)), p, sector_cap=sector_cap,
-                           patterns=patterns if n == size else None,
-                           floors=floors)
-    return report
+    the sectors that they put above the gap."""
+    reports = [None] * len(ps)
+    for n in range(2, max(tops, default=0) + 1):
+        v, patterns = build_box((n,)), {}
+        reports = [None if top < n else total_gap(
+            v, p, patterns=patterns,
+            floors=None if prev is None else chain_floors(prev))
+            for p, top, prev in zip(ps, tops, reports)]
+        yield n, reports
 
 
 @dataclass
@@ -413,18 +410,12 @@ def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
     if classify_zd(p) is not GapClass.GAPLESS:
         raise InputError("no species with a flat parameter vector")
     d = p.dim
-    out = []
-    chain = None  # in d = 1, the last chain solved: the next one climbs on
-    for size in sorted(sizes):
-        if size < 1:
-            raise InputError("box sizes must be positive")
-        sites = size ** d
-        gap = None
-        if 2 <= sites <= SCALING_NUMERIC_CAP:
-            if d == 1:
-                chain = climb_chain(p, size, chain)
-                gap = chain.gap
-            else:
-                gap = total_gap(build_box((size,) * d), p).gap
-        out.append(ScalingPoint(size, sites, d / size, gap))
-    return out
+    sizes = sorted(sizes)
+    if any(s < 1 for s in sizes):
+        raise InputError("box sizes must be positive")
+    numeric = sorted({s for s in sizes if 2 <= s ** d <= SCALING_NUMERIC_CAP})
+    if d == 1:  # one climb through every chain
+        gaps = {n: rep.gap for n, [rep] in climb_chains([p], numeric[-1:])}
+    else:
+        gaps = {s: total_gap(build_box((s,) * d), p).gap for s in numeric}
+    return [ScalingPoint(s, s ** d, d / s, gaps.get(s)) for s in sizes]

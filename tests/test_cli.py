@@ -67,8 +67,8 @@ def test_gap_partial_is_upper_bound(capsys, monkeypatch):
     assert rec["gap_upper_bound"] == min(solved)
     # a sweep point whose report is partial is labelled so: ground sector
     # (1,1) has 30 states, and no floor bounds a ground sector
-    monkeypatch.setattr(spectra, "climb_chain", functools.partial(
-        spectra.climb_chain, sector_cap=10))
+    monkeypatch.setattr(spectra, "total_gap", functools.partial(
+        spectra.total_gap, sector_cap=10))
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
                            "--lambda-b", "1/2", "--sizes", "6",
                            "--format", "json")
@@ -260,14 +260,12 @@ def test_eigensolver_failure(capsys, monkeypatch):
     # cycle at all is allowed
     monkeypatch.setattr(spectra, "DENSE_CAP", 0)
     monkeypatch.setattr(spectra, "LANCZOS_MAX_CYCLES", 0)
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
-                           "--lambda-b", "2", "--sizes", "3",
-                           "--format", "json")
-    assert code == 0
-    [row] = json.loads(out)["rows"]
-    assert row["gap"] is None
-    assert row["status"] == ("failed: Lanczos did not converge in 0 "
-                             "restart cycles")
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2",
+                             "--lambda-b", "2", "--sizes", "3",
+                             "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: Lanczos did not converge in 0 restart cycles\n"
 
 
 def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
@@ -277,13 +275,12 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
     assert code == 3
     assert out == ""
     assert err.startswith("error: Lanczos eigenpair residual")
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
-                           "--lambda-b", "2", "--sizes", "3",
-                           "--format", "json")
-    assert code == 0
-    [row] = json.loads(out)["rows"]
-    assert row["gap"] is None
-    assert row["status"].startswith("failed: Lanczos eigenpair residual")
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", "2",
+                             "--lambda-b", "2", "--sizes", "3",
+                             "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Lanczos eigenpair residual")
 
 
 # prints the modules a fresh interpreter has imported and the files it
@@ -843,7 +840,8 @@ def _recording_total_gap(m, seen, fail_at=None, **fixed):
 
 
 def test_sweep_after_a_cache_hit_climbs(capsys, monkeypatch, tmp_path):
-    # size 5 is cached, so size 6 climbs from the 4-site report through 5
+    # size 5 is cached, so every point climbs through it to 6 and 7, all
+    # of them one length at a time
     caches = [str(tmp_path / name) for name in ("floored", "free")]
     for cdir in caches:
         code, _, _ = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
@@ -863,24 +861,19 @@ def test_sweep_after_a_cache_hit_climbs(capsys, monkeypatch, tmp_path):
         assert "6 cache hits, 18 solves" in err
         outs.append(out)
     assert outs[0] == outs[1]
-    assert seen[:36] == ([(2, False), (3, True), (4, True)] * 6
-                         + [(5, True), (6, True)] * 6 + [(7, True)] * 6)
+    assert seen[:36] == [(n, n > 2) for n in range(2, 8) for _ in range(6)]
 
 
-def test_sweep_after_a_failed_point_climbs_through_it(capsys, monkeypatch):
-    # size 6 climbs from the 4-site report, so it meets the failing 5-site
-    # chain again and reports its error
+def test_sweep_exits_3_when_a_climbed_solve_fails(capsys, monkeypatch):
+    # the first point to reach the failing 5-site chain stops the sweep,
+    # as a failed solve stops every verb
     seen = []
-    (out, _), (free, _) = _sweep_twice(
-        capsys, monkeypatch, "4,5,6",
-        before=lambda m: _recording_total_gap(m, seen, fail_at=5))
-    assert out == free
-    rows = json.loads(out)["rows"]
-    assert {r["status"] for r in rows if r["L"] != 4} == {
-        "failed: refused for the test"}
-    assert {r["status"] for r in rows if r["L"] == 4} == {"ok"}
-    assert seen[:30] == ([(2, False), (3, True), (4, True)] * 6
-                         + [(5, True)] * 12)
+    _recording_total_gap(monkeypatch, seen, fail_at=5)
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
+                             "--lambda-b", "1/2", "--sizes", "4,5,6")
+    assert (code, out, err) == (3, "", "error: refused for the test\n")
+    assert seen == [(n, n > 2) for n in range(2, 5) for _ in range(6)] + [
+        (5, True)]
 
 
 def test_sweep_floors_keep_partial_rows_partial(capsys, monkeypatch):
@@ -929,6 +922,32 @@ def test_sweep_solves_a_repeated_size_once(capsys):
     assert code == 0
     assert err.startswith("sweep: 0 cache hits, 6 solves, ")
     assert (code, out) == run_cli(capsys, *grid, "--sizes", "3")[:2]
+
+
+def test_sweep_solves_a_repeated_lambda_once(capsys):
+    grid = ("sweep", "--lambda-b", "1/2", "--sizes", "3")
+    code, out, err = run_cli(capsys, *grid, "--grid-a", "2,2")
+    assert code == 0
+    assert out.splitlines() == ["lambda_a,lambda_b,L,gap,status",
+                                "2,1/2,3,0.59999999999999976,ok"]
+    assert err.startswith("sweep: 0 cache hits, 1 solves, ")
+
+
+def test_sweep_builds_each_pattern_once(capsys, monkeypatch):
+    # the bench's cold grid: every lambda_a climbs through the same chain
+    # lengths, and each length's sector patterns serve all of them
+    built = []
+    real = operators.sector_pattern
+
+    def spy(basis):
+        built.append((len(basis.volume), basis.n_a, basis.n_b))
+        return real(basis)
+
+    monkeypatch.setattr(operators, "sector_pattern", spy)
+    code, _, _ = run_cli(capsys, "sweep", "--grid-a", "3/2,2,5/2,3,4,5,8,10",
+                         "--lambda-b", "1/2", "--sizes", "4,5,6,7,8")
+    assert code == 0
+    assert len(built) == len(set(built)) == 54
 
 
 def test_sweep_climbs_to_its_first_size(capsys, monkeypatch):
@@ -1093,17 +1112,12 @@ def test_sweep_csv(capsys):
     assert len(lines) == 2
 
 
-def test_sweep_csv_quotes_a_field_with_a_comma(capsys, monkeypatch):
-    # a failed point's status names its sector, "(1,2)"; the row must
+def test_sweep_csv_quotes_a_field_with_a_comma(capsys):
+    # a failed point's status names its extents, "(0,)"; the row must
     # still read back as the five columns
-    message = "unexpected kernel vector count 0 (expected 1) in sector (1,2)"
-
-    def fail(*args, **kwargs):
-        raise ComputeError(message)
-
-    monkeypatch.setattr(spectra, "total_gap", fail)
+    message = "extents must be >= 1, got (0,)"
     code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
-                           "--lambda-b", "1/2", "--sizes", "3",
+                           "--lambda-b", "1/2", "--sizes", "0",
                            "--format", "csv")
     assert code == 0
     assert f'"failed: {message}"' in out

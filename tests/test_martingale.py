@@ -152,6 +152,27 @@ def test_largest_seed_sector_is_the_most_even_split():
         assert sym.blocking_dimension == worst, n
 
 
+def test_a_huge_seed_is_over_budget_without_its_dimension(monkeypatch):
+    # past the digits Python writes an int with, the largest sector is a
+    # power of ten from log-gammas, the same one the exact integer gives;
+    # the 34^4 sites are those of certify at 6/5 and 1/2 in d = 4
+    exact = {n: fock.sector_dimension(n, (n + 2) // 3, (n + 1) // 3)
+             for n in (9100, 10 ** 4)}
+    real = fock.sector_dimension
+
+    def refuse(n, n_a, n_b):
+        assert n <= 10 ** 4, "exact dimension over 10^4 sites"
+        return real(n, n_a, n_b)
+
+    monkeypatch.setattr(fock, "sector_dimension", refuse)
+    p4 = Params(("6/5",) * 4, ("1/2",) * 4)
+    sym = martingale.compute_gamma_ell(select_tilt(p4), 34)
+    assert sym.blocking_dimension == "10^637588.1"
+    for n, worst in exact.items():
+        sym = martingale.compute_gamma_ell(tilt10(), n)
+        assert sym.blocking_dimension == f"10^{math.log10(worst):.1f}"
+
+
 def test_certify_d1_frozen_values():
     cert = martingale.certify(P10)
     assert cert.ell == 7

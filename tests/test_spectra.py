@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbs import (ComputeError, InputError, analytic, fock, lattice, operators,
@@ -418,14 +418,21 @@ def test_floors_outrank_the_cap(cap, skipped):
             assert s.lowest_excited is None and s.kernel == 0
 
 
-@given(chain_params(), st.integers(2, 8), st.integers(3, 9))
+@given(chain_params(), chain_params(), st.integers(2, 8), st.integers(3, 9))
 @settings(max_examples=15, deadline=None)
-def test_climb_is_a_floor_free_solve(p, m, n):
-    # continuing a climb from m sites must solve every length after it
-    assume(m < n)
-    plain = spectra.total_gap(build_box((n,)), p).gap
-    assert spectra.climb_chain(p, n).gap == plain
-    assert spectra.climb_chain(p, n, spectra.climb_chain(p, m)).gap == plain
+def test_climb_is_a_floor_free_solve(p, q, m, n):
+    # two points climbed together, to m and to n sites, share each
+    # length's patterns; each report is a floor-free solve's
+    lengths = []
+    for k, reports in spectra.climb_chains([p, q], [m, n]):
+        lengths.append(k)
+        for point, top, rep in zip((p, q), (m, n), reports):
+            if k > top:
+                assert rep is None
+            else:
+                plain = spectra.total_gap(build_box((k,)), point)
+                assert rep.gap == plain.gap
+    assert lengths == list(range(2, max(m, n) + 1))
 
 
 def test_gapless_scaling_flat_species():

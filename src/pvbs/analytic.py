@@ -122,27 +122,15 @@ def ground_state_vector(p: Params, basis: fock.SectorBasis) -> np.ndarray:
 # --- lemma evaluators -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-10)
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "pass": self.passed, "slack": self.slack}
+def _check(name: str, lhs: float, rhs: float) -> dict:
+    """The record of the inequality lhs <= rhs, which passes up to a
+    relative 1e-10; its slack is rhs - lhs."""
+    return {"name": name, "lhs": lhs, "rhs": rhs,
+            "pass": lhs <= rhs * (1.0 + 1e-10), "slack": rhs - lhs}
 
 
 def check_product_bounds(family: VolumeFamilySpec, lo: int,
-                         hi: int) -> list[BoundReport]:
+                         hi: int) -> list[dict]:
     """C(ab) <= C(a)C(b) <= c~ C(ab) on the slab Lambda_hi \\ Lambda_lo
     of `family`."""
     if hi - lo < 2:
@@ -150,13 +138,13 @@ def check_product_bounds(family: VolumeFamilySpec, lo: int,
     ns = normalization_closed_form(family, lo, hi)
     ct = c_tilde(family.tilt)
     return [
-        BoundReport("product_upper", ns.c_ab, ns.c_a * ns.c_b),
-        BoundReport("product_lower", ns.c_a * ns.c_b, ct * ns.c_ab),
+        _check("product_upper", ns.c_ab, ns.c_a * ns.c_b),
+        _check("product_lower", ns.c_a * ns.c_b, ct * ns.c_ab),
     ]
 
 
 def check_diagonal_bound(family: VolumeFamilySpec, lo: int,
-                         hi: int) -> BoundReport:
+                         hi: int) -> dict:
     """D/(C_a C_b) <= (hi-lo) exp(-2(hi-lo-1) min|log tilde|) on the slab
     Lambda_hi \\ Lambda_lo of `family`.
 
@@ -172,11 +160,11 @@ def check_diagonal_bound(family: VolumeFamilySpec, lo: int,
     ns = normalization_closed_form(family, lo, hi)
     lhs = ns.d_diag / (ns.c_a * ns.c_b)
     rhs = (hi - lo) * math.exp(-2.0 * (hi - lo - 1) * t.margins[j])
-    return BoundReport("diagonal", lhs, rhs)
+    return _check("diagonal", lhs, rhs)
 
 
 def check_ratio_bounds(family: VolumeFamilySpec, n: int,
-                       ell: int) -> list[BoundReport]:
+                       ell: int) -> list[dict]:
     """The eight normalization-ratio inequalities of `family` at sweep
     position n and slab width ell.
 
@@ -198,18 +186,18 @@ def check_ratio_bounds(family: VolumeFamilySpec, n: int,
         decay = math.exp(-2.0 * (ell - 1) * alog)
         if lam > 1:
             out.extend([
-                BoundReport(f"4R1[{s}]", c(n + 1 - ell) / c(n), decay),
-                BoundReport(f"4R2[{s}]", c(n + 1, n) / c(n + 1, n + 1 - ell), 1.0),
-                BoundReport(f"4R3[{s}]", c(n + 1, n) / c(n), lam ** 2),
-                BoundReport(f"4R4[{s}]", c(n, n + 1 - ell) / c(n), 1.0),
+                _check(f"4R1[{s}]", c(n + 1 - ell) / c(n), decay),
+                _check(f"4R2[{s}]", c(n + 1, n) / c(n + 1, n + 1 - ell), 1.0),
+                _check(f"4R3[{s}]", c(n + 1, n) / c(n), lam ** 2),
+                _check(f"4R4[{s}]", c(n, n + 1 - ell) / c(n), 1.0),
             ])
         else:
             out.extend([
-                BoundReport(f"4L1[{s}]", c(n + 1 - ell) / c(n), 1.0),
-                BoundReport(f"4L2[{s}]", c(n + 1, n) / c(n + 1, n + 1 - ell), decay),
-                BoundReport(f"4L3[{s}]", c(n + 1, n) / c(n),
-                            math.exp(-2.0 * n * alog)),
-                BoundReport(f"4L4[{s}]", c(n, n + 1 - ell) / c(n), 1.0),
+                _check(f"4L1[{s}]", c(n + 1 - ell) / c(n), 1.0),
+                _check(f"4L2[{s}]", c(n + 1, n) / c(n + 1, n + 1 - ell), decay),
+                _check(f"4L3[{s}]", c(n + 1, n) / c(n),
+                       math.exp(-2.0 * n * alog)),
+                _check(f"4L4[{s}]", c(n, n + 1 - ell) / c(n), 1.0),
             ])
     return out
 

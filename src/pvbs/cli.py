@@ -26,8 +26,6 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import asdict
-from fractions import Fraction
 
 # BLAS runs on one thread, whatever the caller set. A second OpenBLAS
 # thread gains no wall time on these matrices, busy-waits after every
@@ -68,8 +66,6 @@ def dumps_canonical(obj) -> str:
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -292,7 +288,7 @@ def cmd_certify(args) -> dict:
         raise InputError(f"--ell-cap must be at least 1, got {args.ell_cap}")
     return martingale.certify(_params(args), eta=_eta(args),
                               ell_cap=args.ell_cap,
-                              gamma_budget=_budget(args)).to_json()
+                              gamma_budget=_budget(args))
 
 
 def cmd_verify_lemmas(args) -> dict:
@@ -308,15 +304,12 @@ def cmd_verify_lemmas(args) -> dict:
         n = rng.randint(ell, ell + 6)
         fam = VolumeFamilySpec(
             t, tuple(rng.randint(2, 6) for _ in range(t.dim)), j)
-        reports.extend(check.to_json() for check in
-                       analytic.check_product_bounds(fam, n - ell, n))
+        reports.extend(analytic.check_product_bounds(fam, n - ell, n))
         loga = t.log_tilde("a")[j]
         logb = t.log_tilde("b")[j]
         if loga * logb < 0:
-            reports.append(
-                analytic.check_diagonal_bound(fam, n - ell, n).to_json())
-        reports.extend(check.to_json() for check in
-                       analytic.check_ratio_bounds(fam, n, ell))
+            reports.append(analytic.check_diagonal_bound(fam, n - ell, n))
+        reports.extend(analytic.check_ratio_bounds(fam, n, ell))
     return {"trials": args.trials, "checks": len(reports),
             "all_pass": all(r["pass"] for r in reports),
             "reports": reports}
@@ -335,12 +328,10 @@ def cmd_verify_projection(args) -> dict:
     if args.lead < 1:
         raise InputError(f"--lead must be at least 1, got {args.lead}")
     t = model.select_tilt(p, eta=_eta(args))
-    rep_i = martingale.verify_condition_i(t, args.j, args.ell)
-    rep_iii = martingale.verify_condition_iii(
-        martingale.sweep_family(t, args.j, args.ell, args.lead),
-        args.n, args.ell)
-    return {"condition_i": rep_i.to_json(),
-            "condition_iii": rep_iii.to_json()}
+    return {"condition_i": martingale.verify_condition_i(t, args.j, args.ell),
+            "condition_iii": martingale.verify_condition_iii(
+                martingale.sweep_family(t, args.j, args.ell, args.lead),
+                args.n, args.ell)}
 
 
 def cmd_scaling(args) -> dict:
@@ -349,9 +340,8 @@ def cmd_scaling(args) -> dict:
     if any(s > 0 and p.dim / s < sys.float_info.min for s in sizes):
         raise InputError("--sizes entries must keep the trial energy "
                          "d/size inside double range")
-    pts = spectra.gapless_scaling(p, sizes)
     return {"columns": ["size", "sites", "trial_energy", "numeric_gap"],
-            "rows": [asdict(pt) for pt in pts]}
+            "rows": spectra.gapless_scaling(p, sizes)}
 
 
 def cmd_sweep(args) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy
 
@@ -41,9 +41,6 @@ class Symbolic:
     reason: str
     blocking_dimension: int | str
 
-    def to_json(self):
-        return "symbolic"
-
 
 def sweep_family(t: TiltScheme, j: int, ell: int,
                  lead: int) -> VolumeFamilySpec:
@@ -53,24 +50,16 @@ def sweep_family(t: TiltScheme, j: int, ell: int,
     return VolumeFamilySpec(t, ext, j)
 
 
-@dataclass
-class ConditionReport:
-    condition: str  # "i" or "iii"
-    inputs: dict
-    measured: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.bound * (1.0 + PASS_SLACK) + PASS_SLACK
-
-    def to_json(self) -> dict:
-        return {"condition": self.condition, "inputs": dict(self.inputs),
-                "measured": self.measured, "bound": self.bound,
-                "pass": self.passed}
+def _condition(condition: str, inputs: dict, measured: float,
+               bound: float) -> dict:
+    """The record of sweep condition "i" or "iii": it passes when measured
+    is at most bound, up to PASS_SLACK both relative and absolute."""
+    return {"condition": condition, "inputs": inputs, "measured": measured,
+            "bound": bound,
+            "pass": measured <= bound * (1.0 + PASS_SLACK) + PASS_SLACK}
 
 
-def verify_condition_i(t: TiltScheme, j: int, ell: int) -> ConditionReport:
+def verify_condition_i(t: TiltScheme, j: int, ell: int) -> dict:
     """Each edge of member L = 2 ell of the direction-j sweep family
     (extent 2 ell before j, ell after it) must lie in at most ell of the
     width-ell slabs Lambda_n \\ Lambda_(n - ell), ell <= n <= L. This is
@@ -106,13 +95,13 @@ def verify_condition_i(t: TiltScheme, j: int, ell: int) -> ConditionReport:
     """
     tight = t.case == 1 and j == 0 and (
         ell == 1 or all(vk >= 1 for vk in t.v))
-    return ConditionReport(
+    return _condition(
         "i", {"j": j, "ell": ell, "L": 2 * ell},
         float(ell - 1 if tight else ell), float(ell))
 
 
 def verify_condition_iii(family: VolumeFamilySpec, n: int,
-                         ell: int) -> ConditionReport:
+                         ell: int) -> dict:
     """Measure ||G_slab E_n|| and compare it with the analytic projection
     bound.
 
@@ -139,8 +128,7 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
         raise ComputeError("sweep slab and inner volume do not make up "
                            "the ambient volume")
     measured = operators.projection_product_norm(slab_vol, inner, t.params)
-    return ConditionReport(
-        "iii", {"j": j, "n": n, "ell": ell}, measured, bound)
+    return _condition("iii", {"j": j, "n": n, "ell": ell}, measured, bound)
 
 
 def compute_gamma_ell(t: TiltScheme, ell: int,
@@ -172,40 +160,6 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     return spectra.total_gap(family.member(ell), t.params, sector_cap=budget)
 
 
-@dataclass
-class GapCertificate:
-    params: Params
-    tilt: TiltScheme
-    ell: int
-    c_tilde: float
-    eps_ell: float
-    gamma_ell: object  # float or Symbolic
-    factor_per_direction: float
-    final_bound: object  # float or Symbolic
-    conditions: list[ConditionReport] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    version: str = ""
-
-    def to_json(self) -> dict:
-        def val(x):
-            return x.to_json() if isinstance(x, Symbolic) else x
-
-        return {
-            "params": self.params.to_json(),
-            "tilt": self.tilt.to_json(),
-            "ell": self.ell,
-            "d_ell": self.ell,
-            "c_tilde": self.c_tilde,
-            "eps_ell": self.eps_ell,
-            "gamma_ell": val(self.gamma_ell),
-            "factor_per_direction": self.factor_per_direction,
-            "final_bound": val(self.final_bound),
-            "conditions": [c.to_json() for c in self.conditions],
-            "notes": list(self.notes),
-            "version": self.version,
-        }
-
-
 def _spot_checks(t: TiltScheme, ell: int, j: int):
     """The smallest feasible sweep positions n for a direction-j check."""
     reports, notes = [], []
@@ -224,8 +178,12 @@ def _spot_checks(t: TiltScheme, ell: int, j: int):
 
 def certify(p: Params, eta: float = DEFAULT_ETA,
             ell_cap: int = DEFAULT_ELL_CAP,
-            gamma_budget: int = DEFAULT_GAMMA_BUDGET) -> GapCertificate:
-    """Run the full certification pipeline for gapped parameters."""
+            gamma_budget: int = DEFAULT_GAMMA_BUDGET) -> dict:
+    """Run the full certification pipeline for gapped parameters and
+    return the certificate: params, tilt, ell (also as d_ell), c_tilde,
+    eps_ell, the seed gap gamma_ell, the factor_per_direction, final_bound
+    = gamma_ell * factor_per_direction ** d (both "symbolic" when the seed
+    is out of budget), the condition records, notes and version."""
     t = select_tilt(p, eta)
     ct = c_tilde(t)
     ell, eps = choose_ell(t, ell_cap)
@@ -235,9 +193,7 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
     factor = (1.0 - eps * math.sqrt(ell)) ** 2 / ell
     notes = []
     if isinstance(gamma, Symbolic):
-        gamma_val: object = gamma
-        final: object = Symbolic("positive multiple of a symbolic seed gap",
-                                 gamma.blocking_dimension)
+        gamma_val = final = "symbolic"
         try:
             shown = str(gamma.blocking_dimension)
         except ValueError:  # over Python's int-to-str digit limit
@@ -253,12 +209,14 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
         reps, more = _spot_checks(t, ell, j)
         conditions.extend(reps)
         notes.extend(more)
-    bad = [c for c in conditions if not c.passed]
+    bad = [c for c in conditions if not c["pass"]]
     if bad:
         raise ComputeError(
-            f"certificate invalid: condition {bad[0].condition} failed "
-            f"with inputs {bad[0].inputs}")
+            f"certificate invalid: condition {bad[0]['condition']} failed "
+            f"with inputs {bad[0]['inputs']}")
 
-    version = f"pvbs {_pkg_version}; numpy {numpy.__version__}"
-    return GapCertificate(p, t, ell, ct, eps, gamma_val, factor, final,
-                          conditions, notes, version)
+    return {"params": p.to_json(), "tilt": t.to_json(), "ell": ell,
+            "d_ell": ell, "c_tilde": ct, "eps_ell": eps,
+            "gamma_ell": gamma_val, "factor_per_direction": factor,
+            "final_bound": final, "conditions": conditions, "notes": notes,
+            "version": f"pvbs {_pkg_version}; numpy {numpy.__version__}"}

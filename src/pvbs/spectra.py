@@ -381,21 +381,15 @@ def climb_chains(ps, tops):
         yield n, reports
 
 
-@dataclass
-class ScalingPoint:
-    size: int
-    sites: int
-    trial_energy: float
-    numeric_gap: float | None
-
-
-def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
+def gapless_scaling(p: Params, sizes) -> list[dict]:
     """Variational evidence of gaplessness on growing boxes: the energy
     d / size of one particle of a flat species (one whose parameter vector
     is identically 1), spread uniformly over the box {0..size-1}^d in the
     vacuum, the trial state of S. Bishop, B. Nachtergaele and A. Young,
     J. Stat. Phys. 162, 1485 (2016). For boxes of 2 to
-    SCALING_NUMERIC_CAP sites the exact total gap is attached too.
+    SCALING_NUMERIC_CAP sites the exact total gap is attached too. One
+    row per size, ascending: size, sites, trial_energy and numeric_gap
+    (None where no gap is attached).
 
     Proof. The unnormalized state is sum_x lambda^x |x>, one particle at
     site x of the box, with weight lambda^(2x) = 1 at every site, so its
@@ -418,4 +412,5 @@ def gapless_scaling(p: Params, sizes) -> list[ScalingPoint]:
         gaps = {n: rep.gap for n, [rep] in climb_chains([p], numeric[-1:])}
     else:
         gaps = {s: total_gap(build_box((s,) * d), p).gap for s in numeric}
-    return [ScalingPoint(s, s ** d, d / s, gaps.get(s)) for s in sizes]
+    return [{"size": s, "sites": s ** d, "trial_energy": d / s,
+             "numeric_gap": gaps.get(s)} for s in sizes]

@@ -152,17 +152,17 @@ def test_c05_normalization_bound_lemmas():
         fam = VolumeFamilySpec(t, tuple(rng.randint(2, 4) for _ in range(d)),
                                j)
         for r in analytic.check_product_bounds(fam, n - ell, n):
-            assert r.passed, r.to_json()
-            min_slack = min(min_slack, r.slack)
+            assert r["pass"], r
+            min_slack = min(min_slack, r["slack"])
             counts["product"] += 1
         if t.log_tilde("a")[j] * t.log_tilde("b")[j] < 0:
             r = analytic.check_diagonal_bound(fam, n - ell, n)
-            assert r.passed, r.to_json()
-            min_slack = min(min_slack, r.slack)
+            assert r["pass"], r
+            min_slack = min(min_slack, r["slack"])
             counts["diagonal"] += 1
         for r in analytic.check_ratio_bounds(fam, n, ell):
-            assert r.passed, r.to_json()
-            min_slack = min(min_slack, r.slack)
+            assert r["pass"], r
+            min_slack = min(min_slack, r["slack"])
             counts["ratio"] += 1
     verdict(5, min_slack > 0,
             f"{counts} bound checks all pass, min slack {min_slack:.3e}")
@@ -179,8 +179,8 @@ def _measure_condition_iii(la, lb, n, ell):
 def test_c06_projection_norm_vs_analytic_bound():
     # anchor point: bound evaluates to ~0.0222 and dominates the measurement
     rep0, _, _ = _measure_condition_iii("10", "1/10", 8, 8)
-    assert rep0.bound == pytest.approx(0.0222, abs=2e-4)
-    assert rep0.measured <= 0.0222
+    assert rep0["bound"] == pytest.approx(0.0222, abs=2e-4)
+    assert rep0["measured"] <= 0.0222
 
     grid = [("10", "1/10", 6, 6), ("10", "1/10", 7, 7), ("10", "1/10", 8, 7),
             ("10", "1/10", 9, 7), ("5", "1/5", 4, 4), ("5", "1/5", 5, 5),
@@ -191,13 +191,13 @@ def test_c06_projection_norm_vs_analytic_bound():
     dense_checks = 0
     for la, lb, n, ell in grid:
         rep, fam, pp = _measure_condition_iii(la, lb, n, ell)
-        assert rep.measured <= rep.bound * (1 + 1e-10), (la, lb, n, ell)
+        assert rep["measured"] <= rep["bound"] * (1 + 1e-10), (la, lb, n, ell)
         # dense cross-check on all 3^(n+1) ambient states
         ambient = fam.member(n + 1)
         ref = projector_oracle.projection_norm(
             ambient.difference(fam.member(n + 1 - ell)), fam.member(n),
             ambient, pp)
-        worst_rel = max(worst_rel, abs(ref - rep.measured) / ref)
+        worst_rel = max(worst_rel, abs(ref - rep["measured"]) / ref)
         dense_checks += 1
     ok = worst_rel <= 1e-10 and dense_checks == 12
     verdict(6, ok, f"12 grid points below bound; {dense_checks} dense "
@@ -208,18 +208,18 @@ def test_c06_projection_norm_vs_analytic_bound():
 def test_c07_end_to_end_certificate_d1():
     p = Params(("10",), ("1/10",))
     cert = martingale.certify(p)
-    assert cert.ell == 7
-    assert cert.eps_ell == pytest.approx(0.2080, abs=1e-4)
-    assert cert.gamma_ell > 0
-    assert cert.final_bound == pytest.approx(cert.gamma_ell * 0.0289,
-                                             abs=1e-4 * cert.gamma_ell)
+    assert cert["ell"] == 7
+    assert cert["eps_ell"] == pytest.approx(0.2080, abs=1e-4)
+    assert cert["gamma_ell"] > 0
+    assert cert["final_bound"] == pytest.approx(
+        cert["gamma_ell"] * 0.0289, abs=1e-4 * cert["gamma_ell"])
     ok = True
     gaps = {}
     for L in (8, 9, 10):
         gaps[L] = spectra.total_gap(build_box((L,)), p).gap
-        ok = ok and cert.final_bound <= gaps[L]
-    verdict(7, ok, f"ell=7, eps={cert.eps_ell:.4f}, "
-                   f"final_bound={cert.final_bound:.4e} <= gaps "
+        ok = ok and cert["final_bound"] <= gaps[L]
+    verdict(7, ok, f"ell=7, eps={cert['eps_ell']:.4f}, "
+                   f"final_bound={cert['final_bound']:.4e} <= gaps "
                    f"{ {L: round(g, 4) for L, g in gaps.items()} }")
 
 
@@ -228,12 +228,12 @@ def test_c08_gapless_scaling(monkeypatch):
     monkeypatch.setattr(spectra, "SCALING_NUMERIC_CAP", 8)
     p = Params(("1",), ("2",))
     pts = spectra.gapless_scaling(p, range(2, 41))
-    exact = all(pt.trial_energy == 1.0 / pt.size for pt in pts)
-    gaps = [pt.numeric_gap for pt in pts if 3 <= pt.size <= 8]
+    exact = all(pt["trial_energy"] == 1.0 / pt["size"] for pt in pts)
+    gaps = [pt["numeric_gap"] for pt in pts if 3 <= pt["size"] <= 8]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     bounded = True
     for pt in pts:
-        L, trial = pt.size, pt.trial_energy
+        L, trial = pt["size"], pt["trial_energy"]
         inner = build_box((L,))
         ambient = oracles.translate(build_box((L + 2,)), (-1,))
         c_boundary = sum(oracles.lambda_power(p, "a", x) ** 2

@@ -564,6 +564,40 @@ def test_verify_lemmas_stdout_is_pinned(capsys, la, lb, seed):
         LEMMA_DIGESTS[la, lb, seed]
 
 
+# sha256 of stdout, recorded while each verb still built its record from a
+# class of its own, with numpy's version, which a certificate names, set
+# to "0.0.0"; the floats of eigensolves and norm iterations are those of
+# numpy 2.4 on OpenBLAS with one thread
+VERB_DIGESTS = {
+    ("certify", "--lambda-a", "10", "--lambda-b", "1/10"):
+        "91dd5d5328d29e323c8931e4df54b939d2bea3adddc1dbf210b3ab2c61d02cb4",
+    ("certify", "--lambda-a", "4", "--lambda-b", "1/4"):
+        "f400054af09eae2adcbf1ef20c08191e031a2ba39b14ac1d9e4348d6bc152e0a",
+    ("certify", "--lambda-a", "2", "--lambda-b", "1/2"):
+        "c5dcc2f776c90bc8abb79f895467dedf241cadc8f1524f11828e8c1c11ced93d",
+    ("certify", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2"):
+        "111e59505942d19cddab7267c04c8749936ffee0871fcb4746d0861f441f24a4",
+    ("certify", "--lambda-a", "10,10", "--lambda-b", "1/10,1/10"):
+        "0c0559430817aa6a85e5c371e20f6f3951f7b20502db988fc3a1f6de2c5e280e",
+    ("verify-projection", "--lambda-a", "10", "--lambda-b", "1/10",
+     "--n", "9", "--ell", "7"):
+        "56e7d0d2e74c94aab21e7aae5312c0ccdea36117176524cfef078de006bf3241",
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,3,4,6"):
+        "484f3ddff2ac4e2e8b8cd7ad046a1a9cbbe63456b3a21c6d6a6688310ad9df8e",
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,3,4,6",
+     "--format", "csv"):
+        "c633853c69093c961c56c1d351b02c4a2984fadadf602682115ce1cdf3fc2e08",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERB_DIGESTS), ids=" ".join)
+def test_verb_stdout_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERB_DIGESTS[argv]
+
+
 def test_certify_strong_weights_bounds_hold_without_slack(capsys):
     code, out, _ = run_cli(capsys, "certify", "--lambda-a", "1e-102",
                            "--lambda-b", "1e102")

@@ -23,11 +23,9 @@ def test_condition_i_1d_counts():
     # exactly ell-1 of them in the interior
     t = tilt10()
     rep = martingale.verify_condition_i(t, 0, 3)
-    assert rep.inputs == {"j": 0, "ell": 3, "L": 6}
-    assert rep.measured == 2.0
-    assert rep.bound == 3.0
-    assert rep.passed
-    assert martingale.verify_condition_i(t, 0, 2).measured == 1.0
+    assert rep == {"condition": "i", "inputs": {"j": 0, "ell": 3, "L": 6},
+                   "measured": 2.0, "bound": 3.0, "pass": True}
+    assert martingale.verify_condition_i(t, 0, 2)["measured"] == 1.0
 
 
 def test_condition_i_perpendicular_edges_hit_ell():
@@ -37,8 +35,8 @@ def test_condition_i_perpendicular_edges_hit_ell():
     t = select_tilt(p)
     ell = 3
     rep = martingale.verify_condition_i(t, 0, ell)
-    assert rep.measured == float(ell)
-    assert rep.passed
+    assert rep["measured"] == float(ell)
+    assert rep["pass"]
 
 
 def _stand_in_tilts():
@@ -60,9 +58,9 @@ def test_condition_i_closed_form_matches_the_lattice_count(t):
         for ell in range(1, 6):
             rep = martingale.verify_condition_i(t, j, ell)
             count = oracles.slab_membership_count(t, j, ell)
-            assert rep.measured == count, (j, ell)
-            assert rep.inputs == {"j": j, "ell": ell, "L": 2 * ell}
-            assert rep.bound == float(ell)
+            assert rep["measured"] == count, (j, ell)
+            assert rep["inputs"] == {"j": j, "ell": ell, "L": 2 * ell}
+            assert rep["bound"] == float(ell)
 
 
 def test_condition_i_builds_no_volume(monkeypatch):
@@ -73,21 +71,21 @@ def test_condition_i_builds_no_volume(monkeypatch):
     monkeypatch.setattr(VolumeFamilySpec, "member", refuse)
     monkeypatch.setattr(Volume, "__post_init__", refuse)
     for j in range(4):
-        assert martingale.verify_condition_i(t, j, 10).passed
+        assert martingale.verify_condition_i(t, j, 10)["pass"]
 
 
 def test_condition_iii_measured_below_bound():
     fam = martingale.sweep_family(tilt10(), 0, 7, 2)
     rep = martingale.verify_condition_iii(fam, 7, 7)
-    assert rep.passed
-    assert rep.measured <= rep.bound
+    assert rep["pass"]
+    assert rep["measured"] <= rep["bound"]
 
 
 def test_condition_iii_full_slab_is_zero():
     # slab = whole ambient volume: G_slab annihilates E_n exactly
     fam = martingale.sweep_family(tilt10(), 0, 8, 2)
     rep = martingale.verify_condition_iii(fam, 7, 8)
-    assert rep.measured == pytest.approx(0.0, abs=1e-12)
+    assert rep["measured"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_condition_iii_hypothesis_guard():
@@ -175,24 +173,24 @@ def test_a_huge_seed_is_over_budget_without_its_dimension(monkeypatch):
 
 def test_certify_d1_frozen_values():
     cert = martingale.certify(P10)
-    assert cert.ell == 7
-    assert cert.to_json()["d_ell"] == 7
-    assert cert.eps_ell == pytest.approx(0.2080, abs=1e-4)
-    assert cert.eps_ell < 1 / math.sqrt(cert.ell)
-    assert cert.c_tilde == pytest.approx(101.0, rel=1e-10)
-    assert cert.factor_per_direction == pytest.approx(0.0289, abs=1e-4)
-    assert cert.gamma_ell > 0
-    assert cert.final_bound == pytest.approx(
-        cert.gamma_ell * cert.factor_per_direction, rel=1e-12)
-    assert all(c.passed for c in cert.conditions)
-    kinds = {c.condition for c in cert.conditions}
+    assert cert["ell"] == 7
+    assert cert["d_ell"] == 7
+    assert cert["eps_ell"] == pytest.approx(0.2080, abs=1e-4)
+    assert cert["eps_ell"] < 1 / math.sqrt(cert["ell"])
+    assert cert["c_tilde"] == pytest.approx(101.0, rel=1e-10)
+    assert cert["factor_per_direction"] == pytest.approx(0.0289, abs=1e-4)
+    assert cert["gamma_ell"] > 0
+    assert cert["final_bound"] == pytest.approx(
+        cert["gamma_ell"] * cert["factor_per_direction"], rel=1e-12)
+    assert all(c["pass"] for c in cert["conditions"])
+    kinds = {c["condition"] for c in cert["conditions"]}
     assert kinds == {"i", "iii"}
 
 
 def test_certify_lower_bound_consistency_small():
     cert = martingale.certify(P10)
     g8 = spectra.total_gap(build_box((8,)), P10).gap
-    assert cert.final_bound <= g8
+    assert cert["final_bound"] <= g8
 
 
 @pytest.mark.parametrize("la,lb", [("10", "1/10"), ("4", "1/4")])
@@ -203,30 +201,28 @@ def test_certify_d1_lies_below_the_one_particle_limit(la, lb):
     p = Params((la,), (lb,))
     limit = min((1.0 - lam) ** 2 / (1.0 + lam * lam)
                 for s in "ab" for lam in p.floats(s))
-    assert 0 < martingale.certify(p).final_bound < limit
+    assert 0 < martingale.certify(p)["final_bound"] < limit
 
 
 def test_certify_d2_symbolic():
     p = Params(("10", "10"), ("1/10", "1/10"))
     cert = martingale.certify(p)
-    assert isinstance(cert.gamma_ell, martingale.Symbolic)
-    assert isinstance(cert.final_bound, martingale.Symbolic)
-    assert cert.eps_ell < 1 / math.sqrt(cert.ell)
+    assert cert["gamma_ell"] == "symbolic"
+    assert cert["final_bound"] == "symbolic"
+    assert cert["eps_ell"] < 1 / math.sqrt(cert["ell"])
     # condition (i) verified in both directions
-    assert sum(1 for c in cert.conditions if c.condition == "i") == 2
-    j = cert.to_json()
-    assert j["gamma_ell"] == "symbolic"
-    assert j["final_bound"] == "symbolic"
+    assert sum(1 for c in cert["conditions"] if c["condition"] == "i") == 2
 
 
 def test_certify_d2_condition_iii():
     cert = martingale.certify(Params(("10", "10"), ("1/10", "1/10")))
-    iii = [c for c in cert.conditions if c.condition == "iii"]
+    iii = [c for c in cert["conditions"] if c["condition"] == "iii"]
     # direction 1 with SPOT_LEAD 2: 16 and 18 ambient sites
-    assert [(c.inputs["j"], c.inputs["n"]) for c in iii] == [(1, 7), (1, 8)]
-    assert all(0 < c.measured <= c.bound for c in iii)
+    assert [(c["inputs"]["j"], c["inputs"]["n"]) for c in iii] == [
+        (1, 7), (1, 8)]
+    assert all(0 < c["measured"] <= c["bound"] for c in iii)
     # direction 0 sweeps 7-site columns: 56 ambient sites at n = 7
-    [note] = [s for s in cert.notes if "condition (iii)" in s]
+    [note] = [s for s in cert["notes"] if "condition (iii)" in s]
     assert "direction 0" in note
     assert "56 sites" in note and "39-site limit" in note
 
@@ -239,5 +235,5 @@ def test_certify_rejects_gapless():
 def test_certificate_json_roundtrips():
     import json
     cert = martingale.certify(P10)
-    blob = json.dumps(cert.to_json(), sort_keys=True)
+    blob = json.dumps(cert, sort_keys=True)
     assert json.loads(blob)["ell"] == 7

@@ -438,8 +438,8 @@ def test_climb_is_a_floor_free_solve(p, q, m, n):
 def test_gapless_scaling_flat_species():
     p = Params(("1",), ("2",))
     pts = spectra.gapless_scaling(p, [2, 3, 4])
-    assert [pt.trial_energy for pt in pts] == [0.5, 1 / 3, 0.25]
-    assert all(pt.numeric_gap is not None for pt in pts)
+    assert [pt["trial_energy"] for pt in pts] == [0.5, 1 / 3, 0.25]
+    assert all(pt["numeric_gap"] is not None for pt in pts)
 
 
 def test_gapless_scaling_needs_flat_species():

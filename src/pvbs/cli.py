@@ -10,7 +10,8 @@ verb loads hashlib and with it OpenSSL. BLAS runs on one thread, set
 before numpy loads, so neither the CPU time nor the output depends on the
 caller's OPENBLAS_NUM_THREADS. Exit codes: 0 success, 2 on an
 `InputError` (the input has no answer), 3 on a `ComputeError` (no
-certificate at these settings, or a solve or check failed).
+certificate at these settings, or a solve or check failed), 141
+(128 + SIGPIPE) when the reader closes stdout before it is written.
 """
 
 from __future__ import annotations
@@ -276,11 +277,8 @@ def cmd_gap(args) -> dict:
     if vol.dim != p.dim:
         raise InputError(
             f"volume dimension {vol.dim} != parameter dimension {p.dim}")
-    rep = spectra.total_gap(vol, p, sector_cap=_budget(args))
-    out = rep.to_json()
-    out["volume"] = args.volume
-    out["sites"] = len(vol)
-    return out
+    record, _ = spectra.total_gap(vol, p, sector_cap=_budget(args))
+    return {**record, "volume": args.volume, "sites": len(vol)}
 
 
 def cmd_certify(args) -> dict:
@@ -387,14 +385,15 @@ def cmd_sweep(args) -> dict:
         if wanted:
             todo.append((p, wanted))
     # one climb, one length at a time, takes each lambda_a to its last point
-    for n, reports in spectra.climb_chains([p for p, _ in todo],
+    for n, records in spectra.climb_chains([p for p, _ in todo],
                                            [max(w) for _, w in todo]):
-        for (_, wanted), rep in zip(todo, reports):
+        for (_, wanted), rec in zip(todo, records):
             if n not in wanted:
                 continue
             point, key = wanted[n]
-            row = {**point, "gap": rep.gap,
-                   "status": "partial" if rep.partial else "ok"}
+            # a partial row keeps the upper bound in its gap column
+            row = {**point, "gap": rec.get("gap_upper_bound", rec["gap"]),
+                   "status": "partial" if rec["partial"] else "ok"}
             try:
                 cache_put(cdir, key, row)
             except OSError as exc:
@@ -403,10 +402,10 @@ def cmd_sweep(args) -> dict:
             solves += 1
             # a bounded sector is the only unskipped one left without a
             # value: ground sectors have a kernel, others an excitation
-            low = sum(s.lowest_excited is None and not s.kernel
-                      and not s.skipped for s in rep.sectors)
+            low = sum(s["lowest_excited"] is None and not s["kernel"]
+                      and not s["skipped"] for s in rec["sectors"])
             bounded += low
-            solved += sum(not s.skipped for s in rep.sectors) - low
+            solved += sum(not s["skipped"] for s in rec["sectors"]) - low
     rows.sort(key=lambda r: (r["lambda_a"], r["L"]))
     print(f"sweep: {hits} cache hits, {solves} solves, {solved} sectors "
           f"solved, {bounded} bounded", file=sys.stderr)
@@ -520,7 +519,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
     elapsed = time.monotonic() - start
-    emit(record, getattr(args, "format", "json"))
+    try:
+        emit(record, getattr(args, "format", "json"))
+        if sys.stdout:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit cannot fail again (the "Note on
+        # SIGPIPE" in Python's `signal` docs), and exit 128 + SIGPIPE, as
+        # a shell reports a process that SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     print(f"{args.verb}: {elapsed:.2f}s", file=sys.stderr)
     return 0
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy
 
@@ -30,16 +29,6 @@ PASS_SLACK = 1e-10
 # of each direction, with extent SPOT_LEAD in the directions before it
 SPOT_LEAD = 2
 SPOT_CHECKS = 2
-
-
-@dataclass(frozen=True)
-class Symbolic:
-    """Marker for a quantity that is provably positive but out of numeric
-    reach; carries the dimension that blocked the computation, or past
-    the digits Python writes an int with, its power of ten "10^x.x"."""
-
-    reason: str
-    blocking_dimension: int | str
 
 
 def sweep_family(t: TiltScheme, j: int, ell: int,
@@ -133,31 +122,40 @@ def verify_condition_iii(family: VolumeFamilySpec, n: int,
 
 def compute_gamma_ell(t: TiltScheme, ell: int,
                       budget: int = DEFAULT_GAMMA_BUDGET):
-    """Seed gap on the all-ell volume, or a Symbolic marker when the
-    largest particle sector is out of budget. In d = 1 that volume is the
-    ell-site chain, climbed to by `spectra.climb_chains`; no sector of a
-    shorter chain is larger than the largest of the longest."""
+    """Seed gap on the all-ell volume as `spectra.total_gap`'s record, or,
+    when the largest particle sector is over the budget (at most the
+    sector cap, so that no seed sector is skipped), the note that leaves
+    the seed symbolic. The note names that sector's dimension: the exact
+    integer while str() can write it, else its power of ten "10^x.x". In
+    d = 1 the volume is the ell-site chain, climbed to by
+    `spectra.climb_chains`; no sector of a shorter chain is larger than
+    the largest of the longest."""
     family = sweep_family(t, 0, ell, ell)
     n_sites = family.member_sites(ell)
+    budget = min(budget, fock.DEFAULT_SECTOR_CAP)
     # the multinomial n! / (n_a! n_b! n_0!) is largest at the most even
     # split of the sites between a, b and empty
     n_a, n_b = (n_sites + 2) // 3, (n_sites + 1) // 3
-    reason = "largest particle sector exceeds the eigensolver budget"
+    note = ("seed gap left symbolic: largest particle sector exceeds the "
+            "eigensolver budget (dimension {})")
     # exact, it takes seconds past a million sites: a digit past the
     # budget and Python's int-to-str limit, only its power of ten is kept,
     # from log-gammas that err far below the 0.1 shown
     log10 = (math.lgamma(n_sites + 1) - sum(math.lgamma(k + 1) for k in (
         n_a, n_b, n_sites - n_a - n_b))) / math.log(10)
-    shown = sys.get_int_max_str_digits() or math.inf
-    if log10 > max(shown, math.log10(max(budget, 1))) + 1:
-        return Symbolic(reason, f"10^{log10:.1f}")
+    digits = sys.get_int_max_str_digits() or math.inf
+    if log10 > max(digits, math.log10(max(budget, 1))) + 1:
+        return note.format(f"10^{log10:.1f}")
     worst = fock.sector_dimension(n_sites, n_a, n_b)
     if worst > budget:
-        return Symbolic(reason, worst)
+        try:
+            return note.format(str(worst))
+        except ValueError:  # over Python's int-to-str digit limit
+            return note.format(f"10^{math.log10(worst):.1f}")
     if t.dim == 1:  # member(ell) is the ell-site chain
         *_, (_, [seed]) = spectra.climb_chains([t.params], [ell])
         return seed
-    return spectra.total_gap(family.member(ell), t.params, sector_cap=budget)
+    return spectra.total_gap(family.member(ell), t.params)[0]
 
 
 def _spot_checks(t: TiltScheme, ell: int, j: int):
@@ -192,17 +190,12 @@ def certify(p: Params, eta: float = DEFAULT_ETA,
     gamma = compute_gamma_ell(t, ell, gamma_budget)
     factor = (1.0 - eps * math.sqrt(ell)) ** 2 / ell
     notes = []
-    if isinstance(gamma, Symbolic):
+    if isinstance(gamma, str):
         gamma_val = final = "symbolic"
-        try:
-            shown = str(gamma.blocking_dimension)
-        except ValueError:  # over Python's int-to-str digit limit
-            shown = f"10^{math.log10(gamma.blocking_dimension):.1f}"
-        notes.append(f"seed gap left symbolic: {gamma.reason} "
-                     f"(dimension {shown})")
+        notes.append(gamma)
     else:
-        gamma_val = gamma.gap
-        final = gamma.gap * factor ** d
+        gamma_val = gamma["gap"]
+        final = gamma_val * factor ** d
 
     conditions = [verify_condition_i(t, j, ell) for j in range(d)]
     for j in range(d):

@@ -19,7 +19,6 @@ above the gap, whether or not it is over the sector cap.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -172,41 +171,6 @@ def lowest_eigenvalues(h: operators.SectorMatrix, k: int = 1) -> np.ndarray:
     return vals
 
 
-@dataclass
-class SectorRecord:
-    n_a: int
-    n_b: int
-    dim: int
-    kernel: int
-    lowest_excited: float | None
-    skipped: bool = False
-
-
-@dataclass
-class SpectrumReport:
-    """`floors[n_a, n_b]` is a lower bound on the lowest eigenvalue of
-    sector (n_a, n_b): its kernel's 0 in a ground sector, its lowest
-    excitation elsewhere. See `total_gap`; it is not part of the JSON."""
-
-    gap: float
-    kernel_total: int
-    partial: bool
-    sectors: list[SectorRecord] = field(default_factory=list)
-    floors: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        """A partial report's minimum over the solved sectors is only an
-        upper bound on the gap, so it is `gap_upper_bound` and `gap` is
-        null."""
-        out = {"gap": self.gap, "kernel_total": self.kernel_total,
-               "partial": self.partial,
-               "sectors": [asdict(s) for s in self.sectors]}
-        if self.partial:
-            out["gap"] = None
-            out["gap_upper_bound"] = self.gap
-        return out
-
-
 def _mirror_twins(v: Volume, p: Params) -> bool:
     """Whether H^v on sector (n_a, n_b) is a permutation of H^v on
     (n_b, n_a), so that the two have one spectrum.
@@ -234,15 +198,21 @@ def _mirror_twins(v: Volume, p: Params) -> bool:
 def total_gap(v: Volume, p: Params,
               sector_cap: int = fock.DEFAULT_SECTOR_CAP,
               patterns: dict | None = None,
-              floors: dict | None = None) -> SpectrumReport:
-    """Gap of H^v over all particle sectors.
+              floors: dict | None = None) -> tuple[dict, dict]:
+    """Gap of H^v over all particle sectors, as (record, floors).
+
+    The record is what `pvbs gap` prints of it: `gap`, `kernel_total`,
+    `partial` and `sectors`, one dict per sector with `n_a`, `n_b`,
+    `dim`, `kernel`, `lowest_excited` and `skipped`. A partial record's
+    minimum over the solved sectors is only an upper bound on the gap, so
+    it is `gap_upper_bound` and `gap` is None.
 
     Requires a connected volume, where the kernel is exactly the four
     analytic ground vectors, one in each sector of analytic.GROUND_SECTORS.
     Each solved sector's lowest kernel + 1 eigenvalues must hold exactly
     its kernel below KERNEL_TOL_REL * max(1, h.norm), and the next one is
     its lowest excitation. A sector over sector_cap (at least 1) that no
-    floor bounds (below) is skipped, and the report flagged partial. When
+    floor bounds (below) is skipped, and the record flagged partial. When
     `_mirror_twins(v, p)` holds, a sector with n_a > n_b is not solved: it
     takes the record of its twin (n_b, n_a), floats included.
 
@@ -259,13 +229,13 @@ def total_gap(v: Volume, p: Params,
     never bounds a sector, since every solved excitation is at least the
     positive kernel threshold.
 
-    The report's `floors` bound each sector's lowest eigenvalue: 0 in a
-    ground sector (H >= 0) and in a skipped one; the given floor in a
-    bounded one; and in a solved one its lowest excitation less
-    KERNEL_TOL_REL * max(1, h.norm). That is the residual bound on a
-    Lanczos value, which is then within it of an eigenvalue of H; what is
-    trusted, as for the gap itself, is that this eigenvalue is the
-    sector's lowest. A dense solve errs far less.
+    The returned floors bound each sector's lowest eigenvalue, by
+    (n_a, n_b): 0 in a ground sector (H >= 0) and in a skipped one; the
+    given floor in a bounded one; and in a solved one its lowest
+    excitation less KERNEL_TOL_REL * max(1, h.norm). That is the residual
+    bound on a Lanczos value, which is then within it of an eigenvalue of
+    H; what is trusted, as for the gap itself, is that this eigenvalue is
+    the sector's lowest. A dense solve errs far less.
 
     Each sector's `operators.sector_pattern` is dropped once the sector is
     solved, unless the caller passes `patterns`: a dict, kept by the
@@ -287,12 +257,14 @@ def total_gap(v: Volume, p: Params,
         dim = fock.sector_dimension(n, n_a, n_b)
         ground = (n_a, n_b) in analytic.GROUND_SECTORS
         floor = floors.get((n_a, n_b), 0.0)
+        rec = records[n_a, n_b] = {"n_a": n_a, "n_b": n_b, "dim": dim,
+                                   "kernel": 0, "lowest_excited": None,
+                                   "skipped": False}
         if not ground and floor > least:
-            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None)
             bounds[n_a, n_b] = floor
             continue
         if dim > sector_cap:
-            records[n_a, n_b] = SectorRecord(n_a, n_b, dim, 0, None, True)
+            rec["skipped"] = True
             bounds[n_a, n_b] = 0.0
             continue
         pattern = None if patterns is None else patterns.get((n_a, n_b))
@@ -304,16 +276,14 @@ def total_gap(v: Volume, p: Params,
         basis = pattern.basis
         h = operators.assemble_sector_hamiltonian(pattern, weights)
         thresh = KERNEL_TOL_REL * max(1.0, h.norm)
-        kernel = 0
+        kernel = rec["kernel"] = int(ground)
         if ground:
-            kernel = 1
             psi = analytic.ground_state_vector(p, basis)
             resid = np.linalg.norm(h @ psi)
             if resid > thresh:
                 raise ComputeError(
                     f"analytic ground vector fails in sector ({n_a},{n_b}): "
                     f"residual {resid:.3e}")
-        excited = None
         if dim > kernel:
             vals = lowest_eigenvalues(h, k=kernel + 1)
             found = int(np.count_nonzero(vals < thresh))
@@ -321,24 +291,29 @@ def total_gap(v: Volume, p: Params,
                 raise ComputeError(
                     f"unexpected kernel vector count {found} (expected "
                     f"{kernel}) in sector ({n_a},{n_b})")
-            excited = float(vals[kernel])
+            excited = rec["lowest_excited"] = float(vals[kernel])
             least = min(least, excited)
-        records[n_a, n_b] = SectorRecord(n_a, n_b, dim, kernel, excited)
         bounds[n_a, n_b] = 0.0 if kernel else excited - thresh
     for n_a, n_b in sectors:
         if (n_a, n_b) not in records:
-            records[n_a, n_b] = replace(records[n_b, n_a], n_a=n_a, n_b=n_b)
+            records[n_a, n_b] = {**records[n_b, n_a], "n_a": n_a, "n_b": n_b}
             bounds[n_a, n_b] = bounds[n_b, n_a]
     records = [records[s] for s in sectors]
-    gap = min(r.lowest_excited for r in records if r.lowest_excited is not None)
-    return SpectrumReport(gap, sum(r.kernel for r in records),
-                          any(r.skipped for r in records), records, bounds)
+    gap = min(r["lowest_excited"] for r in records
+              if r["lowest_excited"] is not None)
+    partial = any(r["skipped"] for r in records)
+    record = {"gap": None if partial else gap,
+              "kernel_total": sum(r["kernel"] for r in records),
+              "partial": partial, "sectors": records}
+    if partial:
+        record["gap_upper_bound"] = gap
+    return record, bounds
 
 
-def chain_floors(shorter: SpectrumReport) -> dict:
-    """Floors for `total_gap` on a chain one site longer than the chain of
-    the report `shorter`, from its `floors`: for each sector (n_a, n_b),
-    the least of them over the shorter chain's sectors (n_a, n_b),
+def chain_floors(low: dict) -> dict:
+    """Floors for `total_gap` on a chain one site longer than the chain
+    whose `total_gap` floors are `low`: for each sector (n_a, n_b), the
+    least of them over the shorter chain's sectors (n_a, n_b),
     (n_a - 1, n_b) and (n_a, n_b - 1) that exist.
 
     Proof. Each edge term of the longer chain H_L is an orthogonal
@@ -355,7 +330,6 @@ def chain_floors(shorter: SpectrumReport) -> dict:
     `total_gap`). The shorter chain may have been solved with floors of
     its own.
     """
-    low = shorter.floors
     n = max(n_a + n_b for n_a, n_b in low) + 1
     return {(n_a, n_b): min(low[s] for s in ((n_a, n_b), (n_a - 1, n_b),
                                              (n_a, n_b - 1)) if s in low)
@@ -365,20 +339,21 @@ def chain_floors(shorter: SpectrumReport) -> dict:
 def climb_chains(ps, tops):
     """Climb the chain at each point ps[i] from 2 to tops[i] sites, one
     length at a time for all points: yield n = 2 .. max(tops) with the
-    n-site chains' `total_gap` reports, None past a point's top. Each
-    length after 2 is floored by `chain_floors` of the point's report
+    n-site chains' `total_gap` records, None past a point's top. Each
+    length after 2 is floored by `chain_floors` of the point's floors
     before it, and its sector patterns serve every point until the next
     length. Each gap is a floor-free solve's, bit for bit: floors leave
     `total_gap`'s minimum over the same solved floats, and only spare it
     the sectors that they put above the gap."""
-    reports = [None] * len(ps)
+    floors = [None] * len(ps)
     for n in range(2, max(tops, default=0) + 1):
-        v, patterns = build_box((n,)), {}
-        reports = [None if top < n else total_gap(
-            v, p, patterns=patterns,
-            floors=None if prev is None else chain_floors(prev))
-            for p, top, prev in zip(ps, tops, reports)]
-        yield n, reports
+        v, patterns, records = build_box((n,)), {}, [None] * len(ps)
+        for i, (p, top, low) in enumerate(zip(ps, tops, floors)):
+            if n <= top:
+                records[i], floors[i] = total_gap(
+                    v, p, patterns=patterns,
+                    floors=None if low is None else chain_floors(low))
+        yield n, records
 
 
 def gapless_scaling(p: Params, sizes) -> list[dict]:
@@ -409,8 +384,9 @@ def gapless_scaling(p: Params, sizes) -> list[dict]:
         raise InputError("box sizes must be positive")
     numeric = sorted({s for s in sizes if 2 <= s ** d <= SCALING_NUMERIC_CAP})
     if d == 1:  # one climb through every chain
-        gaps = {n: rep.gap for n, [rep] in climb_chains([p], numeric[-1:])}
+        gaps = {n: rec["gap"] for n, [rec] in climb_chains([p], numeric[-1:])}
     else:
-        gaps = {s: total_gap(build_box((s,) * d), p).gap for s in numeric}
+        gaps = {s: total_gap(build_box((s,) * d), p)[0]["gap"]
+                for s in numeric}
     return [{"size": s, "sites": s ** d, "trial_energy": d / s,
              "numeric_gap": gaps.get(s)} for s in sizes]

@@ -216,7 +216,7 @@ def test_c07_end_to_end_certificate_d1():
     ok = True
     gaps = {}
     for L in (8, 9, 10):
-        gaps[L] = spectra.total_gap(build_box((L,)), p).gap
+        gaps[L] = spectra.total_gap(build_box((L,)), p)[0]["gap"]
         ok = ok and cert["final_bound"] <= gaps[L]
     verdict(7, ok, f"ell=7, eps={cert['eps_ell']:.4f}, "
                    f"final_bound={cert['final_bound']:.4e} <= gaps "

@@ -65,7 +65,7 @@ def test_gap_partial_is_upper_bound(capsys, monkeypatch):
     solved = [s["lowest_excited"] for s in rec["sectors"]
               if s["lowest_excited"] is not None]
     assert rec["gap_upper_bound"] == min(solved)
-    # a sweep point whose report is partial is labelled so: ground sector
+    # a sweep point whose record is partial is labelled so: ground sector
     # (1,1) has 30 states, and no floor bounds a ground sector
     monkeypatch.setattr(spectra, "total_gap", functools.partial(
         spectra.total_gap, sector_cap=10))
@@ -76,14 +76,6 @@ def test_gap_partial_is_upper_bound(capsys, monkeypatch):
     [row] = json.loads(out)["rows"]
     assert row["status"] == "partial"
     assert row["gap"] == rec["gap_upper_bound"]
-
-
-def test_gap_deterministic_bytes(capsys):
-    args = ("gap", "--volume", "box:4", "--lambda-a", "2",
-            "--lambda-b", "0.5")
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
 
 
 def test_gap_dimension_mismatch(capsys):
@@ -345,6 +337,39 @@ print(json.dumps([numpy_loaded, library_wrote,
 """
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    # the reader of the pipe is gone before the verb writes; a pipe's
+    # stdout is block-buffered unless PYTHONUNBUFFERED is set, and then
+    # fails only at the flush
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pvbs.cli", "classify", "--lambda-a", "2",
+             "--lambda-b", "1/2"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert done.returncode == 141
+
+
+def test_a_process_started_without_stdout_flushes_nothing():
+    # with fd 1 closed at start-up, Python's sys.stdout is None
+    done = subprocess.run(
+        f"{sys.executable} -m pvbs.cli classify --lambda-a 2 "
+        "--lambda-b 1/2 >&-", shell=True, env=_child_env(),
+        stderr=subprocess.PIPE, text=True)
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
                          ids=["unset", "preset-2"])
 def test_cli_pins_blas_to_one_thread_before_numpy_loads(preset):
@@ -523,16 +548,20 @@ def test_certify_d3_and_d4_end_to_end(capsys, la, lb, case):
 
 def test_certify_notes_a_huge_seed_dimension_as_a_power_of_ten(
         capsys, monkeypatch):
-    # 10^5000 has more digits than Python converts an int to text
-    monkeypatch.setattr(martingale, "compute_gamma_ell",
-                        lambda t, ell, budget: martingale.Symbolic(
-                            "largest sector too big", 10 ** 5000))
+    # 10^5000 has more digits than Python converts an int to text, but the
+    # 7-site seed's log-gammas put its largest sector, (3, 2), far below
+    # the cut-off past which only the power of ten is computed
+    real = fock.sector_dimension
+    monkeypatch.setattr(fock, "sector_dimension", lambda n, n_a, n_b: (
+        10 ** 5000 if (n, n_a, n_b) == (7, 3, 2) else real(n, n_a, n_b)))
     code, out, _ = run_cli(capsys, "certify", "--lambda-a", "10",
                            "--lambda-b", "1/10")
     assert code == 0
-    notes = json.loads(out)["notes"]
-    assert notes[0] == ("seed gap left symbolic: largest sector too big "
-                        "(dimension 10^5000.0)")
+    rec = json.loads(out)
+    assert rec["ell"] == 7
+    assert rec["notes"][0] == (
+        "seed gap left symbolic: largest particle sector exceeds the "
+        "eigensolver budget (dimension 10^5000.0)")
 
 
 # sha256 of `verify-lemmas --trials 25` stdout, recorded before the
@@ -565,10 +594,32 @@ def test_verify_lemmas_stdout_is_pinned(capsys, la, lb, seed):
 
 
 # sha256 of stdout, recorded while each verb still built its record from a
-# class of its own, with numpy's version, which a certificate names, set
-# to "0.0.0"; the floats of eigensolves and norm iterations are those of
-# numpy 2.4 on OpenBLAS with one thread
+# class of its own (`gap`, `sweep` and the d = 4 `certify` while the gap
+# report and the symbolic seed were still classes), with numpy's version,
+# which a certificate names, set to "0.0.0"; the floats of eigensolves and
+# norm iterations are those of numpy 2.4 on OpenBLAS with one thread
 VERB_DIGESTS = {
+    ("gap", "--volume", "box:4", "--lambda-a", "2", "--lambda-b", "0.5"):
+        "b0628ac861b46d0115e6aa8fa30f1da7fdc6321b0c92296354afc6bf93be702f",
+    ("gap", "--volume", "box:10", "--lambda-a", "2", "--lambda-b", "1/2"):
+        "31e32198e1a43e621da47b917635491557bf0930d917d67e2cc2114476d6c2d4",
+    ("gap", "--volume", "box:3x3", "--lambda-a", "2,3",
+     "--lambda-b", "1/2,1/2"):
+        "a6eed33623939188da136e3e4de243567a3cdec82f923fcb528fbaf0ca79ec5d",
+    # partial: sectors over 100 states are skipped
+    ("gap", "--volume", "box:9", "--lambda-a", "2", "--lambda-b", "1/2",
+     "--budget", "100"):
+        "5877095e3d64814136327f0d10450e8e0631cc2886c45bc6f5556db4b3ca02d4",
+    ("gap", "--volume", "box:8", "--lambda-a", "2", "--lambda-b", "2",
+     "--format", "table"):
+        "c25d95bf05dbe74ae6d9b393a411418b63bf44054c62360e3d2fc5b83aba179c",
+    # failed rows (bad lambda_a, fewer than 2 sites, over 39) beside ok ones
+    ("sweep", "--grid-a", "2,0,x", "--lambda-b", "1/2",
+     "--sizes", "1,0,-2,4,40"):
+        "92aa674d0c3219ca3f4fdf75d8206098f2e0cbd12fbefa42eb3ed246d365609f",
+    # the seed is left symbolic, noted as "dimension 10^4767.1"
+    ("certify", "--lambda-a", "2,3,4,5", "--lambda-b", "1/2,1/2,1/2,1/2"):
+        "b9ce26da7f0b1d2ef65e2d183c19393af2a2aff0b71a13989092a3edbec8f29f",
     ("certify", "--lambda-a", "10", "--lambda-b", "1/10"):
         "91dd5d5328d29e323c8931e4df54b939d2bea3adddc1dbf210b3ab2c61d02cb4",
     ("certify", "--lambda-a", "4", "--lambda-b", "1/4"):
@@ -945,7 +996,8 @@ def test_sweep_rows_are_floor_free_gaps(p, sizes):
         "--sizes", ",".join(map(str, sizes))])
     rows = cli.cmd_sweep(args)["rows"]
     assert [r["L"] for r in rows] == sorted(set(sizes))
-    plain = {n: spectra.total_gap(build_box((n,)), p).gap for n in set(sizes)}
+    plain = {n: spectra.total_gap(build_box((n,)), p)[0]["gap"]
+             for n in set(sizes)}
     assert [(r["gap"], r["status"]) for r in rows] == [
         (plain[r["L"]], "ok") for r in rows]
 

@@ -123,31 +123,53 @@ def test_condition_iii_cover_guard():
 def test_translated_slabs_share_spectrum():
     # condition (ii) rationale: slab Hamiltonians are translates
     fam = martingale.sweep_family(tilt10(), 0, 3, 2)
-    r1 = spectra.total_gap(fam.member(7).difference(fam.member(4)), P10)
-    r2 = spectra.total_gap(fam.member(9).difference(fam.member(6)), P10)
-    assert r1.gap == pytest.approx(r2.gap, rel=1e-10)
+    r1, _ = spectra.total_gap(fam.member(7).difference(fam.member(4)), P10)
+    r2, _ = spectra.total_gap(fam.member(9).difference(fam.member(6)), P10)
+    assert r1["gap"] == pytest.approx(r2["gap"], rel=1e-10)
+
+
+def _noted_dimension(note: str):
+    """The dimension that a symbolic seed's note names: an int, or the
+    string "10^x.x"."""
+    prefix = ("seed gap left symbolic: largest particle sector exceeds the "
+              "eigensolver budget (dimension ")
+    assert note.startswith(prefix) and note.endswith(")"), note
+    shown = note[len(prefix):-1]
+    return shown if shown.startswith("10^") else int(shown)
 
 
 def test_compute_gamma_ell_numeric_and_symbolic():
     rep = martingale.compute_gamma_ell(tilt10(), 3)
-    assert not isinstance(rep, martingale.Symbolic)
-    assert rep.gap > 0
+    assert not isinstance(rep, str)
+    assert rep["gap"] > 0
 
     p2 = Params(("10", "10"), ("1/10", "1/10"))
-    sym = martingale.compute_gamma_ell(select_tilt(p2), 7)
-    assert isinstance(sym, martingale.Symbolic)
-    assert sym.blocking_dimension > martingale.DEFAULT_GAMMA_BUDGET
+    note = martingale.compute_gamma_ell(select_tilt(p2), 7)
+    assert isinstance(note, str)
+    assert _noted_dimension(note) > martingale.DEFAULT_GAMMA_BUDGET
 
 
 def test_largest_seed_sector_is_the_most_even_split():
-    # with no budget, the Symbolic marker carries the largest sector
-    # dimension of the ell-site seed chain
+    # with no budget, the note names the largest sector dimension of the
+    # ell-site seed chain
     t = tilt10()
     for n in range(1, 61):
         worst = max(fock.sector_dimension(n, na, nb)
                     for na in range(n + 1) for nb in range(n + 1 - na))
-        sym = martingale.compute_gamma_ell(t, n, budget=0)
-        assert sym.blocking_dimension == worst, n
+        note = martingale.compute_gamma_ell(t, n, budget=0)
+        assert _noted_dimension(note) == worst, n
+
+
+def test_a_seed_over_the_sector_cap_is_symbolic_at_any_budget(monkeypatch):
+    # the 17-site chain's largest sector, (6, 6), has 5717712 states, more
+    # than any solve enumerates, so a larger budget still leaves the seed
+    # symbolic rather than solving it with that sector skipped
+    def refuse(*args, **kwargs):
+        raise AssertionError("seed solved")
+
+    monkeypatch.setattr(spectra, "climb_chains", refuse)
+    note = martingale.compute_gamma_ell(tilt10(), 17, budget=10 ** 7)
+    assert _noted_dimension(note) == 5717712 > fock.DEFAULT_SECTOR_CAP
 
 
 def test_a_huge_seed_is_over_budget_without_its_dimension(monkeypatch):
@@ -164,11 +186,11 @@ def test_a_huge_seed_is_over_budget_without_its_dimension(monkeypatch):
 
     monkeypatch.setattr(fock, "sector_dimension", refuse)
     p4 = Params(("6/5",) * 4, ("1/2",) * 4)
-    sym = martingale.compute_gamma_ell(select_tilt(p4), 34)
-    assert sym.blocking_dimension == "10^637588.1"
+    note = martingale.compute_gamma_ell(select_tilt(p4), 34)
+    assert _noted_dimension(note) == "10^637588.1"
     for n, worst in exact.items():
-        sym = martingale.compute_gamma_ell(tilt10(), n)
-        assert sym.blocking_dimension == f"10^{math.log10(worst):.1f}"
+        note = martingale.compute_gamma_ell(tilt10(), n)
+        assert _noted_dimension(note) == f"10^{math.log10(worst):.1f}"
 
 
 def test_certify_d1_frozen_values():
@@ -189,7 +211,7 @@ def test_certify_d1_frozen_values():
 
 def test_certify_lower_bound_consistency_small():
     cert = martingale.certify(P10)
-    g8 = spectra.total_gap(build_box((8,)), P10).gap
+    g8 = spectra.total_gap(build_box((8,)), P10)[0]["gap"]
     assert cert["final_bound"] <= g8
 
 

@@ -146,25 +146,27 @@ def test_total_gap_lanczos_matches_dense(monkeypatch):
     for v, p, ground_solves in cases:
         with monkeypatch.context() as m:
             m.setattr(spectra, "DENSE_CAP", 10**9)
-            dense = spectra.total_gap(v, p)
+            dense, _ = spectra.total_gap(v, p)
         ks.clear()
         with monkeypatch.context() as m:
             m.setattr(spectra, "_lanczos", counting)
             m.setattr(spectra, "DENSE_CAP", 0)
-            lanczos = spectra.total_gap(v, p)
+            lanczos, _ = spectra.total_gap(v, p)
         assert ks.count(2) == ground_solves
-        assert lanczos.kernel_total == dense.kernel_total == 4
-        for s, t in zip(dense.sectors, lanczos.sectors):
-            assert (s.n_a, s.n_b, s.kernel) == (t.n_a, t.n_b, t.kernel)
-            if s.lowest_excited is None:
-                assert t.lowest_excited is None
+        assert lanczos["kernel_total"] == dense["kernel_total"] == 4
+        for s, t in zip(dense["sectors"], lanczos["sectors"]):
+            assert (s["n_a"], s["n_b"], s["kernel"]) == \
+                (t["n_a"], t["n_b"], t["kernel"])
+            if s["lowest_excited"] is None:
+                assert t["lowest_excited"] is None
             else:
-                assert t.lowest_excited == pytest.approx(s.lowest_excited,
-                                                         rel=1e-10)
+                assert t["lowest_excited"] == pytest.approx(
+                    s["lowest_excited"], rel=1e-10)
 
 
 def _solve(monkeypatch, v, p, **kwargs):
-    """total_gap's report and the sectors it built a pattern for."""
+    """total_gap's record and floors, and the sectors it built a pattern
+    for."""
     real = operators.sector_pattern
     built = []
 
@@ -174,32 +176,36 @@ def _solve(monkeypatch, v, p, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(operators, "sector_pattern", counting)
-        rep = spectra.total_gap(v, p, **kwargs)
-    return rep, built
+        rec, floors = spectra.total_gap(v, p, **kwargs)
+    return rec, floors, built
 
 
 def _direct(monkeypatch, v, p, **kwargs):
-    """total_gap with every sector solved."""
+    """total_gap's record with every sector solved."""
     with monkeypatch.context() as m:
         m.setattr(spectra, "_mirror_twins", lambda v, p: False)
-        rep, built = _solve(monkeypatch, v, p, **kwargs)
-    assert built == [(s.n_a, s.n_b) for s in rep.sectors if not s.skipped]
-    return rep
+        rec, _, built = _solve(monkeypatch, v, p, **kwargs)
+    assert built == [(s["n_a"], s["n_b"]) for s in rec["sectors"]
+                     if not s["skipped"]]
+    return rec
 
 
 def _assert_same_records(rep, direct):
     """Same sectors, dimensions, kernels and skips; floats to 1e-12."""
-    for s, t in zip(rep.sectors, direct.sectors, strict=True):
-        assert (s.n_a, s.n_b, s.dim, s.kernel, s.skipped) == \
-            (t.n_a, t.n_b, t.dim, t.kernel, t.skipped)
-        if t.lowest_excited is None:
-            assert s.lowest_excited is None
+    keys = ("n_a", "n_b", "dim", "kernel", "skipped")
+    for s, t in zip(rep["sectors"], direct["sectors"], strict=True):
+        assert [s[k] for k in keys] == [t[k] for k in keys]
+        if t["lowest_excited"] is None:
+            assert s["lowest_excited"] is None
         else:
-            assert s.lowest_excited == pytest.approx(t.lowest_excited,
-                                                     rel=1e-12, abs=0)
-    assert (rep.kernel_total, rep.partial) == \
-        (direct.kernel_total, direct.partial)
-    assert rep.gap == pytest.approx(direct.gap, rel=1e-12, abs=0)
+            assert s["lowest_excited"] == pytest.approx(
+                t["lowest_excited"], rel=1e-12, abs=0)
+    assert (rep["kernel_total"], rep["partial"]) == \
+        (direct["kernel_total"], direct["partial"])
+    assert rep.keys() == direct.keys()
+    # the gap, or a partial record's upper bound on it
+    gap = "gap_upper_bound" if rep["partial"] else "gap"
+    assert rep[gap] == pytest.approx(direct[gap], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("v, p", [
@@ -211,12 +217,13 @@ def _assert_same_records(rep, direct):
     (TILTED, P2_SELF_DUAL),
 ], ids=["box7-2", "box7-10", "box2x3", "box3x3-flip-0", "tilted"])
 def test_mirror_twin_records_equal_direct_solves(monkeypatch, v, p):
-    rep, built = _solve(monkeypatch, v, p)
-    assert built == [(s.n_a, s.n_b) for s in rep.sectors if s.n_a <= s.n_b]
+    rep, _, built = _solve(monkeypatch, v, p)
+    assert built == [(s["n_a"], s["n_b"]) for s in rep["sectors"]
+                     if s["n_a"] <= s["n_b"]]
     _assert_same_records(rep, _direct(monkeypatch, v, p))
-    assert rep.kernel_total == 4
+    assert rep["kernel_total"] == 4
     # a copied record carries its twin's float, bit for bit
-    own = {(s.n_a, s.n_b): s.lowest_excited for s in rep.sectors}
+    own = {(s["n_a"], s["n_b"]): s["lowest_excited"] for s in rep["sectors"]}
     assert all(own[n_a, n_b] == own[n_b, n_a] for n_a, n_b in own)
 
 
@@ -226,19 +233,19 @@ def test_mirror_twin_records_equal_direct_solves(monkeypatch, v, p):
 ], ids=["box3x3", "tilted-flip-0"])
 def test_no_mirror_solves_every_sector(monkeypatch, v, p):
     assert not spectra._mirror_twins(v, p)
-    rep, built = _solve(monkeypatch, v, p)
-    assert built == [(s.n_a, s.n_b) for s in rep.sectors]
+    rep, _, built = _solve(monkeypatch, v, p)
+    assert built == [(s["n_a"], s["n_b"]) for s in rep["sectors"]]
 
 
 def test_mirror_twins_over_budget_are_both_skipped(monkeypatch):
     # (1,2) and (2,1) of 6 sites have 60 states each
     v = build_box((6,))
-    rep, built = _solve(monkeypatch, v, P_CHAIN, sector_cap=50)
-    skipped = {(s.n_a, s.n_b) for s in rep.sectors if s.skipped}
+    rep, _, built = _solve(monkeypatch, v, P_CHAIN, sector_cap=50)
+    skipped = {(s["n_a"], s["n_b"]) for s in rep["sectors"] if s["skipped"]}
     assert {(1, 2), (2, 1)} <= skipped
     assert all((n_b, n_a) in skipped for n_a, n_b in skipped)
-    assert built == [(s.n_a, s.n_b) for s in rep.sectors
-                     if s.n_a <= s.n_b and not s.skipped]
+    assert built == [(s["n_a"], s["n_b"]) for s in rep["sectors"]
+                     if s["n_a"] <= s["n_b"] and not s["skipped"]]
     _assert_same_records(rep, _direct(monkeypatch, v, P_CHAIN,
                                       sector_cap=50))
 
@@ -257,10 +264,10 @@ def test_mirror_twins_compares_exact_weights(la, lb, mirrored):
 
 
 def test_total_gap_chain_frozen():
-    rep = spectra.total_gap(build_box((4,)), P_CHAIN)
-    assert rep.kernel_total == 4
-    assert not rep.partial
-    assert rep.gap == pytest.approx(0.43431457505076165, rel=1e-10)
+    rep, _ = spectra.total_gap(build_box((4,)), P_CHAIN)
+    assert rep["kernel_total"] == 4
+    assert not rep["partial"]
+    assert rep["gap"] == pytest.approx(0.43431457505076165, rel=1e-10)
 
 
 def test_total_gap_matches_bruteforce():
@@ -278,9 +285,9 @@ def test_total_gap_matches_bruteforce():
     vals = np.linalg.eigvalsh(full)
     kernel = int(np.count_nonzero(vals < 1e-8))
     oracle_gap = vals[kernel]
-    rep = spectra.total_gap(v, p)
-    assert kernel == 4 == rep.kernel_total
-    assert rep.gap == pytest.approx(oracle_gap, rel=1e-9)
+    rep, _ = spectra.total_gap(v, p)
+    assert kernel == 4 == rep["kernel_total"]
+    assert rep["gap"] == pytest.approx(oracle_gap, rel=1e-9)
 
 
 @pytest.mark.parametrize("la,lb,dims", [
@@ -295,26 +302,26 @@ def test_one_particle_sectors_match_the_closed_form(la, lb, dims):
     # the cap skips every sector larger than the one-particle ones
     p = Params(la, lb)
     vol = build_box(dims)
-    rep = spectra.total_gap(vol, p, sector_cap=len(vol))
-    records = {(r.n_a, r.n_b): r for r in rep.sectors}
-    assert records[1, 0].lowest_excited == pytest.approx(
+    rep, _ = spectra.total_gap(vol, p, sector_cap=len(vol))
+    records = {(r["n_a"], r["n_b"]): r for r in rep["sectors"]}
+    assert records[1, 0]["lowest_excited"] == pytest.approx(
         one_particle_gap(p, "a", dims), abs=1e-13)
-    assert records[0, 1].lowest_excited == pytest.approx(
+    assert records[0, 1]["lowest_excited"] == pytest.approx(
         one_particle_gap(p, "b", dims), abs=1e-13)
 
 
 def test_total_gap_tilted_volume():
     v = build_tilted(1, (1,), (3, 2))
     p = Params(("2", "3"), ("1/2", "1/3"))
-    rep = spectra.total_gap(v, p)
-    assert rep.kernel_total == 4
-    assert rep.gap > 0
+    rep, _ = spectra.total_gap(v, p)
+    assert rep["kernel_total"] == 4
+    assert rep["gap"] > 0
 
 
 def test_total_gap_sector_cap_marks_partial():
-    rep = spectra.total_gap(build_box((6,)), P_CHAIN, sector_cap=50)
-    assert rep.partial
-    assert any(s.skipped for s in rep.sectors)
+    rep, _ = spectra.total_gap(build_box((6,)), P_CHAIN, sector_cap=50)
+    assert rep["partial"]
+    assert any(s["skipped"] for s in rep["sectors"])
 
 
 def test_total_gap_rejects_extra_kernel_vector(monkeypatch):
@@ -358,8 +365,8 @@ def test_chain_floors_bound_every_sector(p, n):
     floors = None
     if n - 2 >= 2:
         floors = spectra.chain_floors(
-            spectra.total_gap(build_box((n - 2,)), p))
-    shorter = spectra.total_gap(build_box((n - 1,)), p, floors=floors)
+            spectra.total_gap(build_box((n - 2,)), p)[1])
+    _, shorter = spectra.total_gap(build_box((n - 1,)), p, floors=floors)
     lowest = chain_sector_lowest(p, n)
     got = spectra.chain_floors(shorter)
     assert got.keys() == lowest.keys()
@@ -375,23 +382,26 @@ def test_chain_floors_bound_every_sector(p, n):
 def test_floors_bound_sectors_without_building_them(monkeypatch, n, p):
     # one site longer than the floors' chain: only the ground sectors and
     # the four two-particle sectors that border them are solved
-    floors = spectra.chain_floors(spectra.total_gap(build_box((n - 1,)), p))
-    rep, built = _solve(monkeypatch, build_box((n,)), p, floors=floors)
-    plain = spectra.total_gap(build_box((n,)), p)
-    assert rep.gap == plain.gap
-    assert (rep.kernel_total, rep.partial) == (plain.kernel_total, False)
-    solved = {(s.n_a, s.n_b) for s in rep.sectors
-              if s.kernel or s.lowest_excited is not None}
+    floors = spectra.chain_floors(
+        spectra.total_gap(build_box((n - 1,)), p)[1])
+    rep, low, built = _solve(monkeypatch, build_box((n,)), p, floors=floors)
+    plain, _ = spectra.total_gap(build_box((n,)), p)
+    assert rep["gap"] == plain["gap"]
+    assert (rep["kernel_total"], rep["partial"]) == \
+        (plain["kernel_total"], False)
+    solved = {(s["n_a"], s["n_b"]) for s in rep["sectors"]
+              if s["kernel"] or s["lowest_excited"] is not None}
     assert solved == {*analytic.GROUND_SECTORS, (2, 0), (0, 2), (2, 1), (1, 2)}
     assert set(built) <= solved
-    for s, t in zip(rep.sectors, plain.sectors, strict=True):
-        assert not s.skipped
-        if (s.n_a, s.n_b) in solved:
+    for s, t in zip(rep["sectors"], plain["sectors"], strict=True):
+        sector = s["n_a"], s["n_b"]
+        assert not s["skipped"]
+        if sector in solved:
             assert s == t
         else:
-            assert s.lowest_excited is None and s.kernel == 0
-            assert rep.floors[s.n_a, s.n_b] > rep.gap
-            assert rep.floors[s.n_a, s.n_b] <= t.lowest_excited
+            assert s["lowest_excited"] is None and s["kernel"] == 0
+            assert low[sector] > rep["gap"]
+            assert low[sector] <= t["lowest_excited"]
 
 
 @pytest.mark.parametrize("cap, skipped", [(50, {(2, 1), (1, 2)}),
@@ -401,37 +411,43 @@ def test_floors_outrank_the_cap(cap, skipped):
     # a sector over the cap that its floor puts above the gap is bounded,
     # not skipped; (2,1) and (1,2), of 60 states, have floor 0 from the
     # ground sector (1,1), so under a cap of 50 they stay skipped and the
-    # report partial, while under 60 only bounded sectors are over the cap
+    # record partial, while under 60 only bounded sectors are over the cap
     p = Params(("3",), ("1/2",))
-    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p))
-    rep = spectra.total_gap(build_box((6,)), p, sector_cap=cap, floors=floors)
-    plain = spectra.total_gap(build_box((6,)), p, sector_cap=cap)
-    assert {(s.n_a, s.n_b) for s in rep.sectors if s.skipped} == skipped
-    assert (rep.gap, rep.partial) == (plain.gap, bool(skipped))
+    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p)[1])
+    rep, low = spectra.total_gap(build_box((6,)), p, sector_cap=cap,
+                                 floors=floors)
+    plain, _ = spectra.total_gap(build_box((6,)), p, sector_cap=cap)
+    # the least solved excitation: the gap, or a partial record's bound
+    least = rep.get("gap_upper_bound", rep["gap"])
+    assert {(s["n_a"], s["n_b"]) for s in rep["sectors"]
+            if s["skipped"]} == skipped
+    assert (least, rep["partial"]) == \
+        (plain["gap_upper_bound"], bool(skipped))
+    assert rep["gap"] == (None if skipped else least)
     if not skipped:
-        assert rep.gap == spectra.total_gap(build_box((6,)), p).gap
-    assert plain.partial
-    for s, t in zip(rep.sectors, plain.sectors, strict=True):
-        assert t.skipped == (s.dim > cap)
-        if t.skipped and not s.skipped:
-            assert rep.floors[s.n_a, s.n_b] > rep.gap
-            assert s.lowest_excited is None and s.kernel == 0
+        assert rep["gap"] == spectra.total_gap(build_box((6,)), p)[0]["gap"]
+    assert plain["partial"]
+    for s, t in zip(rep["sectors"], plain["sectors"], strict=True):
+        assert t["skipped"] == (s["dim"] > cap)
+        if t["skipped"] and not s["skipped"]:
+            assert low[s["n_a"], s["n_b"]] > least
+            assert s["lowest_excited"] is None and s["kernel"] == 0
 
 
 @given(chain_params(), chain_params(), st.integers(2, 8), st.integers(3, 9))
 @settings(max_examples=15, deadline=None)
 def test_climb_is_a_floor_free_solve(p, q, m, n):
     # two points climbed together, to m and to n sites, share each
-    # length's patterns; each report is a floor-free solve's
+    # length's patterns; each record is a floor-free solve's
     lengths = []
-    for k, reports in spectra.climb_chains([p, q], [m, n]):
+    for k, records in spectra.climb_chains([p, q], [m, n]):
         lengths.append(k)
-        for point, top, rep in zip((p, q), (m, n), reports):
+        for point, top, rep in zip((p, q), (m, n), records):
             if k > top:
                 assert rep is None
             else:
-                plain = spectra.total_gap(build_box((k,)), point)
-                assert rep.gap == plain.gap
+                plain, _ = spectra.total_gap(build_box((k,)), point)
+                assert rep["gap"] == plain["gap"]
     assert lengths == list(range(2, max(m, n) + 1))
 
 
@@ -470,11 +486,12 @@ def test_norm_bound_and_kernel_on_random_volumes(case):
             assert np.count_nonzero(vals < thresh) == kernel
             if len(vals) > kernel:
                 excited[na, nb] = vals[kernel]
-    rep = spectra.total_gap(v, p)
-    assert rep.kernel_total == 4
-    for s in rep.sectors:
-        if s.lowest_excited is None:
-            assert (s.n_a, s.n_b) not in excited
+    rep, _ = spectra.total_gap(v, p)
+    assert rep["kernel_total"] == 4
+    for s in rep["sectors"]:
+        sector = s["n_a"], s["n_b"]
+        if s["lowest_excited"] is None:
+            assert sector not in excited
         else:
-            assert s.lowest_excited == pytest.approx(excited[s.n_a, s.n_b],
-                                                     rel=1e-10)
+            assert s["lowest_excited"] == pytest.approx(excited[sector],
+                                                        rel=1e-10)

@@ -638,6 +638,12 @@ VERB_DIGESTS = {
     ("scaling", "--lambda-a", "1", "--lambda-b", "2", "--sizes", "2,3,4,6",
      "--format", "csv"):
         "c633853c69093c961c56c1d351b02c4a2984fadadf602682115ce1cdf3fc2e08",
+    # d >= 2 boxes, recorded while each was still solved without floors
+    ("scaling", "--lambda-a", "1,1", "--lambda-b", "2,3", "--sizes", "2,3"):
+        "7dc98d2934283e152aa4db020e68cab13f3274bbfb40e8531712f6491e2e24ab",
+    ("scaling", "--lambda-a", "1,1,1", "--lambda-b", "2,3,4",
+     "--sizes", "2"):
+        "993324d46d851277a6a18daf4727d080e9a47d13f77e4b9423111ac92e980464",
 }
 
 

@@ -82,24 +82,18 @@ def dumps_canonical(obj) -> str:
 def emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(dumps_canonical(record))
-    elif fmt == "csv":  # offered only by the tabular verbs
-        import csv  # here, so that only csv output loads it
-
+    elif "rows" not in record:  # a table of one record
+        for k in sorted(record):
+            print(f"{k}: {dumps_canonical(record[k])}")
+    else:  # csv, offered only by the tabular verbs, or a table of rows
         cols = record["columns"]
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(cols)
-        for r in record["rows"]:
-            writer.writerow(dumps_canonical(r[c]).strip('"') for c in cols)
-    else:  # table
-        rows = record.get("rows")
-        if rows is None:
-            for k in sorted(record):
-                print(f"{k}: {dumps_canonical(record[k])}")
+        lines = [cols] + [[dumps_canonical(r[c]).strip('"') for c in cols]
+                          for r in record["rows"]]
+        if fmt == "csv":
+            import csv  # here, so that only csv output loads it
+            csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
         else:
-            cols = record["columns"]
-            print("  ".join(cols))
-            for r in rows:
-                print("  ".join(dumps_canonical(r[c]).strip('"') for c in cols))
+            print("\n".join("  ".join(line) for line in lines))
 
 
 # ---------------------------------------------------------------- parsing
@@ -272,6 +266,7 @@ def cmd_census(args) -> dict:
 
 
 def cmd_gap(args) -> dict:
+    """Floor-free `total_gap`: floors would print null for bounded sectors."""
     p = _params(args)
     vol = parse_volume(args.volume)
     if vol.dim != p.dim:
@@ -385,12 +380,13 @@ def cmd_sweep(args) -> dict:
         if wanted:
             todo.append((p, wanted))
     # one climb, one length at a time, takes each lambda_a to its last point
-    for n, records in spectra.climb_chains([p for p, _ in todo],
-                                           [max(w) for _, w in todo]):
+    chains = [build_box((n,)) for n in sorted({n for _, w in todo for n in w})]
+    for v, records in spectra.climb([p for p, _ in todo], chains,
+                                    [max(w) for _, w in todo]):
         for (_, wanted), rec in zip(todo, records):
-            if n not in wanted:
+            if len(v) not in wanted:
                 continue
-            point, key = wanted[n]
+            point, key = wanted[len(v)]
             # a partial row keeps the upper bound in its gap column
             row = {**point, "gap": rec.get("gap_upper_bound", rec["gap"]),
                    "status": "partial" if rec["partial"] else "ok"}
@@ -519,10 +515,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
     elapsed = time.monotonic() - start
+    if sys.stdout is None:  # started with fd 1 closed: as a closed pipe
+        return 141
     try:
         emit(record, getattr(args, "format", "json"))
-        if sys.stdout:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the
         # interpreter's flush at exit cannot fail again (the "Note on

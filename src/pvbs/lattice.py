@@ -6,6 +6,7 @@ derived object (edges, bases, serializations) is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,30 +56,39 @@ class Volume:
     def links(self) -> tuple[tuple[int, int, int], ...]:
         """All nearest-neighbor pairs as position triples (i, k, j), ordered
         by i and then j: sites[k] = sites[i] + e_j, j 0-based."""
-        out = []
-        for i, s in enumerate(self.sites):
-            for j in range(self.dim):
-                k = self.position.get(s[:j] + (s[j] + 1,) + s[j + 1:])
-                if k is not None:
-                    out.append((i, k, j))
-        return tuple(out)
+        return tuple((i, self.position[t], j)
+                     for i, s in enumerate(self.sites)
+                     for j, t in enumerate(_neighbours(s)[:self.dim])
+                     if t in self.position)
 
     @cached_property
     def connected(self) -> bool:
-        """True iff the graph on the sites whose links are `links` is
-        connected; vacuously so with at most one site."""
-        if len(self) <= 1:
-            return True
-        adjacent = [[] for _ in self.sites]
-        for i, k, _ in self.links:
-            adjacent[i].append(k)
-            adjacent[k].append(i)
-        seen, todo = {0}, [0]
+        """Whether `growth_order` reaches every site along `links`."""
+        return len(growth_order([self])) == len(self)
+
+
+def growth_order(volumes) -> tuple[Site, ...]:
+    """The sites of the nested `volumes` in the order a climb adds them:
+    from the first volume's least site, always the least site adjacent to
+    one placed, from the first volume not yet full. Every prefix is
+    connected, connected nested volumes are prefixes, and on a box (every
+    site but the first a step up from an earlier one) it is canonical."""
+    order = {}  # an ordered set
+    for v in volumes:
+        todo = [t for s in order for t in _neighbours(s)] or [*v.sites[:1]]
+        heapq.heapify(todo)
         while todo:
-            new = [k for k in adjacent[todo.pop()] if k not in seen]
-            seen.update(new)
-            todo += new
-        return len(seen) == len(self)
+            s = heapq.heappop(todo)
+            if s in v and s not in order:
+                order[s] = None
+                for t in _neighbours(s):
+                    heapq.heappush(todo, t)
+    return tuple(order)
+
+
+def _neighbours(s: Site) -> list[Site]:
+    return [s[:j] + (s[j] + e,) + s[j + 1:]
+            for e in (1, -1) for j in range(len(s))]
 
 
 def build_box(dims: tuple[int, ...]) -> Volume:

@@ -126,10 +126,9 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     when the largest particle sector is over the budget (at most the
     sector cap, so that no seed sector is skipped), the note that leaves
     the seed symbolic. The note names that sector's dimension: the exact
-    integer while str() can write it, else its power of ten "10^x.x". In
-    d = 1 the volume is the ell-site chain, climbed to by
-    `spectra.climb_chains`; no sector of a shorter chain is larger than
-    the largest of the longest."""
+    integer while str() can write it, else its power of ten "10^x.x". The
+    volume is climbed to by `spectra.climb` in any d; a sector's dimension
+    grows with the site count, so the budget bounds every prefix too."""
     family = sweep_family(t, 0, ell, ell)
     n_sites = family.member_sites(ell)
     budget = min(budget, fock.DEFAULT_SECTOR_CAP)
@@ -152,10 +151,9 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
             return note.format(str(worst))
         except ValueError:  # over Python's int-to-str digit limit
             return note.format(f"10^{math.log10(worst):.1f}")
-    if t.dim == 1:  # member(ell) is the ell-site chain
-        *_, (_, [seed]) = spectra.climb_chains([t.params], [ell])
-        return seed
-    return spectra.total_gap(family.member(ell), t.params)[0]
+    *_, (_, [seed]) = spectra.climb([t.params], [family.member(ell)],
+                                    [n_sites])
+    return seed
 
 
 def _spot_checks(t: TiltScheme, ell: int, j: int):

@@ -9,8 +9,8 @@ the diagonal in slot 0 and the exchange on edge e in slot 1 + e, and each
 state's pair code on each edge), and a cheap fill from the `EdgeWeights`
 of one parameter value into a `SectorMatrix`, which multiplies vectors
 with numpy alone. `spectra.total_gap` drops each pattern once its sector
-is solved; `spectra.climb_chains` keeps a chain length's patterns for
-every parameter point it climbs through that length. Ground projectors
+is solved; `spectra.climb` keeps each volume's patterns for every
+parameter point that it climbs through that volume. Ground projectors
 are never materialized: `projection_product_norm` works in the nine
 particle sectors that can carry ||G_slab E_n||, on orthonormal bases
 built from the four analytic ground vectors of each volume.

@@ -9,11 +9,9 @@ ground-bearing sector, none elsewhere) is counted among the lowest
 kernel + 1 eigenvalues, and the next one is its lowest excitation. Where
 a mirror symmetry maps sector (n_a, n_b) onto (n_b, n_a) (see
 `_mirror_twins`), only the sectors with n_a <= n_b are solved, and each
-other one takes its twin's record. `climb_chains` solves every floored
-d=1 chain: all points of a verb go from 2 sites up one length at a time,
-each length floored by the one before (`chain_floors`) and sharing its
-sector patterns, and each solve skips every sector that its floor puts
-above the gap, whether or not it is over the sector cap.
+other one takes its twin's record. `climb` solves nested volumes of any
+dimension for many parameter points at once, one site at a time, each
+prefix floored by the one before it (`grown_floors`).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 import numpy as np
 
 from . import ComputeError, InputError, analytic, fock, operators
-from .lattice import Volume, build_box
+from .lattice import Volume, build_box, growth_order
 from .model import GapClass, Params, classify_zd
 
 # Dense eigvalsh against Lanczos for the lowest eigenvalue of a d=1
@@ -217,7 +215,7 @@ def total_gap(v: Volume, p: Params,
     takes the record of its twin (n_b, n_a), floats included.
 
     `floors` holds a lower bound on the lowest eigenvalue of sectors, such
-    as `chain_floors` makes from a shorter chain; a sector it omits (all
+    as `grown_floors` makes from v less one site; a sector it omits (all
     of them when it is None) has floor 0. The sectors are visited in
     ascending floor order, ties in sector order, keeping the least
     excitation solved so far, and a sector outside analytic.GROUND_SECTORS
@@ -299,36 +297,31 @@ def total_gap(v: Volume, p: Params,
             records[n_a, n_b] = {**records[n_b, n_a], "n_a": n_a, "n_b": n_b}
             bounds[n_a, n_b] = bounds[n_b, n_a]
     records = [records[s] for s in sectors]
-    gap = min(r["lowest_excited"] for r in records
-              if r["lowest_excited"] is not None)
     partial = any(r["skipped"] for r in records)
-    record = {"gap": None if partial else gap,
+    record = {"gap": None if partial else least,
               "kernel_total": sum(r["kernel"] for r in records),
               "partial": partial, "sectors": records}
     if partial:
-        record["gap_upper_bound"] = gap
+        record["gap_upper_bound"] = least
     return record, bounds
 
 
-def chain_floors(low: dict) -> dict:
-    """Floors for `total_gap` on a chain one site longer than the chain
-    whose `total_gap` floors are `low`: for each sector (n_a, n_b), the
-    least of them over the shorter chain's sectors (n_a, n_b),
-    (n_a - 1, n_b) and (n_a, n_b - 1) that exist.
+def grown_floors(low: dict) -> dict:
+    """Floors for `total_gap` on v + s, the volume v with a site s added,
+    from `low`, v's `total_gap` floors: for each sector (n_a, n_b), the
+    least of them over v's sectors (n_a, n_b), (n_a - 1, n_b) and
+    (n_a, n_b - 1) that exist.
 
-    Proof. Each edge term of the longer chain H_L is an orthogonal
-    projector, so dropping the edge that touches its last site leaves
-    H_L >= H_(L-1) (x) 1, with H_(L-1) the shorter chain on the first L - 1
-    sites. Both conserve the particle numbers. On sector (n_a, n_b) of the
-    L sites, H_(L-1) (x) 1 is the direct sum, over the last site empty,
-    holding a or holding b, of H_(L-1) on its sector (n_a, n_b),
-    (n_a - 1, n_b) or (n_a, n_b - 1). So the lowest eigenvalue of H_L on
-    (n_a, n_b) is at least the least lowest eigenvalue of those sectors,
-    and so at least the least of their floors. Those floors count a
-    ground sector or a sector over the cap as 0 and a bounded sector as
-    its own floor, and lower a solved one by its eigenvalue error (see
-    `total_gap`). The shorter chain may have been solved with floors of
-    its own.
+    Proof. Each edge term is an orthogonal projector, so dropping those
+    that touch s leaves H_(v+s) >= H_v (x) 1, whatever the shape of v.
+    Both conserve the particle numbers, and on sector (n_a, n_b) the
+    right side is the direct sum, over s empty, holding a or holding b,
+    of H_v on its sector (n_a, n_b), (n_a - 1, n_b) or (n_a, n_b - 1). So
+    the lowest eigenvalue of H_(v+s) there is at least the least lowest
+    eigenvalue of those sectors, and so at least the least of their
+    floors: 0 for a ground sector or one over the cap, its own floor for
+    a bounded one (v may have been solved with floors too), and for a
+    solved one its eigenvalue less its error (see `total_gap`).
     """
     n = max(n_a + n_b for n_a, n_b in low) + 1
     return {(n_a, n_b): min(low[s] for s in ((n_a, n_b), (n_a - 1, n_b),
@@ -336,24 +329,28 @@ def chain_floors(low: dict) -> dict:
             for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
-def climb_chains(ps, tops):
-    """Climb the chain at each point ps[i] from 2 to tops[i] sites, one
-    length at a time for all points: yield n = 2 .. max(tops) with the
-    n-site chains' `total_gap` records, None past a point's top. Each
-    length after 2 is floored by `chain_floors` of the point's floors
-    before it, and its sector patterns serve every point until the next
-    length. Each gap is a floor-free solve's, bit for bit: floors leave
-    `total_gap`'s minimum over the same solved floats, and only spare it
-    the sectors that they put above the gap."""
+def climb(ps, volumes, tops):
+    """Climb each point ps[i] through the nested, connected `volumes`,
+    ascending, to its top, tops[i] sites (one volume's count): yield each
+    volume with its `total_gap` records, None past a point's top. Sites
+    come one at a time in `growth_order` from 2 on; each prefix after the
+    first is floored by `grown_floors` of the one before it, and its
+    sector patterns serve every point. Floors change no gap by a bit: see
+    `total_gap`."""
+    order = growth_order(volumes)
+    if any(len(v) < 2 or v.position.keys() != set(order[:len(v)])
+           for v in volumes):
+        raise InputError("a climb needs nested connected volumes of 2+ sites")
     floors = [None] * len(ps)
     for n in range(2, max(tops, default=0) + 1):
-        v, patterns, records = build_box((n,)), {}, [None] * len(ps)
-        for i, (p, top, low) in enumerate(zip(ps, tops, floors)):
-            if n <= top:
-                records[i], floors[i] = total_gap(
-                    v, p, patterns=patterns,
-                    floors=None if low is None else chain_floors(low))
-        yield n, records
+        v, patterns = Volume(len(order[0]), order[:n]), {}
+        records, floors = zip(*(
+            total_gap(v, p, patterns=patterns,
+                      floors=None if low is None else grown_floors(low))
+            if n <= top else (None, None)
+            for p, top, low in zip(ps, tops, floors)))
+        if any(len(u) == n for u in volumes):
+            yield v, records
 
 
 def gapless_scaling(p: Params, sizes) -> list[dict]:
@@ -382,11 +379,9 @@ def gapless_scaling(p: Params, sizes) -> list[dict]:
     sizes = sorted(sizes)
     if any(s < 1 for s in sizes):
         raise InputError("box sizes must be positive")
-    numeric = sorted({s for s in sizes if 2 <= s ** d <= SCALING_NUMERIC_CAP})
-    if d == 1:  # one climb through every chain
-        gaps = {n: rec["gap"] for n, [rec] in climb_chains([p], numeric[-1:])}
-    else:
-        gaps = {s: total_gap(build_box((s,) * d), p)[0]["gap"]
-                for s in numeric}
+    boxes = [build_box((s,) * d) for s in sorted(set(sizes))
+             if 2 <= s ** d <= SCALING_NUMERIC_CAP]
+    gaps = {len(v): rec["gap"]
+            for v, [rec] in climb([p], boxes, [len(v) for v in boxes[-1:]])}
     return [{"size": s, "sites": s ** d, "trial_energy": d / s,
-             "numeric_gap": gaps.get(s)} for s in sizes]
+             "numeric_gap": gaps.get(s ** d)} for s in sizes]

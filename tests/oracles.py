@@ -166,7 +166,7 @@ def chain_sector_lowest(p, n: int) -> dict:
     """The lowest eigenvalue of every particle sector (n_a, n_b) of the
     n-site chain, by dense eigvalsh of a sector block built entry by entry
     from the 9x9 edge projector. Scalar reference for the floors of
-    `spectra.chain_floors`."""
+    `spectra.grown_floors`."""
     block = edge_projection_block(*p.floats("a"), *p.floats("b"))
     # the nonzero entries of each column: (left, right) digits and value
     column = [[(divmod(out, 3), float(block[out, pair]))

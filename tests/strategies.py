@@ -9,17 +9,27 @@ from pvbs.model import Params
 
 
 @st.composite
-def connected_volumes(draw):
-    """A connected volume of 2 to 6 sites in d = 1 or 2, grown one
-    neighbour at a time."""
+def nested_volumes(draw):
+    """Connected volumes of 2 to 6 sites in d = 1 or 2, ascending, each
+    grown from the one before one neighbour at a time; the largest is
+    always among them."""
     d = draw(st.integers(1, 2))
-    sites = [(0,) * d]
+    sites, grown = [(0,) * d], []
     for _ in range(draw(st.integers(1, 5))):
         free = sorted({s[:j] + (s[j] + step,) + s[j + 1:]
                        for s in sites for j in range(d)
                        for step in (1, -1)} - set(sites))
         sites.append(draw(st.sampled_from(free)))
-    return Volume(d, tuple(sites))
+        grown.append(Volume(d, tuple(sites)))
+    keep = draw(st.lists(st.booleans(), min_size=len(grown) - 1,
+                         max_size=len(grown) - 1)) + [True]
+    return [v for v, k in zip(grown, keep) if k]
+
+
+def connected_volumes():
+    """A connected volume of 2 to 6 sites in d = 1 or 2, grown one
+    neighbour at a time."""
+    return nested_volumes().map(lambda volumes: volumes[-1])
 
 
 def params(d: int):

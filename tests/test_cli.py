@@ -370,6 +370,17 @@ def test_a_process_started_without_stdout_flushes_nothing():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_process_started_without_stdout_exits_141(fmt):
+    # no reader gets the record, whether csv would write it through a
+    # writer object or json through print
+    done = subprocess.run(
+        f"{sys.executable} -m pvbs.cli scaling --lambda-a 1 --lambda-b 2 "
+        f"--sizes 2,3 --format {fmt} >&-", shell=True, env=_child_env(),
+        stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
                          ids=["unset", "preset-2"])
 def test_cli_pins_blas_to_one_thread_before_numpy_loads(preset):
@@ -856,7 +867,7 @@ FLOOR_GRID = "1/3,1,11/10,2,3,10"
 
 def _sweep_twice(capsys, monkeypatch, sizes, before=None):
     """stdout and stderr of a sweep over FLOOR_GRID with floors, and of
-    the same sweep without them (`chain_floors` patched to give none),
+    the same sweep without them (`grown_floors` patched to give none),
     with `before(m)` applied to both."""
     outs = []
     for floored in (True, False):
@@ -864,7 +875,7 @@ def _sweep_twice(capsys, monkeypatch, sizes, before=None):
             if before:
                 before(m)
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter: None)
+                m.setattr(spectra, "grown_floors", lambda shorter: None)
             code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
                                      "--lambda-b", "1/2", "--sizes", sizes,
                                      "--format", "json")
@@ -891,7 +902,7 @@ def test_certify_seed_climb_keeps_stdout(capsys, monkeypatch, lam):
     for floored in (True, False):
         with monkeypatch.context() as m:
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter: None)
+                m.setattr(spectra, "grown_floors", lambda shorter: None)
             code, out, _ = run_cli(capsys, "certify", "--lambda-a", lam[0],
                                    "--lambda-b", lam[1])
         assert code == 0
@@ -944,7 +955,7 @@ def test_sweep_after_a_cache_hit_climbs(capsys, monkeypatch, tmp_path):
         with monkeypatch.context() as m:
             _recording_total_gap(m, seen)
             if not floored:
-                m.setattr(spectra, "chain_floors", lambda shorter: None)
+                m.setattr(spectra, "grown_floors", lambda shorter: None)
             code, out, err = run_cli(capsys, "sweep", "--grid-a", FLOOR_GRID,
                                      "--lambda-b", "1/2", "--sizes", "4,5,6,7",
                                      "--format", "json", "--cache-dir", cdir)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from oracles import boundary_sites, is_connected_bfs, translate
 from pvbs import InputError
 from pvbs.cli import parse_volume
-from pvbs.lattice import Volume, VolumeFamilySpec, build_box, build_tilted
+from pvbs.lattice import (Volume, VolumeFamilySpec, build_box, build_tilted,
+                          growth_order)
+from strategies import nested_volumes
 
 
 class FakeTilt:
@@ -143,6 +145,44 @@ def test_connectivity():
     assert build_box((4, 2)).connected
     assert not Volume(1, ((0,), (2,))).connected
     assert Volume(2, ()).connected  # vacuously
+
+
+def _check_growth(volumes):
+    """growth_order(volumes) is a permutation of the last volume's sites
+    whose every prefix is connected, and each volume is one prefix."""
+    order = growth_order(volumes)
+    assert sorted(order) == list(volumes[-1].sites)
+    for k in range(1, len(order)):
+        assert any(sum(abs(x - y) for x, y in zip(order[k], s)) == 1
+                   for s in order[:k])
+    for v in volumes:
+        assert set(order[:len(v)]) == set(v.sites)
+    return order
+
+
+@given(nested_volumes())
+@settings(max_examples=100, deadline=None)
+def test_growth_order_passes_each_nested_volume(volumes):
+    _check_growth(volumes)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.lists(st.integers(1, 6), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_growth_order_of_boxes_and_chains_is_canonical(dims, lengths):
+    box = build_box(tuple(dims))
+    assert _check_growth([box]) == box.sites
+    chains = [build_box((n,)) for n in sorted(set(lengths))]
+    assert _check_growth(chains) == chains[-1].sites
+
+
+def test_growth_order_keeps_tilted_prefixes_connected():
+    # in canonical order the tilted 3x3 starts at (-2, 2) and then (-1, 1),
+    # which are not adjacent
+    for v in (build_tilted(1, (1,), (3, 3)), build_tilted(2, (), (2, 2)),
+              build_tilted(1, (2, 1), (3, 2, 2))):
+        assert v.connected
+        assert _check_growth([v]) != v.sites
 
 
 def test_boundary_sites():

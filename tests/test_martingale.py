@@ -149,6 +149,18 @@ def test_compute_gamma_ell_numeric_and_symbolic():
     assert _noted_dimension(note) > martingale.DEFAULT_GAMMA_BUDGET
 
 
+def test_d2_seed_is_climbed_to_a_floor_free_gap():
+    # the 3x3 seed is floored by its 8-site prefix, which bounds sectors
+    # without changing the gap by a bit
+    t = select_tilt(Params(("2", "3"), ("1/2", "1/3")))
+    seed = martingale.compute_gamma_ell(t, 3)
+    v = martingale.sweep_family(t, 0, 3, 3).member(3)
+    assert len(v) == 9
+    assert seed["gap"] == spectra.total_gap(v, t.params)[0]["gap"]
+    assert any(s["lowest_excited"] is None and not s["kernel"]
+               for s in seed["sectors"])
+
+
 def test_largest_seed_sector_is_the_most_even_split():
     # with no budget, the note names the largest sector dimension of the
     # ell-site seed chain
@@ -167,7 +179,7 @@ def test_a_seed_over_the_sector_cap_is_symbolic_at_any_budget(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("seed solved")
 
-    monkeypatch.setattr(spectra, "climb_chains", refuse)
+    monkeypatch.setattr(spectra, "climb", refuse)
     note = martingale.compute_gamma_ell(tilt10(), 17, budget=10 ** 7)
     assert _noted_dimension(note) == 5717712 > fock.DEFAULT_SECTOR_CAP
 

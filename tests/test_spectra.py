@@ -364,11 +364,11 @@ def test_chain_floors_bound_every_sector(p, n):
     # so that its bounded sectors feed the floors too
     floors = None
     if n - 2 >= 2:
-        floors = spectra.chain_floors(
+        floors = spectra.grown_floors(
             spectra.total_gap(build_box((n - 2,)), p)[1])
     _, shorter = spectra.total_gap(build_box((n - 1,)), p, floors=floors)
     lowest = chain_sector_lowest(p, n)
-    got = spectra.chain_floors(shorter)
+    got = spectra.grown_floors(shorter)
     assert got.keys() == lowest.keys()
     for sector, floor in got.items():
         # to the rounding of the oracle's own solve, which can put a
@@ -382,7 +382,7 @@ def test_chain_floors_bound_every_sector(p, n):
 def test_floors_bound_sectors_without_building_them(monkeypatch, n, p):
     # one site longer than the floors' chain: only the ground sectors and
     # the four two-particle sectors that border them are solved
-    floors = spectra.chain_floors(
+    floors = spectra.grown_floors(
         spectra.total_gap(build_box((n - 1,)), p)[1])
     rep, low, built = _solve(monkeypatch, build_box((n,)), p, floors=floors)
     plain, _ = spectra.total_gap(build_box((n,)), p)
@@ -413,7 +413,7 @@ def test_floors_outrank_the_cap(cap, skipped):
     # ground sector (1,1), so under a cap of 50 they stay skipped and the
     # record partial, while under 60 only bounded sectors are over the cap
     p = Params(("3",), ("1/2",))
-    floors = spectra.chain_floors(spectra.total_gap(build_box((5,)), p)[1])
+    floors = spectra.grown_floors(spectra.total_gap(build_box((5,)), p)[1])
     rep, low = spectra.total_gap(build_box((6,)), p, sector_cap=cap,
                                  floors=floors)
     plain, _ = spectra.total_gap(build_box((6,)), p, sector_cap=cap)
@@ -439,16 +439,55 @@ def test_floors_outrank_the_cap(cap, skipped):
 def test_climb_is_a_floor_free_solve(p, q, m, n):
     # two points climbed together, to m and to n sites, share each
     # length's patterns; each record is a floor-free solve's
+    chains = [build_box((k,)) for k in range(2, max(m, n) + 1)]
     lengths = []
-    for k, records in spectra.climb_chains([p, q], [m, n]):
-        lengths.append(k)
+    for v, records in spectra.climb([p, q], chains, [m, n]):
+        lengths.append(len(v))
         for point, top, rep in zip((p, q), (m, n), records):
-            if k > top:
+            if len(v) > top:
                 assert rep is None
             else:
-                plain, _ = spectra.total_gap(build_box((k,)), point)
+                plain, _ = spectra.total_gap(v, point)
                 assert rep["gap"] == plain["gap"]
     assert lengths == list(range(2, max(m, n) + 1))
+
+
+def _bounded(rep: dict) -> int:
+    return sum(s["lowest_excited"] is None and not s["kernel"]
+               and not s["skipped"] for s in rep["sectors"])
+
+
+@pytest.mark.parametrize("volumes", [
+    [build_box((2, 2)), build_box((3, 3))], [build_box((2, 2, 2))],
+    [build_tilted(1, (1,), (3, 3))], [build_tilted(2, (), (2, 2))]],
+    ids=["box:2x2,3x3", "box:2x2x2", "case-1 3x3 v=1", "case-2 2x2"])
+def test_climb_in_any_dimension_is_a_floor_free_solve(volumes):
+    # a gapped point climbs to the last volume and a gapless one stops at
+    # the first; every gap is a floor-free solve's, though the floors bound
+    # sectors on every volume
+    d = volumes[0].dim
+    gapped = Params(("2", "3", "4")[:d], ("1/2", "1/3", "1/4")[:d])
+    gapless = Params(("1",) * d, ("2", "3", "4")[:d])
+    tops = [len(volumes[-1]), len(volumes[0])]
+    seen = []
+    for v, records in spectra.climb([gapped, gapless], volumes, tops):
+        seen.append(v)
+        for p, top, rep in zip((gapped, gapless), tops, records):
+            if len(v) > top:
+                assert rep is None
+            else:
+                assert rep["gap"] == spectra.total_gap(v, p)[0]["gap"]
+                assert _bounded(rep) > 0
+    assert seen == volumes
+
+
+def test_climb_needs_nested_connected_volumes():
+    # the second chain misses the first one's site 0; the next volume has
+    # a hole at 2; one site has no gap
+    for volumes in ([build_box((3,)), Volume(1, ((1,), (2,), (3,), (4,)))],
+                    [Volume(1, ((0,), (1,), (3,)))], [build_box((1, 1))]):
+        with pytest.raises(InputError, match="nested connected volumes of 2"):
+            next(spectra.climb([P_CHAIN], volumes, [len(volumes[-1])]))
 
 
 def test_gapless_scaling_flat_species():

@@ -9,7 +9,6 @@ tilted volumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +25,6 @@ def _log_power(lam: tuple[float, ...], x) -> float:
     return sum(xj * math.log(lj) for xj, lj in zip(x, lam))
 
 
-def _in_double_range(compute, what: str) -> float:
-    """compute(), a positive sum, or InputError when it overflows or
-    underflows to 0 in double precision."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise InputError(f"{what} is outside double range")
-    return value
-
-
-@dataclass(frozen=True)
-class NormalizationSet:
-    c_a: float
-    c_b: float
-    d_diag: float
-    c_ab: float
-
-    def c(self, s: str) -> float:
-        return {"a": self.c_a, "b": self.c_b, "ab": self.c_ab}[s]
-
-
-def _norm_from_parts(c_a: float, c_b: float, d_diag: float) -> NormalizationSet:
-    return NormalizationSet(c_a, c_b, d_diag, c_a * c_b - d_diag)
-
-
 def geometric_sum(ratio: float, lo: int, hi: int) -> float:
     """sum_{x=lo}^{hi-1} ratio^(2x), stable for ratio above or below 1.
 
@@ -61,8 +33,7 @@ def geometric_sum(ratio: float, lo: int, hi: int) -> float:
         return 0.0
     n = hi - lo
     r2 = ratio * ratio
-
-    def compute():
+    try:
         if ratio == 1.0:
             inner = float(n)
         elif ratio < 1.0:
@@ -70,16 +41,21 @@ def geometric_sum(ratio: float, lo: int, hi: int) -> float:
         else:
             # factor the top term so nothing overflows before it must
             inner = r2 ** (n - 1) * (1.0 - r2 ** -n) / (1.0 - r2 ** -1)
-        return r2 ** lo * inner
-
-    return _in_double_range(
-        compute, f"sum of {ratio:.3g}^(2x) over {lo} <= x < {hi}")
+        value = r2 ** lo * inner
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InputError(
+            f"sum of {ratio:.3g}^(2x) over {lo} <= x < {hi} is outside "
+            f"double range")
+    return value
 
 
 def normalization_closed_form(family: VolumeFamilySpec, lo: int,
-                              hi: int) -> NormalizationSet:
+                              hi: int) -> dict[str, float]:
     """Geometric-product form of the normalization constants of the slab
-    Lambda_hi \\ Lambda_lo of `family`, for 0 <= lo <= hi.
+    Lambda_hi \\ Lambda_lo of `family`, for 0 <= lo <= hi, keyed by
+    species: {"a": C_a, "b": C_b, "ab": C_a C_b - D, "d": D}.
 
     The sweep-direction factor runs lo..hi-1; all others run over the
     full extent. Agrees with the direct sum over the sites of the slab
@@ -94,7 +70,7 @@ def normalization_closed_form(family: VolumeFamilySpec, lo: int,
         c_a *= geometric_sum(ta[j], *cut)
         c_b *= geometric_sum(tb[j], *cut)
         d_diag *= geometric_sum(ta[j] * tb[j], *cut)
-    return _norm_from_parts(c_a, c_b, d_diag)
+    return {"a": c_a, "b": c_b, "ab": c_a * c_b - d_diag, "d": d_diag}
 
 
 def ground_state_vector(p: Params, basis: fock.SectorBasis) -> np.ndarray:
@@ -135,11 +111,11 @@ def check_product_bounds(family: VolumeFamilySpec, lo: int,
     of `family`."""
     if hi - lo < 2:
         raise InputError("product bounds need slab length >= 2")
-    ns = normalization_closed_form(family, lo, hi)
+    c = normalization_closed_form(family, lo, hi)
     ct = c_tilde(family.tilt)
     return [
-        _check("product_upper", ns.c_ab, ns.c_a * ns.c_b),
-        _check("product_lower", ns.c_a * ns.c_b, ct * ns.c_ab),
+        _check("product_upper", c["ab"], c["a"] * c["b"]),
+        _check("product_lower", c["a"] * c["b"], ct * c["ab"]),
     ]
 
 
@@ -157,8 +133,8 @@ def check_diagonal_bound(family: VolumeFamilySpec, lo: int,
         raise InputError("diagonal bound needs opposite-sign log parameters")
     if hi <= lo:
         raise InputError("diagonal bound needs hi > lo")
-    ns = normalization_closed_form(family, lo, hi)
-    lhs = ns.d_diag / (ns.c_a * ns.c_b)
+    c = normalization_closed_form(family, lo, hi)
+    lhs = c["d"] / (c["a"] * c["b"])
     rhs = (hi - lo) * math.exp(-2.0 * (hi - lo - 1) * t.margins[j])
     return _check("diagonal", lhs, rhs)
 
@@ -181,7 +157,7 @@ def check_ratio_bounds(family: VolumeFamilySpec, n: int,
         alog = abs(math.log(lam))
 
         def c(hi, lo=0):
-            return normalization_closed_form(family, lo, hi).c(s)
+            return normalization_closed_form(family, lo, hi)[s]
 
         decay = math.exp(-2.0 * (ell - 1) * alog)
         if lam > 1:

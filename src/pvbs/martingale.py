@@ -13,7 +13,6 @@ by measuring it at the smallest sweep positions.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy
 
@@ -24,6 +23,9 @@ from .model import (DEFAULT_ELL_CAP, DEFAULT_ETA, Params, TiltScheme,
                     c_tilde, choose_ell, projection_bound, select_tilt)
 
 DEFAULT_GAMMA_BUDGET = 150_000
+# the longest sector dimension that a note writes in full: CPython's
+# default int-to-str limit, fixed so that no interpreter setting moves it
+STR_DIGITS = 4300
 PASS_SLACK = 1e-10
 # condition (iii) is checked at the SPOT_CHECKS smallest sweep positions
 # of each direction, with extent SPOT_LEAD in the directions before it
@@ -126,7 +128,7 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     when the largest particle sector is over the budget (at most the
     sector cap, so that no seed sector is skipped), the note that leaves
     the seed symbolic. The note names that sector's dimension: the exact
-    integer while str() can write it, else its power of ten "10^x.x". The
+    integer up to STR_DIGITS digits, else its power of ten "10^x.x". The
     volume is climbed to by `spectra.climb` in any d; a sector's dimension
     grows with the site count, so the budget bounds every prefix too."""
     family = sweep_family(t, 0, ell, ell)
@@ -138,19 +140,20 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
     note = ("seed gap left symbolic: largest particle sector exceeds the "
             "eigensolver budget (dimension {})")
     # exact, it takes seconds past a million sites: a digit past the
-    # budget and Python's int-to-str limit, only its power of ten is kept,
-    # from log-gammas that err far below the 0.1 shown
+    # budget and STR_DIGITS, only its power of ten is kept, from
+    # log-gammas that err far below the 0.1 shown
     log10 = (math.lgamma(n_sites + 1) - sum(math.lgamma(k + 1) for k in (
         n_a, n_b, n_sites - n_a - n_b))) / math.log(10)
-    digits = sys.get_int_max_str_digits() or math.inf
-    if log10 > max(digits, math.log10(max(budget, 1))) + 1:
+    if log10 > max(STR_DIGITS, math.log10(max(budget, 1))) + 1:
         return note.format(f"10^{log10:.1f}")
     worst = fock.sector_dimension(n_sites, n_a, n_b)
     if worst > budget:
-        try:
-            return note.format(str(worst))
-        except ValueError:  # over Python's int-to-str digit limit
-            return note.format(f"10^{math.log10(worst):.1f}")
+        # Decimal writes an int of any length, whatever the interpreter's
+        # int-to-str limit; imported here, off the start-up path
+        import decimal
+        exact = str(decimal.Decimal(worst))
+        return note.format(exact if len(exact) <= STR_DIGITS
+                           else f"10^{math.log10(worst):.1f}")
     *_, (_, [seed]) = spectra.climb([t.params], [family.member(ell)],
                                     [n_sites])
     return seed

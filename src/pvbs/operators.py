@@ -6,7 +6,7 @@ diagonal plus one exchange of the two end digits when they differ (0a
 with a0, 0b with b0, ab with ba), so a sector Hamiltonian is built in two
 parts: a parameter-independent `SectorPattern` (a padded-row layout with
 the diagonal in slot 0 and the exchange on edge e in slot 1 + e, and each
-state's pair code on each edge), and a cheap fill from the `EdgeWeights`
+state's pair code on each edge), and a cheap fill from the edge weights
 of one parameter value into a `SectorMatrix`, which multiplies vectors
 with numpy alone. `spectra.total_gap` drops each pattern once its sector
 is solved; `spectra.climb` keeps each volume's patterns for every
@@ -47,10 +47,10 @@ def edge_projection_block(lam_a: float, lam_b: float) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EdgeWeights:
-    """The entries of the edge terms h_j, indexed by kind 9 j + c, where
-    c = 3 * left + right is the pair code of an edge's end digits.
+def edge_weights(p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, exchange): the entries of the edge terms h_j of H for
+    parameters p, indexed by kind 9 j + c, where c = 3 * left + right is
+    the pair code of an edge's end digits.
 
     Every h_j is diagonal plus one exchange of the two end digits when they
     differ: its only off-diagonal entries pair 0a with a0, 0b with b0 and
@@ -60,20 +60,12 @@ class EdgeWeights:
     swapped state is the same, and each row of a `SectorPattern` reads
     both weights of an edge from its own pair code.
     """
-
-    exchange: np.ndarray
-    diagonal: np.ndarray
-
-
-def edge_weights(p: Params) -> EdgeWeights:
-    """The edge-term entries of H for parameters p, one 9x9 block per
-    direction."""
     blocks = np.array([edge_projection_block(a, b)
                        for a, b in zip(p.floats("a"), p.floats("b"))])
     pair = np.arange(9)
     swap = 3 * (pair % 3) + pair // 3
     exchange = np.where(swap != pair, blocks[:, swap, pair], 0.0)
-    return EdgeWeights(exchange.ravel(), blocks[:, pair, pair].ravel())
+    return blocks[:, pair, pair].ravel(), exchange.ravel()
 
 
 @dataclass(frozen=True)
@@ -86,8 +78,8 @@ class SectorPattern:
     joining s to the state with the end digits of edge e swapped; where
     those digits are equal, the slot is padding and points at the row
     itself. `kinds[e]` gives each state's kind on edge e (9 * direction
-    + its pair code), the index into both `EdgeWeights.diagonal` and
-    `EdgeWeights.exchange`; `nnz` counts the slots that are not padding.
+    + its pair code), the index into both weight arrays of
+    `edge_weights`; `nnz` counts the slots that are not padding.
     One pattern serves every parameter value on the same basis.
     """
 
@@ -155,16 +147,18 @@ class SectorMatrix:
 
 
 def assemble_sector_hamiltonian(pattern: SectorPattern,
-                                weights: EdgeWeights) -> SectorMatrix:
+                                weights: tuple[np.ndarray, np.ndarray]
+                                ) -> SectorMatrix:
     """H^v restricted to the particle-number sector of `pattern.basis`,
     filled from `pattern` (from `sector_pattern(basis)`) and `weights`
     (from `edge_weights(p)`), so that a caller can reuse a pattern
     across parameters and weights across sectors. The diagonal is summed
     edge by edge, so every run gives the same bits."""
+    diagonal, exchange = weights
     vals = np.zeros(pattern.cols.shape)
     for kinds in pattern.kinds:
-        vals[0] += weights.diagonal[kinds]
-    vals[1:] = weights.exchange[pattern.kinds]
+        vals[0] += diagonal[kinds]
+    vals[1:] = exchange[pattern.kinds]
     return SectorMatrix(pattern.cols, vals, pattern.nnz,
                         float(np.abs(vals).sum(axis=0).max()))
 

@@ -12,8 +12,6 @@ from collections import deque
 import numpy as np
 
 from pvbs import InputError
-from pvbs.analytic import (NormalizationSet, _in_double_range, _log_power,
-                           _norm_from_parts)
 from pvbs.lattice import Volume
 from pvbs.martingale import sweep_family
 from pvbs.model import Params
@@ -71,28 +69,24 @@ def is_connected_bfs(v: Volume) -> bool:
 
 def _stable_sum_exp(exponents) -> float:
     """sum of exp(e) over exponents, factored by the maximum."""
-    exponents = list(exponents)
-    if not exponents:
-        return 0.0
     m = max(exponents)
-    return _in_double_range(
-        lambda: math.exp(m) * sum(math.exp(e - m) for e in exponents),
-        "normalization sum")
+    return math.exp(m) * sum(math.exp(e - m) for e in exponents)
 
 
-def normalization_direct(v: Volume, p: Params) -> NormalizationSet:
-    """C(v, s) and D(v) by direct summation over sites. Scalar reference
-    for `analytic.normalization_closed_form`."""
+def normalization_direct(v: Volume, p: Params) -> dict[str, float]:
+    """C(v, s) and D(v) by direct summation over sites, keyed like
+    `analytic.normalization_closed_form`: {"a": C_a, "b": C_b,
+    "ab": C_a C_b - D, "d": D}. Scalar reference for that function."""
     if len(v) < 1:
         raise InputError("normalization of the empty volume is undefined")
-    la = p.floats("a")
-    lb = p.floats("b")
-    ea = [2.0 * _log_power(la, x) for x in v.sites]
-    eb = [2.0 * _log_power(lb, x) for x in v.sites]
+    log_a = [math.log(x) for x in p.floats("a")]
+    log_b = [math.log(x) for x in p.floats("b")]
+    ea = [2.0 * sum(xj * lj for xj, lj in zip(x, log_a)) for x in v.sites]
+    eb = [2.0 * sum(xj * lj for xj, lj in zip(x, log_b)) for x in v.sites]
     c_a = _stable_sum_exp(ea)
     c_b = _stable_sum_exp(eb)
     d = _stable_sum_exp([x + y for x, y in zip(ea, eb)])
-    return _norm_from_parts(c_a, c_b, d)
+    return {"a": c_a, "b": c_b, "ab": c_a * c_b - d, "d": d}
 
 
 def boundary_sites(inner, ambient) -> list:

@@ -127,10 +127,10 @@ def test_c04_closed_form_normalizations():
             continue
         nd = oracles.normalization_direct(sl, t.params)
         nc = analytic.normalization_closed_form(fam, n - width, n)
-        for attr in ("c_a", "c_b", "d_diag", "c_ab"):
-            x, y = getattr(nd, attr), getattr(nc, attr)
+        for key in ("a", "b", "d", "ab"):
+            x, y = nd[key], nc[key]
             scale = max(abs(x), abs(y),
-                        nd.c_a * nd.c_b if attr == "c_ab" else 0.0)
+                        nd["a"] * nd["b"] if key == "ab" else 0.0)
             worst = max(worst, abs(x - y) / scale)
         cases_seen[t.case] += 1
         checked += 1

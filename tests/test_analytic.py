@@ -28,11 +28,11 @@ def test_lambda_power():
 
 def test_normalization_direct_chain3():
     # chain {0,1,2}: C_a = 1+4+16 = 21, C_b = 1+1/4+1/16, D = 3
-    ns = oracles.normalization_direct(build_box((3,)), P_CHAIN)
-    assert ns.c_a == pytest.approx(21.0, rel=1e-14)
-    assert ns.c_b == pytest.approx(21.0 / 16.0, rel=1e-14)
-    assert ns.d_diag == pytest.approx(3.0, rel=1e-14)
-    assert ns.c_ab == pytest.approx(393.0 / 16.0, rel=1e-13)
+    c = oracles.normalization_direct(build_box((3,)), P_CHAIN)
+    assert c["a"] == pytest.approx(21.0, rel=1e-14)
+    assert c["b"] == pytest.approx(21.0 / 16.0, rel=1e-14)
+    assert c["d"] == pytest.approx(3.0, rel=1e-14)
+    assert c["ab"] == pytest.approx(393.0 / 16.0, rel=1e-13)
 
 
 def test_geometric_sum():
@@ -80,12 +80,12 @@ def test_closed_form_matches_direct_randomized():
             continue
         nd = oracles.normalization_direct(sl, t.params)
         nc = analytic.normalization_closed_form(fam, n - ell, n)
-        for attr in ("c_a", "c_b", "d_diag", "c_ab"):
-            x, y = getattr(nd, attr), getattr(nc, attr)
-            # c_ab is a difference of products; measure against its scale
-            scale = nd.c_a * nd.c_b if attr == "c_ab" else 0.0
+        for key in ("a", "b", "d", "ab"):
+            x, y = nd[key], nc[key]
+            # C_ab is a difference of products; measure against its scale
+            scale = nd["a"] * nd["b"] if key == "ab" else 0.0
             assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), scale), \
-                (attr, d, t.case, extents, j, n, ell)
+                (key, d, t.case, extents, j, n, ell)
         checked += 1
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvbs import (ComputeError, InputError, cli, fock, martingale, model,
-                  operators, spectra)
+from pvbs import (ComputeError, InputError, analytic, cli, fock, martingale,
+                  model, operators, spectra)
 from pvbs.lattice import build_box
 from strategies import chain_params
 
@@ -273,6 +273,19 @@ def test_lanczos_residual_failure(capsys, monkeypatch, perturbed_lanczos):
     assert code == 3
     assert out == ""
     assert err.startswith("error: Lanczos eigenpair residual")
+
+
+def test_a_wrong_analytic_ground_vector_exits_3(capsys, monkeypatch):
+    # the true ground vector rolled by one state is no kernel vector
+    real = analytic.ground_state_vector
+    monkeypatch.setattr(analytic, "ground_state_vector",
+                        lambda p, basis: np.roll(real(p, basis), 1))
+    code, out, err = run_cli(capsys, "gap", "--volume", "box:4",
+                             "--lambda-a", "2", "--lambda-b", "1/2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "error: analytic ground vector fails in sector (0,1): residual")
 
 
 # prints the modules a fresh interpreter has imported and the files it
@@ -557,11 +570,36 @@ def test_certify_d3_and_d4_end_to_end(capsys, la, lb, case):
         assert rec["notes"][0].endswith("(dimension 10^4767.1)")
 
 
+@pytest.mark.parametrize("la,lb,dimension", [
+    # 4768 digits, past 4300: the power of ten
+    ("2,3,4,5", "1/2,1/2,1/2,1/2", r"10\^4767\.1"),
+    # 1143 digits: the exact integer
+    ("4,4,4,4", "1/4,1/4,1/4,1/4", r"[1-9]\d{1142}"),
+], ids=["power-of-ten", "exact"])
+def test_certify_note_does_not_depend_on_the_int_str_limit(la, lb,
+                                                           dimension):
+    # the interpreter's int-to-str limit, 4300 digits unless
+    # PYTHONINTMAXSTRDIGITS sets it (0 lifts it), must not move the note
+    argv = [sys.executable, "-m", "pvbs.cli", "certify", "--lambda-a", la,
+            "--lambda-b", lb]
+    outs = []
+    for limit in (None, "0", "640"):
+        env = _child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        outs.append(subprocess.run(argv, env=env, capture_output=True,
+                                   text=True, check=True).stdout)
+    assert outs[1] == outs[0] == outs[2]
+    note = json.loads(outs[0])["notes"][0]
+    assert re.fullmatch(rf".*\(dimension {dimension}\)", note)
+
+
 def test_certify_notes_a_huge_seed_dimension_as_a_power_of_ten(
         capsys, monkeypatch):
-    # 10^5000 has more digits than Python converts an int to text, but the
-    # 7-site seed's log-gammas put its largest sector, (3, 2), far below
-    # the cut-off past which only the power of ten is computed
+    # 10^5000 has more digits than the 4300 that a note writes in full,
+    # but the 7-site seed's log-gammas put its largest sector, (3, 2), far
+    # below the cut-off past which only the power of ten is computed
     real = fock.sector_dimension
     monkeypatch.setattr(fock, "sector_dimension", lambda n, n_a, n_b: (
         10 ** 5000 if (n, n_a, n_b) == (7, 3, 2) else real(n, n_a, n_b)))

@@ -99,18 +99,44 @@ def _diagonal(diag):
                                   dim, float(np.abs(diag).max()))
 
 
-def test_lanczos_leaves_an_invariant_subspace():
-    # three eigenvalues of multiplicity 100: every Krylov space has
-    # dimension 3, so Lanczos finds the twofold lowest value only by going
-    # on outside the first one
+def test_lanczos_leaves_an_invariant_subspace(monkeypatch):
+    # three distinct values: every Krylov space has dimension 3, so
+    # Lanczos finds a twofold lowest value only by going on outside the
+    # first one. It draws a fresh start vector (draw >= 1) where the
+    # residual counts as zero, which turns on rounding: it does on the
+    # 300 states here and on 3 of the 8 layouts of 100 states with
+    # numpy's OpenBLAS on x86-64, so it must on at least one of them
+    draws = []
+    real = spectra.lanczos_start
+    monkeypatch.setattr(spectra, "lanczos_start", lambda dim, draw=0: (
+        draws.append(draw), real(dim, draw))[1])
     h = _diagonal(np.repeat([1.0, 2.0, 3.0], 100))
     assert list(spectra.lowest_eigenvalues(h, k=2)) == pytest.approx(
         [1.0, 1.0], rel=1e-12)
+    diag = np.resize([3.0, 1.0, 2.0], 100)
+    for shift in range(8):
+        h = _diagonal(np.roll(diag, shift))
+        for k in (1, 2):
+            assert list(spectra.lowest_eigenvalues(h, k)) == pytest.approx(
+                list(np.sort(diag)[:k]), rel=1e-12)
+    assert max(draws) >= 1
     # with H = 0 the residual of every step is exactly zero, and each
     # basis vector after the first is a fresh one orthogonal to the others
     vals, vecs = spectra._lanczos(_diagonal(np.zeros(300)), 2, 1.0)
     assert list(vals) == [0.0, 0.0]
     assert np.allclose(vecs.T @ vecs, np.eye(2), rtol=0, atol=1e-14)
+
+
+def test_total_gap_checks_the_analytic_ground_vector(monkeypatch):
+    # the true ground vector rolled by one state is no kernel vector; the
+    # one state of sector (0,0) rolls onto itself, so (0,1) is the first
+    # to fail
+    real = analytic.ground_state_vector
+    monkeypatch.setattr(analytic, "ground_state_vector",
+                        lambda p, basis: np.roll(real(p, basis), 1))
+    with pytest.raises(ComputeError, match=r"analytic ground vector fails "
+                                           r"in sector \(0,1\): residual"):
+        spectra.total_gap(build_box((4,)), P_CHAIN)
 
 
 def test_lanczos_residual_check(perturbed_lanczos, monkeypatch):

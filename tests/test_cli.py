@@ -693,6 +693,26 @@ VERB_DIGESTS = {
     ("scaling", "--lambda-a", "1,1,1", "--lambda-b", "2,3,4",
      "--sizes", "2"):
         "993324d46d851277a6a18daf4727d080e9a47d13f77e4b9423111ac92e980464",
+    # recorded while `classify_zd` still returned a member of an enum
+    ("classify", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2"):
+        "6a390c1d07e7f765d319c93fc8ff8b134a53079a61389e76f2a4dce5755868ae",
+    ("classify", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2",
+     "--format", "table"):
+        "58a8a38160165e3de9171e5954157f5b8e5086cc763149bea736590784564849",
+    ("classify", "--lambda-a", "1,1", "--lambda-b", "2,3"):
+        "b1b697fcd9b52898c073beade0d82f23dee5a44c6692c4a11723f8d3c2650e9a",
+    ("classify", "--lambda-a", "1,1", "--lambda-b", "2,3",
+     "--format", "table"):
+        "0a7a98069d3661ee229e119b121f286518065b12dc311bc192ef69bc71b59388",
+    ("census", "--region", "zd", "--lambda-a", "2", "--lambda-b", "1/2"):
+        "26d2c20007949f4650143582887daf57c7c8db16ef59aec29211010268a7d190",
+    # every orthant state, then a divergent constant
+    ("census", "--region", "orthant", "--lambda-a", "1/2,1/3",
+     "--lambda-b", "1/5,1/4"):
+        "8698a70ff94f6465c230f725e4699f47aebba9cdc37ab4fce5fbc4d9903adb9b",
+    ("census", "--region", "orthant", "--lambda-a", "1/2,1/3",
+     "--lambda-b", "2,1/4"):
+        "a547310a9160bb345fff6a5d5621f417308dcc95b94feb5b7487770dbe2bc6bf",
 }
 
 

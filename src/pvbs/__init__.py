@@ -12,4 +12,4 @@ class ComputeError(RuntimeError):
     """Exit 3: no certificate at these settings, or a solve or check failed."""
 
 
-from .model import GapClass, Params, classify_zd  # noqa: E402, F401
+from .model import Params, classify_zd  # noqa: E402, F401

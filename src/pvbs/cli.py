@@ -146,7 +146,13 @@ def parse_volume(text: str) -> Volume:
         v_txt, _, l_txt = rest.partition("@")
     else:
         raise InputError(f"unknown volume spec {text!r}")
-    dims = parse_ints(l_txt.replace("x", ","), "--volume extents")
+    l_txt = l_txt.replace("x", ",")
+    # unlike --sizes, a volume spec skips no empty entry
+    for what, entries in (("extent", l_txt), ("tilt", v_txt)):
+        if entries.strip() and not all(s.strip() for s in entries.split(",")):
+            raise InputError(f"volume spec {text!r} has an empty {what} "
+                             "entry")
+    dims = parse_ints(l_txt, "--volume extents")
     if not dims:
         raise InputError(f"volume spec {text!r} has no extents")
     # sector enumeration refuses a volume over the site limit, so refuse
@@ -250,7 +256,7 @@ def cache_put(cdir: str | None, key: str | None, record: dict) -> None:
 
 def cmd_classify(args) -> dict:
     p = _params(args)
-    return {"classification": model.classify_zd(p).value,
+    return {"classification": model.classify_zd(p),
             "log_lambda_a": list(model.log_lambda(p, "a")),
             "log_lambda_b": list(model.log_lambda(p, "b"))}
 
@@ -379,10 +385,10 @@ def cmd_sweep(args) -> dict:
                 wanted[size] = point, key
         if wanted:
             todo.append((p, wanted))
-    # one climb, one length at a time, takes each lambda_a to its last point
+    # one climb, one length at a time, takes every lambda_a left to solve
+    # to the longest size that any of them has to solve
     chains = [build_box((n,)) for n in sorted({n for _, w in todo for n in w})]
-    for v, records in spectra.climb([p for p, _ in todo], chains,
-                                    [max(w) for _, w in todo]):
+    for v, records in spectra.climb([p for p, _ in todo], chains):
         for (_, wanted), rec in zip(todo, records):
             if len(v) not in wanted:
                 continue

@@ -154,8 +154,7 @@ def compute_gamma_ell(t: TiltScheme, ell: int,
         exact = str(decimal.Decimal(worst))
         return note.format(exact if len(exact) <= STR_DIGITS
                            else f"10^{math.log10(worst):.1f}")
-    *_, (_, [seed]) = spectra.climb([t.params], [family.member(ell)],
-                                    [n_sites])
+    *_, (_, [seed]) = spectra.climb([t.params], [family.member(ell)])
     return seed
 
 

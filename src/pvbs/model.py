@@ -11,7 +11,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import ComputeError, InputError
@@ -20,11 +19,6 @@ from .lattice import MAX_DIM
 DEFAULT_ETA = 0.05
 V_MAX = 8
 DEFAULT_ELL_CAP = 64
-
-
-class GapClass(str, Enum):
-    GAPPED = "gapped"
-    GAPLESS = "gapless"
 
 
 # the exponent of a decimal such as 2.5e-3, where Fraction reads it
@@ -46,8 +40,6 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
     for v in values:
         if isinstance(v, Fraction):
             f = v
-        elif isinstance(v, int):
-            f = Fraction(v)
         elif isinstance(v, str):
             if _far_outside_double_range(v):
                 raise InputError("parameter's written exponent puts it far "
@@ -56,8 +48,6 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
                 f = Fraction(v)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot parse parameter {v!r}") from exc
-        elif isinstance(v, float) and math.isfinite(v):
-            f = Fraction(v).limit_denominator(10**12)
         else:
             raise InputError(f"cannot parse parameter {v!r}")
         if f <= 0:
@@ -78,7 +68,8 @@ def _parse_vec(values) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Params:
-    """Two positive parameter vectors, one per particle species."""
+    """Two positive parameter vectors, one per particle species, each
+    entry a decimal string or a Fraction."""
 
     lambda_a: tuple[Fraction, ...]
     lambda_b: tuple[Fraction, ...]
@@ -121,11 +112,12 @@ def _is_one_vector(vec: tuple[Fraction, ...]) -> bool:
     return all(v == 1 for v in vec)
 
 
-def classify_zd(p: Params) -> GapClass:
-    """Gapped iff neither species has the all-ones parameter vector."""
+def classify_zd(p: Params) -> str:
+    """What `pvbs classify` prints: "gapped" iff neither species has the
+    all-ones parameter vector, else "gapless"."""
     if _is_one_vector(p.lambda_a) or _is_one_vector(p.lambda_b):
-        return GapClass.GAPLESS
-    return GapClass.GAPPED
+        return "gapless"
+    return "gapped"
 
 
 DIVERGENT = "divergent"
@@ -241,7 +233,7 @@ def _pick_v(la: Fraction, lb: Fraction, base_a: Fraction, base_b: Fraction,
 def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:
     """Choose a Case-1 or Case-2 tilt scheme for gapped parameters. The
     cases differ only in their leading coordinates, tildes and kappas."""
-    if classify_zd(p) is not GapClass.GAPPED:
+    if classify_zd(p) != "gapped":
         raise InputError("tilt selection requires gapped parameters")
     d = p.dim
     la, lb = p.lambda_a, p.lambda_b

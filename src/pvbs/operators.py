@@ -132,9 +132,7 @@ class SectorMatrix:
         return (self.cols.shape[1],) * 2
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector x, or for each column of a matrix x."""
-        if x.ndim == 2:
-            return np.column_stack([self @ col for col in x.T])
+        """H x for a vector x."""
         return np.einsum("ij,ij->j", self.vals, x.take(self.cols))
 
     def toarray(self) -> np.ndarray:

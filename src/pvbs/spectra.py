@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ComputeError, InputError, analytic, fock, operators
 from .lattice import Volume, build_box, growth_order
-from .model import GapClass, Params, classify_zd
+from .model import Params, classify_zd
 
 # Dense eigvalsh against Lanczos for the lowest eigenvalue of a d=1
 # sector, per call in ms, with BLAS on one thread as `pvbs.cli` runs it,
@@ -161,7 +161,8 @@ def lowest_eigenvalues(h: operators.SectorMatrix, k: int = 1) -> np.ndarray:
         return np.linalg.eigvalsh(h.toarray())[:k]
     scale = max(1.0, h.norm)
     vals, vecs = _lanczos(h, k, scale)
-    resid = float(np.linalg.norm(h @ vecs - vecs * vals, axis=0).max())
+    resid = max(float(np.linalg.norm(h @ x - theta * x))
+                for theta, x in zip(vals, vecs.T))
     if resid > KERNEL_TOL_REL * scale:
         raise ComputeError(
             f"Lanczos eigenpair residual {resid:.3e} exceeds "
@@ -329,28 +330,25 @@ def grown_floors(low: dict) -> dict:
             for n_a in range(n + 1) for n_b in range(n + 1 - n_a)}
 
 
-def climb(ps, volumes, tops):
-    """Climb each point ps[i] through the nested, connected `volumes`,
-    ascending, to its top, tops[i] sites (one volume's count): yield each
-    volume with its `total_gap` records, None past a point's top. Sites
-    come one at a time in `growth_order` from 2 on; each prefix after the
-    first is floored by `grown_floors` of the one before it, and its
-    sector patterns serve every point. Floors change no gap by a bit: see
-    `total_gap`."""
+def climb(ps, volumes):
+    """Climb every point of ps through the nested, connected `volumes`,
+    ascending: yield each volume with its `total_gap` records, one per
+    point. Sites come one at a time in `growth_order` from 2 on; each
+    prefix after the first is floored by `grown_floors` of the one before
+    it, and its sector patterns serve every point. Floors change no gap
+    by a bit: see `total_gap`."""
     order = growth_order(volumes)
     if any(len(v) < 2 or v.position.keys() != set(order[:len(v)])
            for v in volumes):
         raise InputError("a climb needs nested connected volumes of 2+ sites")
-    floors = [None] * len(ps)
-    for n in range(2, max(tops, default=0) + 1):
+    solved = [(None, None)] * len(ps)
+    for n in range(2, len(order) + 1):
         v, patterns = Volume(len(order[0]), order[:n]), {}
-        records, floors = zip(*(
-            total_gap(v, p, patterns=patterns,
-                      floors=None if low is None else grown_floors(low))
-            if n <= top else (None, None)
-            for p, top, low in zip(ps, tops, floors)))
+        solved = [total_gap(v, p, patterns=patterns,
+                            floors=None if low is None else grown_floors(low))
+                  for p, (_, low) in zip(ps, solved)]
         if any(len(u) == n for u in volumes):
-            yield v, records
+            yield v, [rec for rec, _ in solved]
 
 
 def gapless_scaling(p: Params, sizes) -> list[dict]:
@@ -373,7 +371,7 @@ def gapless_scaling(p: Params, sizes) -> list[dict]:
     1/2 at w = lambda_j^2 = 1. So the energy is
     d size^(d-1) / size^d = d / size, one correctly rounded division.
     """
-    if classify_zd(p) is not GapClass.GAPLESS:
+    if classify_zd(p) != "gapless":
         raise InputError("no species with a flat parameter vector")
     d = p.dim
     sizes = sorted(sizes)
@@ -381,7 +379,6 @@ def gapless_scaling(p: Params, sizes) -> list[dict]:
         raise InputError("box sizes must be positive")
     boxes = [build_box((s,) * d) for s in sorted(set(sizes))
              if 2 <= s ** d <= SCALING_NUMERIC_CAP]
-    gaps = {len(v): rec["gap"]
-            for v, [rec] in climb([p], boxes, [len(v) for v in boxes[-1:]])}
+    gaps = {len(v): rec["gap"] for v, [rec] in climb([p], boxes)}
     return [{"size": s, "sites": s ** d, "trial_energy": d / s,
              "numeric_gap": gaps.get(s ** d)} for s in sizes]

@@ -1024,6 +1024,34 @@ def test_sweep_after_a_cache_hit_climbs(capsys, monkeypatch, tmp_path):
     assert seen[:36] == [(n, n > 2) for n in range(2, 8) for _ in range(6)]
 
 
+def test_sweep_climbs_a_partly_cached_point_to_the_longest_size(
+        capsys, monkeypatch, tmp_path):
+    # lambda_a = 3 has 9 sites cached and 5 to solve: it climbs beside
+    # lambda_a = 2 to 9 sites, with the rows and counts of a cold run
+    cdir = str(tmp_path)
+    grid = ("sweep", "--lambda-b", "1/2", "--format", "json")
+    code, _, _ = run_cli(capsys, *grid, "--grid-a", "3", "--sizes", "9",
+                         "--cache-dir", cdir)
+    assert code == 0
+    seen = []
+    real = spectra.total_gap
+
+    def spy(v, p, **kwargs):
+        seen.append((len(v), str(p.lambda_a[0])))
+        return real(v, p, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "total_gap", spy)
+        code, out, err = run_cli(capsys, *grid, "--grid-a", "2,3",
+                                 "--sizes", "5,9", "--cache-dir", cdir)
+    assert code == 0
+    assert err.startswith("sweep: 1 cache hits, 3 solves, 24 sectors "
+                          "solved, 73 bounded\n")
+    assert seen == [(n, la) for n in range(2, 10) for la in ("2", "3")]
+    assert out == run_cli(capsys, *grid, "--grid-a", "2,3",
+                          "--sizes", "5,9")[1]
+
+
 def test_sweep_exits_3_when_a_climbed_solve_fails(capsys, monkeypatch):
     # the first point to reach the failing 5-site chain stops the sweep,
     # as a failed solve stops every verb
@@ -1369,6 +1397,9 @@ def test_parse_volume():
     assert len(v2) == 2
     # only Case 1 checks the sign of its tilt entries
     assert len(cli.parse_volume("case2:-1@1x1x2")) == 4
+    # a spec that writes no tilt entry at all has none
+    assert len(cli.parse_volume("case1:@4")) == 4
+    assert len(cli.parse_volume("case2:@2x2")) == 8
     with pytest.raises(ValueError):
         cli.parse_volume("sphere:3")
 
@@ -1379,6 +1410,10 @@ def test_parse_volume():
     ("case2:1@3x2", "tilt vector length must be d - 2"),
     ("case1:-1@3x2", "tilt entries must be nonnegative"),
     ("case1:1@0x2", "extents must be >= 1, got (0, 2)"),
+    # --sizes skips an empty entry, a volume spec does not
+    ("box:3xx3", "volume spec 'box:3xx3' has an empty extent entry"),
+    ("box:3x", "volume spec 'box:3x' has an empty extent entry"),
+    ("case1:1,@3x3x3", "volume spec 'case1:1,@3x3x3' has an empty tilt entry"),
 ])
 def test_parse_volume_builder_messages(spec, message):
     with pytest.raises(InputError) as info:

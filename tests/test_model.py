@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbs import ComputeError, InputError
-from pvbs.model import (DIVERGENT, GapClass, Params, c_orthant,
+from pvbs.model import (DIVERGENT, Params, c_orthant,
                         c_tilde, choose_ell, classify_zd,
                         infinite_gs_census, log_lambda, projection_bound,
                         TiltScheme, select_tilt)
@@ -29,12 +29,17 @@ def test_params_validation():
     for text in ("1/0", "x", ""):
         with pytest.raises(InputError, match="cannot parse"):
             Params((text,), ("1",))
+    # decimal strings and Fractions only: an int or a float is refused,
+    # not rounded
+    for value in (2, 0.1, True, None):
+        with pytest.raises(InputError, match="cannot parse parameter"):
+            Params((value,), ("1",))
 
 
 def test_classify_zd():
-    assert classify_zd(Params(("1", "1"), ("2", "3"))) is GapClass.GAPLESS
-    assert classify_zd(Params(("2", "1"), ("1", "3"))) is GapClass.GAPPED
-    assert classify_zd(Params(("1",), ("1",))) is GapClass.GAPLESS
+    assert classify_zd(Params(("1", "1"), ("2", "3"))) == "gapless"
+    assert classify_zd(Params(("2", "1"), ("1", "3"))) == "gapped"
+    assert classify_zd(Params(("1",), ("1",))) == "gapless"
 
 
 def test_classifier_grid_exactness():
@@ -46,7 +51,7 @@ def test_classifier_grid_exactness():
                 for b2 in vals:
                     p = Params((a1, a2), (b1, b2))
                     expect = (a1 == a2 == 1) or (b1 == b2 == 1)
-                    got = classify_zd(p) is GapClass.GAPLESS
+                    got = classify_zd(p) == "gapless"
                     assert got == expect, (a1, a2, b1, b2)
 
 

@@ -460,22 +460,20 @@ def test_floors_outrank_the_cap(cap, skipped):
             assert s["lowest_excited"] is None and s["kernel"] == 0
 
 
-@given(chain_params(), chain_params(), st.integers(2, 8), st.integers(3, 9))
+@given(chain_params(), chain_params(),
+       st.sets(st.integers(2, 9), min_size=1, max_size=4))
 @settings(max_examples=15, deadline=None)
-def test_climb_is_a_floor_free_solve(p, q, m, n):
-    # two points climbed together, to m and to n sites, share each
-    # length's patterns; each record is a floor-free solve's
-    chains = [build_box((k,)) for k in range(2, max(m, n) + 1)]
-    lengths = []
-    for v, records in spectra.climb([p, q], chains, [m, n]):
-        lengths.append(len(v))
-        for point, top, rep in zip((p, q), (m, n), records):
-            if len(v) > top:
-                assert rep is None
-            else:
-                plain, _ = spectra.total_gap(v, point)
-                assert rep["gap"] == plain["gap"]
-    assert lengths == list(range(2, max(m, n) + 1))
+def test_climb_is_a_floor_free_solve(p, q, lengths):
+    # two points climbed together share each length's patterns; the
+    # climb passes every length up to the longest but yields only the
+    # chains asked for, and each record is a floor-free solve's
+    chains = [build_box((k,)) for k in sorted(lengths)]
+    seen = []
+    for v, records in spectra.climb([p, q], chains):
+        seen.append(v)
+        assert [rep["gap"] for rep in records] == [
+            spectra.total_gap(v, point)[0]["gap"] for point in (p, q)]
+    assert seen == chains
 
 
 def _bounded(rep: dict) -> int:
@@ -488,22 +486,17 @@ def _bounded(rep: dict) -> int:
     [build_tilted(1, (1,), (3, 3))], [build_tilted(2, (), (2, 2))]],
     ids=["box:2x2,3x3", "box:2x2x2", "case-1 3x3 v=1", "case-2 2x2"])
 def test_climb_in_any_dimension_is_a_floor_free_solve(volumes):
-    # a gapped point climbs to the last volume and a gapless one stops at
-    # the first; every gap is a floor-free solve's, though the floors bound
-    # sectors on every volume
+    # a gapped and a gapless point climb to the last volume; every gap is
+    # a floor-free solve's, though the floors bound sectors on every volume
     d = volumes[0].dim
     gapped = Params(("2", "3", "4")[:d], ("1/2", "1/3", "1/4")[:d])
     gapless = Params(("1",) * d, ("2", "3", "4")[:d])
-    tops = [len(volumes[-1]), len(volumes[0])]
     seen = []
-    for v, records in spectra.climb([gapped, gapless], volumes, tops):
+    for v, records in spectra.climb([gapped, gapless], volumes):
         seen.append(v)
-        for p, top, rep in zip((gapped, gapless), tops, records):
-            if len(v) > top:
-                assert rep is None
-            else:
-                assert rep["gap"] == spectra.total_gap(v, p)[0]["gap"]
-                assert _bounded(rep) > 0
+        for p, rep in zip((gapped, gapless), records, strict=True):
+            assert rep["gap"] == spectra.total_gap(v, p)[0]["gap"]
+            assert _bounded(rep) > 0
     assert seen == volumes
 
 
@@ -513,7 +506,7 @@ def test_climb_needs_nested_connected_volumes():
     for volumes in ([build_box((3,)), Volume(1, ((1,), (2,), (3,), (4,)))],
                     [Volume(1, ((0,), (1,), (3,)))], [build_box((1, 1))]):
         with pytest.raises(InputError, match="nested connected volumes of 2"):
-            next(spectra.climb([P_CHAIN], volumes, [len(volumes[-1])]))
+            next(spectra.climb([P_CHAIN], volumes))
 
 
 def test_gapless_scaling_flat_species():

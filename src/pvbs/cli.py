@@ -146,6 +146,9 @@ def parse_volume(text: str) -> Volume:
         v_txt, _, l_txt = rest.partition("@")
     else:
         raise InputError(f"unknown volume spec {text!r}")
+    if "," in l_txt:
+        raise InputError(f"volume spec {text!r} separates its extents with "
+                         "a comma, not with 'x'")
     l_txt = l_txt.replace("x", ",")
     # unlike --sizes, a volume spec skips no empty entry
     for what, entries in (("extent", l_txt), ("tilt", v_txt)):
@@ -168,6 +171,14 @@ def parse_volume(text: str) -> Volume:
 def _params(args) -> Params:
     return Params(parse_lambda(args.lambda_a, "--lambda-a"),
                   parse_lambda(args.lambda_b, "--lambda-b"))
+
+
+def _checked(option: str, check, *inputs):
+    """check(*inputs), whose InputError is re-raised naming `option`."""
+    try:
+        return check(*inputs)
+    except InputError as exc:
+        raise InputError(f"{option}: {exc}") from None
 
 
 def _eta(args) -> float:
@@ -349,12 +360,17 @@ def cmd_sweep(args) -> dict:
     if len(lambda_b) != 1:
         raise InputError("--lambda-b must list one value: every sweep point "
                          "is a chain")
-    # Params' rules, applied once here rather than failing every row
-    try:
-        lambda_b = Params(lambda_b, lambda_b).lambda_b
-    except InputError as exc:
-        raise InputError(f"--lambda-b: {exc}") from None
+    lambda_b = _checked("--lambda-b", Params, lambda_b, lambda_b).lambda_b
     sizes = sorted(set(_listed(parse_ints(args.sizes, "--sizes"), "--sizes")))
+    # each input is checked once, before the cache or any volume: a point
+    # with no answer exits 2, so every row is an answer
+    params = {la: _checked("--grid-a", Params, (la,), lambda_b)
+              for la in grid_a}
+    for size in sizes:
+        if size < 2:
+            raise InputError(f"--sizes: a chain's gap needs >= 2 sites, "
+                             f"got {size}")
+        _checked("--sizes", fock.check_site_count, size)
     columns = ["lambda_a", "lambda_b", "L", "gap", "status"]
     cdir = args.cache_dir
     if cdir:
@@ -364,25 +380,17 @@ def cmd_sweep(args) -> dict:
             raise InputError(_unusable_cache(exc)) from None
     rows, todo = [], []  # todo: each lambda_a's Params and points to solve
     hits = solves = solved = bounded = 0
-    for la in grid_a:
+    for la, p in params.items():
         wanted = {}
         for size in sizes:
             point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
             key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
-            if row is not None:
+            if row is None:
+                wanted[size] = point, key
+            else:
                 hits += 1
                 rows.append(row)
-                continue
-            try:  # a point whose input has no answer fails before any solve
-                p = Params((la,), lambda_b)
-                fock.check_site_count(size)
-                if size < 2:  # the builder or the solver says why
-                    spectra.total_gap(build_box((size,)), p)
-            except InputError as exc:
-                rows.append({**point, "gap": None, "status": f"failed: {exc}"})
-            else:
-                wanted[size] = point, key
         if wanted:
             todo.append((p, wanted))
     # one climb, one length at a time, takes every lambda_a left to solve

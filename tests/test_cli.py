@@ -1,5 +1,4 @@
 import argparse
-import csv
 import errno
 import functools
 import hashlib
@@ -662,10 +661,14 @@ VERB_DIGESTS = {
     ("gap", "--volume", "box:8", "--lambda-a", "2", "--lambda-b", "2",
      "--format", "table"):
         "c25d95bf05dbe74ae6d9b393a411418b63bf44054c62360e3d2fc5b83aba179c",
-    # failed rows (bad lambda_a, fewer than 2 sites, over 39) beside ok ones
-    ("sweep", "--grid-a", "2,0,x", "--lambda-b", "1/2",
-     "--sizes", "1,0,-2,4,40"):
-        "92aa674d0c3219ca3f4fdf75d8206098f2e0cbd12fbefa42eb3ed246d365609f",
+    # the benchmark's cold grid, recorded while a point with no answer was
+    # still a failed row
+    ("sweep", "--grid-a", "3/2,2,5/2,3,4,5,8,10", "--lambda-b", "1/2",
+     "--sizes", "4,5,6,7,8"):
+        "ae8461e875d4769272cf737005f460b00805620e0c31325962400ced47c273e8",
+    ("sweep", "--grid-a", "3/2,2,5/2,3,4,5,8,10", "--lambda-b", "1/2",
+     "--sizes", "4,5,6,7,8", "--format", "json"):
+        "fd8871007663967094717a06dfeb7dad8893067981669e605c675605a80d23e4",
     # the seed is left symbolic, noted as "dimension 10^4767.1"
     ("certify", "--lambda-a", "2,3,4,5", "--lambda-b", "1/2,1/2,1/2,1/2"):
         "b9ce26da7f0b1d2ef65e2d183c19393af2a2aff0b71a13989092a3edbec8f29f",
@@ -1156,31 +1159,6 @@ def test_sweep_climbs_to_its_first_size(capsys, monkeypatch):
     assert max(dims) <= 1092
 
 
-def test_sweep_rows_below_two_sites_fail(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
-                           "1/2", "--sizes", "1,0,-2,4", "--format", "json")
-    assert code == 0
-    assert [(r["L"], r["gap"], r["status"])
-            for r in json.loads(out)["rows"]] == [
-        (-2, None, "failed: extents must be >= 1, got (-2,)"),
-        (0, None, "failed: extents must be >= 1, got (0,)"),
-        (1, None, "failed: total_gap needs a connected volume with >= 2 sites"),
-        (4, 0.43431457505076193, "ok")]
-
-
-def test_sweep_failed_point_is_a_row(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "0,1/0,2",
-                           "--lambda-b", "2", "--sizes", "3",
-                           "--format", "json")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert [r["lambda_a"] for r in rows] == ["0", "1/0", "2"]
-    for row in rows[:2]:
-        assert row["gap"] is None
-        assert row["status"].startswith("failed: ")
-    assert rows[2]["status"] == "ok"
-
-
 def _refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("volume built")
@@ -1209,20 +1187,52 @@ def test_gap_refuses_an_oversized_volume_before_building_it(
                    f"(at most 39 sites)\n")
 
 
-def test_sweep_refuses_an_oversized_chain_before_building_it(
-        capsys, monkeypatch):
+def _sweep_refused(capsys, monkeypatch, tmp_path, grid, sizes):
+    """stderr of a sweep that exits 2 with nothing on stdout, before any
+    volume is built, any chain climbed or its cache directory made."""
     _refuse_to_build(monkeypatch)
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2", "--lambda-b",
-                           "1/2", "--sizes", "100000000,40",
-                           "--format", "json")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert [(r["L"], r["gap"], r["status"]) for r in rows] == [
-        (40, None, "failed: base-3 codes of 40 sites overflow int64 "
-                   "(at most 39 sites)"),
-        (100000000, None, "failed: base-3 codes of 100000000 sites "
-                          "overflow int64 (at most 39 sites)"),
-    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain climbed")
+
+    monkeypatch.setattr(spectra, "climb", refuse)
+    cdir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "sweep", "--grid-a", grid, "--lambda-b",
+                             "1/2", "--sizes", sizes, "--cache-dir", str(cdir))
+    assert code == 2
+    assert out == ""
+    assert not cdir.exists()
+    return err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("x", "cannot parse parameter 'x'"),
+    ("0", "parameters must be strictly positive, got 0"),
+    ("1/0", "cannot parse parameter '1/0'"),
+    ("1e400", "parameter ~1e+400 is outside double range (it must be "
+              "nonzero and its square finite)"),
+])
+def test_sweep_refuses_a_grid_entry_with_no_answer(
+        capsys, monkeypatch, tmp_path, entry, message):
+    # a valid entry beside it is not solved either
+    err = _sweep_refused(capsys, monkeypatch, tmp_path, f"2,{entry}", "3")
+    assert err == f"error: --grid-a: {message}\n"
+
+
+@pytest.mark.parametrize("size", [1, 0, -2])
+def test_sweep_refuses_a_size_below_two(capsys, monkeypatch, tmp_path, size):
+    # the smallest size is checked first, so 40 is not the one named
+    err = _sweep_refused(capsys, monkeypatch, tmp_path, "2", f"4,40,{size}")
+    assert err == f"error: --sizes: a chain's gap needs >= 2 sites, " \
+                  f"got {size}\n"
+
+
+@pytest.mark.parametrize("size", [40, 100000000])
+def test_sweep_refuses_an_oversized_chain_before_building_it(
+        capsys, monkeypatch, tmp_path, size):
+    err = _sweep_refused(capsys, monkeypatch, tmp_path, "2", f"4,{size}")
+    assert err == (f"error: --sizes: base-3 codes of {size} sites overflow "
+                   "int64 (at most 39 sites)\n")
 
 
 def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):
@@ -1299,22 +1309,6 @@ def test_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lambda_a,lambda_b,L,gap,status"
     assert len(lines) == 2
-
-
-def test_sweep_csv_quotes_a_field_with_a_comma(capsys):
-    # a failed point's status names its extents, "(0,)"; the row must
-    # still read back as the five columns
-    message = "extents must be >= 1, got (0,)"
-    code, out, _ = run_cli(capsys, "sweep", "--grid-a", "2",
-                           "--lambda-b", "1/2", "--sizes", "0",
-                           "--format", "csv")
-    assert code == 0
-    assert f'"failed: {message}"' in out
-    [row] = list(csv.DictReader(io.StringIO(out)))
-    assert list(row) == ["lambda_a", "lambda_b", "L", "gap", "status"]
-    assert None not in row.values()
-    assert row["gap"] == "null"
-    assert row["status"] == f"failed: {message}"
 
 
 def test_bench_tracer_counts_the_assembled_nonzeros(capsys, monkeypatch,
@@ -1400,6 +1394,7 @@ def test_parse_volume():
     # a spec that writes no tilt entry at all has none
     assert len(cli.parse_volume("case1:@4")) == 4
     assert len(cli.parse_volume("case2:@2x2")) == 8
+    assert len(cli.parse_volume("case1:1,2@2x2x2")) == 8
     with pytest.raises(ValueError):
         cli.parse_volume("sphere:3")
 
@@ -1414,6 +1409,11 @@ def test_parse_volume():
     ("box:3xx3", "volume spec 'box:3xx3' has an empty extent entry"),
     ("box:3x", "volume spec 'box:3x' has an empty extent entry"),
     ("case1:1,@3x3x3", "volume spec 'case1:1,@3x3x3' has an empty tilt entry"),
+    # 'x' separates extents; a comma separates only tilt entries
+    ("box:3,3", "volume spec 'box:3,3' separates its extents with a comma, "
+                "not with 'x'"),
+    ("case1:1@3,3", "volume spec 'case1:1@3,3' separates its extents with a "
+                    "comma, not with 'x'"),
 ])
 def test_parse_volume_builder_messages(spec, message):
     with pytest.raises(InputError) as info:

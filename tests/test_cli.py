@@ -1211,7 +1211,7 @@ def _sweep_refused(capsys, monkeypatch, tmp_path, grid, sizes):
     ("1/0", "cannot parse parameter '1/0'"),
     ("1e400", "parameter ~1e+400 is outside double range (it must be "
               "nonzero and its square finite)"),
-])
+], ids=["x", "0", "1/0", "1e400"])
 def test_sweep_refuses_a_grid_entry_with_no_answer(
         capsys, monkeypatch, tmp_path, entry, message):
     # a valid entry beside it is not solved either
@@ -1219,20 +1219,22 @@ def test_sweep_refuses_a_grid_entry_with_no_answer(
     assert err == f"error: --grid-a: {message}\n"
 
 
-@pytest.mark.parametrize("size", [1, 0, -2])
-def test_sweep_refuses_a_size_below_two(capsys, monkeypatch, tmp_path, size):
-    # the smallest size is checked first, so 40 is not the one named
-    err = _sweep_refused(capsys, monkeypatch, tmp_path, "2", f"4,40,{size}")
-    assert err == f"error: --sizes: a chain's gap needs >= 2 sites, " \
-                  f"got {size}\n"
+def test_sweep_rows_below_two_sites_fail(capsys, monkeypatch, tmp_path):
+    # the whole sweep exits 2; the smallest size is checked first, so 40 is
+    # not the one named
+    for size in (1, 0, -2):
+        err = _sweep_refused(capsys, monkeypatch, tmp_path, "2",
+                             f"4,40,{size}")
+        assert err == f"error: --sizes: a chain's gap needs >= 2 sites, " \
+                      f"got {size}\n"
 
 
-@pytest.mark.parametrize("size", [40, 100000000])
 def test_sweep_refuses_an_oversized_chain_before_building_it(
-        capsys, monkeypatch, tmp_path, size):
-    err = _sweep_refused(capsys, monkeypatch, tmp_path, "2", f"4,{size}")
-    assert err == (f"error: --sizes: base-3 codes of {size} sites overflow "
-                   "int64 (at most 39 sites)\n")
+        capsys, monkeypatch, tmp_path):
+    for size in (40, 100000000):
+        err = _sweep_refused(capsys, monkeypatch, tmp_path, "2", f"4,{size}")
+        assert err == (f"error: --sizes: base-3 codes of {size} sites "
+                       "overflow int64 (at most 39 sites)\n")
 
 
 def test_sweep_without_cache_computes_no_key(capsys, monkeypatch):

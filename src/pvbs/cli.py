@@ -100,36 +100,32 @@ def emit(record: dict, fmt: str) -> None:
 
 # what int() accepts in base 10, so that a failure to read it can only be
 # the interpreter's digit limit
-_INT_LITERAL = re.compile(r"\s*[-+]?\d+(_\d+)*\s*")
+_INT_LITERAL = re.compile(r"[-+]?\d+(_\d+)*")
 
 
-def _listed(values: tuple, option: str) -> tuple:
-    """values, or InputError naming the option that listed none."""
-    if not values:
+def _entries(text: str, option: str) -> tuple[str, ...]:
+    """The stripped comma-separated entries of `text`; InputError naming
+    `option` if it lists none or one of its entries is empty."""
+    entries = tuple(s.strip() for s in text.split(","))
+    if not any(entries):
         raise InputError(f"{option} lists no values")
-    return values
-
-
-def parse_lambda(text: str, option: str) -> tuple[str, ...]:
-    """The comma-separated decimals/fractions of a parameter vector, which
-    `Params` parses exactly; InputError naming `option` if there are none."""
-    return _listed(tuple(s.strip() for s in text.split(",") if s.strip()),
-                   option)
+    if "" in entries:
+        raise InputError(f"{option} entry {entries.index('') + 1} is empty")
+    return entries
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of `text`, skipping empty entries;
-    InputError naming `what` and the entry at fault, also for an integer
-    written with more digits than int() reads (4300 by default)."""
-    entries = [s for s in text.split(",") if s.strip()]
+    """The comma-separated integers of `text`; InputError naming `what` and
+    the entry at fault, also for an integer written with more digits than
+    int() reads (4300 by default)."""
     values = []
-    for i, entry in enumerate(entries, 1):
+    for i, entry in enumerate(_entries(text, what), 1):
         try:
             values.append(int(entry))
         except ValueError:
             if not _INT_LITERAL.fullmatch(entry):
                 raise InputError(f"{what} entry {i} is not an integer: "
-                                 f"{entry.strip()[:20]!r}") from None
+                                 f"{entry[:20]!r}") from None
             digits = sum(c.isdigit() for c in entry)
             raise InputError(f"{what} entry {i} has {digits} digits, more "
                              f"than the {sys.get_int_max_str_digits()} an "
@@ -149,15 +145,9 @@ def parse_volume(text: str) -> Volume:
     if "," in l_txt:
         raise InputError(f"volume spec {text!r} separates its extents with "
                          "a comma, not with 'x'")
-    l_txt = l_txt.replace("x", ",")
-    # unlike --sizes, a volume spec skips no empty entry
-    for what, entries in (("extent", l_txt), ("tilt", v_txt)):
-        if entries.strip() and not all(s.strip() for s in entries.split(",")):
-            raise InputError(f"volume spec {text!r} has an empty {what} "
-                             "entry")
-    dims = parse_ints(l_txt, "--volume extents")
-    if not dims:
+    if not l_txt.strip():
         raise InputError(f"volume spec {text!r} has no extents")
+    dims = parse_ints(l_txt.replace("x", ","), "--volume extents")
     # sector enumeration refuses a volume over the site limit, so refuse
     # it before building its sites; a non-positive extent is left to the
     # builders, whose message names it
@@ -165,12 +155,14 @@ def parse_volume(text: str) -> Volume:
     fock.check_site_count(site_count(case, dims))
     if kind == "box":
         return build_box(dims)
-    return build_tilted(case, parse_ints(v_txt, "--volume vector"), dims)
+    # a spec that writes no tilt entry has none
+    tilt = parse_ints(v_txt, "--volume vector") if v_txt.strip() else ()
+    return build_tilted(case, tilt, dims)
 
 
 def _params(args) -> Params:
-    return Params(parse_lambda(args.lambda_a, "--lambda-a"),
-                  parse_lambda(args.lambda_b, "--lambda-b"))
+    return Params(_entries(args.lambda_a, "--lambda-a"),
+                  _entries(args.lambda_b, "--lambda-b"))
 
 
 def _checked(option: str, check, *inputs):
@@ -188,12 +180,18 @@ def _eta(args) -> float:
     return args.eta
 
 
+def _at_least_one(option: str, value: int) -> int:
+    """value, or InputError naming the count option below 1."""
+    if value < 1:
+        raise InputError(f"{option} must be at least 1, got {value}")
+    return value
+
+
 def _budget(args) -> int:
     """--budget, clamped to the sector enumeration cap: a sector over
     either is skipped, never an error."""
-    if args.budget < 1:
-        raise InputError(f"--budget must be at least 1, got {args.budget}")
-    return min(args.budget, fock.DEFAULT_SECTOR_CAP)
+    return min(_at_least_one("--budget", args.budget),
+               fock.DEFAULT_SECTOR_CAP)
 
 
 # ---------------------------------------------------------------- cache
@@ -227,8 +225,9 @@ def cache_get(cdir: str | None, key: str | None, point: dict):
     """The sweep row cached under key for `point`, or None on a miss: when
     the entry cannot be read or parsed, when its keys are not those of
     `point` plus gap and status or its values differ from `point`'s, or
-    when its gap is neither a finite float nor null or its status is not
-    a string. The caller then recomputes it and overwrites the entry."""
+    when its gap is not a finite float or its status is neither ok nor
+    partial, as no sweep writes such a row. The caller then recomputes it
+    and overwrites the entry."""
     if not cdir:
         return None
     try:
@@ -240,9 +239,9 @@ def cache_get(cdir: str | None, key: str | None, point: dict):
             and set(record) == {*point, "gap", "status"}
             and all(type(record[k]) is type(v) and record[k] == v
                     for k, v in point.items())
-            and (record["gap"] is None or isinstance(record["gap"], float)
-                 and math.isfinite(record["gap"]))
-            and isinstance(record["status"], str)):
+            and isinstance(record["gap"], float)
+            and math.isfinite(record["gap"])
+            and record["status"] in ("ok", "partial")):
         return None
     return record
 
@@ -294,16 +293,13 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    if args.ell_cap < 1:
-        raise InputError(f"--ell-cap must be at least 1, got {args.ell_cap}")
-    return martingale.certify(_params(args), eta=_eta(args),
-                              ell_cap=args.ell_cap,
+    ell_cap = _at_least_one("--ell-cap", args.ell_cap)
+    return martingale.certify(_params(args), eta=_eta(args), ell_cap=ell_cap,
                               gamma_budget=_budget(args))
 
 
 def cmd_verify_lemmas(args) -> dict:
-    if args.trials < 1:
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    _at_least_one("--trials", args.trials)
     p = _params(args)
     t = model.select_tilt(p, eta=_eta(args))
     rng = random.Random(args.seed)
@@ -327,16 +323,14 @@ def cmd_verify_lemmas(args) -> dict:
 
 def cmd_verify_projection(args) -> dict:
     p = _params(args)
-    if args.ell < 1:
-        raise InputError(f"--ell must be at least 1, got {args.ell}")
+    _at_least_one("--ell", args.ell)
     if args.n < args.ell:
         raise InputError(f"--n must be at least --ell, got --n {args.n} "
                          f"--ell {args.ell}")
     if not 0 <= args.j < p.dim:
         raise InputError(f"-j must be in 0..{p.dim - 1} for dimension "
                          f"{p.dim}, got {args.j}")
-    if args.lead < 1:
-        raise InputError(f"--lead must be at least 1, got {args.lead}")
+    _at_least_one("--lead", args.lead)
     t = model.select_tilt(p, eta=_eta(args))
     return {"condition_i": martingale.verify_condition_i(t, args.j, args.ell),
             "condition_iii": martingale.verify_condition_iii(
@@ -346,7 +340,7 @@ def cmd_verify_projection(args) -> dict:
 
 def cmd_scaling(args) -> dict:
     p = _params(args)
-    sizes = _listed(parse_ints(args.sizes, "--sizes"), "--sizes")
+    sizes = parse_ints(args.sizes, "--sizes")
     if any(s > 0 and p.dim / s < sys.float_info.min for s in sizes):
         raise InputError("--sizes entries must keep the trial energy "
                          "d/size inside double range")
@@ -355,13 +349,13 @@ def cmd_scaling(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    grid_a = dict.fromkeys(parse_lambda(args.grid_a, "--grid-a"))
-    lambda_b = parse_lambda(args.lambda_b, "--lambda-b")
-    if len(lambda_b) != 1:
+    grid_a = dict.fromkeys(_entries(args.grid_a, "--grid-a"))
+    entry_b = _entries(args.lambda_b, "--lambda-b")
+    if len(entry_b) != 1:
         raise InputError("--lambda-b must list one value: every sweep point "
                          "is a chain")
-    lambda_b = _checked("--lambda-b", Params, lambda_b, lambda_b).lambda_b
-    sizes = sorted(set(_listed(parse_ints(args.sizes, "--sizes"), "--sizes")))
+    lambda_b = _checked("--lambda-b", Params, entry_b, entry_b).lambda_b
+    sizes = sorted(set(parse_ints(args.sizes, "--sizes")))
     # each input is checked once, before the cache or any volume: a point
     # with no answer exits 2, so every row is an answer
     params = {la: _checked("--grid-a", Params, (la,), lambda_b)
@@ -383,7 +377,8 @@ def cmd_sweep(args) -> dict:
     for la, p in params.items():
         wanted = {}
         for size in sizes:
-            point = {"lambda_a": la, "lambda_b": args.lambda_b, "L": size}
+            # a row and its cache key hold each entry as read
+            point = {"lambda_a": la, "lambda_b": entry_b[0], "L": size}
             key = cache_key({"verb": "sweep-point", **point}) if cdir else None
             row = cache_get(cdir, key, point)
             if row is None:
@@ -411,7 +406,10 @@ def cmd_sweep(args) -> dict:
             rows.append(row)
             solves += 1
             # a bounded sector is the only unskipped one left without a
-            # value: ground sectors have a kernel, others an excitation
+            # value: ground sectors have a kernel, others an excitation.
+            # "Solved" counts sectors with a value, not eigensolves: a
+            # mirror twin's copied record counts, as does the one-state
+            # ground sector (0,0), which needs none
             low = sum(s["lowest_excited"] is None and not s["kernel"]
                       and not s["skipped"] for s in rec["sectors"])
             bounded += low

@@ -138,6 +138,24 @@ NAMED_IN_MESSAGE = {
     ("gap", "--lambda-a", "2,3", "--lambda-b", "1/2,1/2",
      "--volume", "case1:1,z@3x3"): "--volume vector entry 2 is not an "
                                    "integer: 'z'",
+    # an empty entry is an error in every comma-separated option, not a
+    # shorter list: 2,,3 would answer for a 2-dimensional model
+    ("classify", "--lambda-a", "2,,3", "--lambda-b", "1/2,1/2"):
+        "--lambda-a entry 2 is empty",
+    ("classify", "--lambda-a", "2,", "--lambda-b", "1/2"):
+        "--lambda-a entry 2 is empty",
+    ("gap", "--lambda-a", "2,3", "--lambda-b", "1/2, ,1/2",
+     "--volume", "box:3x3"): "--lambda-b entry 2 is empty",
+    ("certify", "--lambda-a", "10", "--lambda-b", ",1/10"):
+        "--lambda-b entry 1 is empty",
+    ("sweep", "--grid-a", "2,,3", "--lambda-b", "1/2",
+     "--sizes", "3"): "--grid-a entry 2 is empty",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2,",
+     "--sizes", "3"): "--lambda-b entry 2 is empty",
+    ("sweep", "--grid-a", "2", "--lambda-b", "1/2",
+     "--sizes", "3,,4"): "--sizes entry 2 is empty",
+    ("scaling", "--lambda-a", "1", "--lambda-b", "2",
+     "--sizes", "2,"): "--sizes entry 2 is empty",
 }
 
 
@@ -893,7 +911,9 @@ def test_sweep_with_cache(capsys, tmp_path):
                    edit("lambda_a", lambda la: "3.0"),
                    edit("lambda_b", lambda lb: "1/2"), edit("gap", str),
                    edit("gap", lambda gap: float("nan")),
-                   edit("status", lambda status: 1)):
+                   edit("gap", lambda gap: None),
+                   edit("status", lambda status: 1),
+                   edit("status", lambda status: "failed: anything")):
         with open(entry) as fh:
             text = fh.read()
         with open(entry, "w") as fh:
@@ -904,6 +924,21 @@ def test_sweep_with_cache(capsys, tmp_path):
         assert "5 cache hits, 1 solves" in err3
         with open(entry) as fh:
             assert fh.read() == text
+
+
+def test_sweep_echoes_lambda_b_as_read(capsys, tmp_path):
+    # rows and cache keys hold the stripped --lambda-b entry, so " 1/2 "
+    # prints 1/2 and hits the entry that 1/2 wrote
+    cdir = str(tmp_path / "cache")
+    args = ("sweep", "--grid-a", "2", "--sizes", "3", "--cache-dir", cdir)
+    code, out, _ = run_cli(capsys, *args, "--lambda-b", "1/2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,1/2,3,")
+    code2, out2, err2 = run_cli(capsys, *args, "--lambda-b", " 1/2 ")
+    assert code2 == 0
+    assert out2 == out
+    assert "1 cache hits, 0 solves" in err2
+    assert len(os.listdir(cdir)) == 1
 
 
 def test_sweep_points_share_patterns_but_not_weights(capsys):
@@ -1407,10 +1442,10 @@ def test_parse_volume():
     ("case2:1@3x2", "tilt vector length must be d - 2"),
     ("case1:-1@3x2", "tilt entries must be nonnegative"),
     ("case1:1@0x2", "extents must be >= 1, got (0, 2)"),
-    # --sizes skips an empty entry, a volume spec does not
-    ("box:3xx3", "volume spec 'box:3xx3' has an empty extent entry"),
-    ("box:3x", "volume spec 'box:3x' has an empty extent entry"),
-    ("case1:1,@3x3x3", "volume spec 'case1:1,@3x3x3' has an empty tilt entry"),
+    # an empty entry is refused, as in every comma-separated option
+    ("box:3xx3", "--volume extents entry 2 is empty"),
+    ("box:3x", "--volume extents entry 2 is empty"),
+    ("case1:1,@3x3x3", "--volume vector entry 2 is empty"),
     # 'x' separates extents; a comma separates only tilt entries
     ("box:3,3", "volume spec 'box:3,3' separates its extents with a comma, "
                 "not with 'x'"),

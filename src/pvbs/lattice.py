@@ -19,7 +19,7 @@ MAX_DIM = 4
 Site = tuple[int, ...]
 
 
-def _check_dim(d: int) -> None:
+def check_dim(d: int) -> None:
     if not 1 <= d <= MAX_DIM:
         raise InputError(f"dimension must be in 1..{MAX_DIM}, got {d}")
 
@@ -35,7 +35,7 @@ class Volume:
     position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        check_dim(self.dim)
         ordered = tuple(sorted(set(self.sites)))
         if len(ordered) != len(self.sites):
             raise InputError("duplicate sites in volume")
@@ -120,7 +120,7 @@ def build_tilted(case: int, v_tail: tuple[int, ...],
       0 <= -x1 + x2          <= 2 L_2 - 1
     """
     d = len(extents)
-    _check_dim(d)
+    check_dim(d)
     if case == 2 and d < 2:
         raise InputError("Case-2 volumes need d >= 2")
     if len(v_tail) != d - case:

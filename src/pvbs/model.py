@@ -7,6 +7,7 @@ spectral work downstream converts to float.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ComputeError, InputError
-from .lattice import MAX_DIM
+from .lattice import check_dim
 
 DEFAULT_ETA = 0.05
-V_MAX = 8
 DEFAULT_ELL_CAP = 64
 
 
@@ -79,8 +79,7 @@ class Params:
         object.__setattr__(self, "lambda_b", _parse_vec(self.lambda_b))
         if len(self.lambda_a) != len(self.lambda_b):
             raise InputError("lambda_a and lambda_b must have the same dimension")
-        if not 1 <= self.dim <= MAX_DIM:
-            raise InputError(f"dimension must be in 1..{MAX_DIM}")
+        check_dim(self.dim)
 
     @property
     def dim(self) -> int:
@@ -219,15 +218,24 @@ def _margin(x: Fraction, eta: float) -> bool:
 
 def _pick_v(la: Fraction, lb: Fraction, base_a: Fraction, base_b: Fraction,
             eta: float):
-    """Smallest v in 0..V_MAX with both tilted parameters off the margin."""
-    for v in range(V_MAX + 1):
+    """Smallest v >= 0 with both tilted parameters off the margin.
+
+    One always exists, and v <= 4. `select_tilt` has checked each lead
+    margin, so L_s = |log base_s| >= eta for both species. Species s
+    rules v out only when its tilted parameter lambda_s,j base_s^-v is 1
+    or |log lambda_s,j - v log base_s| < eta. For eta > 0 the first is a
+    case of the second, and those v lie in an open interval of length
+    2 eta / L_s <= 2, which holds at most two integers; for eta = 0 only
+    the first is left, and since base_s != 1 it holds for at most one v.
+    So the two species rule out at most four values, and some v <= 4
+    passes. (The logs are floats, so an integer within a rounding of an
+    interval's end may fall on either side of it.) The search needs no
+    bound to end: both tilted logs grow without bound in v."""
+    for v in itertools.count():
         ta = la * base_a ** -v
         tb = lb * base_b ** -v
         if _margin(ta, eta) and _margin(tb, eta):
             return v, ta, tb
-    raise ComputeError(
-        "parameters too close to gapless manifold: no tilt integer "
-        f"<= {V_MAX} achieves margin eta={eta}")
 
 
 def select_tilt(p: Params, eta: float = DEFAULT_ETA) -> TiltScheme:

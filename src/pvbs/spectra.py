@@ -2,7 +2,8 @@
 
 Dense diagonalization for sectors of at most DENSE_CAP (64) states (see
 the comment above it), and above it a thick-restart Lanczos in numpy
-(K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), whose
+(K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), which
+orthogonalizes each new vector twice against all before it, and whose
 eigenpairs are each checked by their residual. Every particle sector is
 solved the same way: its kernel (one analytic ground vector in a
 ground-bearing sector, none elsewhere) is counted among the lowest
@@ -60,9 +61,10 @@ SPLITMIX_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 # no sector of box:10 to box:12, box:3x4, box:3x3 or the 13-site certify
 # seed, near-gapless and gapless weights included, needs over 25 cycles
 LANCZOS_MAX_CYCLES = 1000
-# a Gram-Schmidt pass that leaves less than this share of the norm is
-# repeated once (the DGKS criterion, with ARPACK's constant)
-DGKS_RATIO = 0.717
+# a second Gram-Schmidt pass that leaves less than this share of the
+# norm the first left means a breakdown: the vector lies in the span
+# (ARPACK's DGKS constant)
+BREAKDOWN_RATIO = 0.717
 
 
 def lanczos_start(dim: int, draw: int = 0) -> np.ndarray:
@@ -82,23 +84,27 @@ def lanczos_start(dim: int, draw: int = 0) -> np.ndarray:
 
 
 def _orthogonalize(w: np.ndarray, q: np.ndarray):
-    """w minus its projection on the orthonormal rows of q, by classical
-    Gram-Schmidt with one DGKS correction (Daniel, Gragg, Kaufman and
-    Stewart, Math. Comp. 30, 772 (1976)), in place. Returns w, the
-    projection coefficients and the norm of w, 0.0 when w lies in the
-    span of q to rounding. The norms are np.linalg.norm's arithmetic for
-    a real vector, without its dispatch."""
-    norm = math.sqrt(w.dot(w))
+    """w minus its projection on the orthonormal rows of q, by two passes
+    of classical Gram-Schmidt, in place. Returns w, the projection
+    coefficients and the norm of w, 0.0 when w lies in the span of q to
+    rounding. The second pass is always made ("twice is enough": L.
+    Giraud, J. Langou and M. Rozloznik, Comput. Math. Appl. 50, 1069
+    (2005)). In Lanczos H q_j lies mostly along q_j and q_(j-1), so the
+    first pass removes most of its norm, and the DGKS criterion (Daniel,
+    Gragg, Kaufman and Stewart, Math. Comp. 30, 772 (1976)), which
+    repeats the pass when it leaves less than BREAKDOWN_RATIO of the
+    norm, repeated it on every step of every solve measured. The norms
+    are np.linalg.norm's arithmetic for a real vector, without its
+    dispatch."""
     coef = q @ w
     w -= coef @ q
-    norm, before = math.sqrt(w.dot(w)), norm
-    if norm < DGKS_RATIO * before:
-        again = q @ w
-        w -= again @ q
-        coef += again
-        norm, before = math.sqrt(w.dot(w)), norm
-        if norm < DGKS_RATIO * before:
-            norm = 0.0
+    first = math.sqrt(w.dot(w))
+    again = q @ w
+    w -= again @ q
+    coef += again
+    norm = math.sqrt(w.dot(w))
+    if norm < BREAKDOWN_RATIO * first:
+        norm = 0.0
     return w, coef, norm
 
 
@@ -106,9 +112,9 @@ def _lanczos(h, k: int, scale: float):
     """The k lowest Ritz values of H, ascending, and their Ritz vectors as
     columns, by thick-restart Lanczos: a basis of at most
     m = max(2k + 1, 20) vectors plus the residual direction, each vector
-    orthogonalized against all before it, restarted from the lowest m // 2
-    Ritz vectors until every wanted Ritz residual estimate is at most
-    KERNEL_TOL_REL / 10 * scale. ComputeError after LANCZOS_MAX_CYCLES
+    orthogonalized twice against all before it, restarted from the lowest
+    m // 2 Ritz vectors until every wanted Ritz residual estimate is at
+    most KERNEL_TOL_REL / 10 * scale. ComputeError after LANCZOS_MAX_CYCLES
     cycles."""
     dim = h.shape[0]
     m = min(dim, max(2 * k + 1, 20))

@@ -135,6 +135,20 @@ def test_diagonal_bound_needs_opposite_signs():
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("check, args, message", [
+    (analytic.check_product_bounds, (3, 4),
+     "product bounds need slab length >= 2"),
+    (analytic.check_diagonal_bound, (4, 4), "diagonal bound needs hi > lo"),
+    (analytic.check_ratio_bounds, (3, 4), "ratio bounds need n >= ell >= 2"),
+    (analytic.check_ratio_bounds, (4, 1), "ratio bounds need n >= ell >= 2"),
+], ids=["product", "diagonal", "ratio-n", "ratio-ell"])
+def test_bound_checks_refuse_a_degenerate_slab(check, args, message):
+    family = sweep_family(select_tilt(Params(("10",), ("1/10",))), 0, 5, 5)
+    with pytest.raises(InputError) as info:
+        check(family, *args)
+    assert str(info.value) == message
+
+
 def test_ratio_bounds_frozen_oracles():
     # growing species lambda~=2: C(n+1-ell)/C(n) at n=6, ell=4 is 21/1365
     t = select_tilt(Params(("2",), ("1/2",)))

@@ -156,6 +156,8 @@ NAMED_IN_MESSAGE = {
      "--sizes", "3,,4"): "--sizes entry 2 is empty",
     ("scaling", "--lambda-a", "1", "--lambda-b", "2",
      "--sizes", "2,"): "--sizes entry 2 is empty",
+    ("classify", "--lambda-a", "2,2,2,2,2", "--lambda-b", "1,1,1,1,1"):
+        "dimension must be in 1..4, got 5",
 }
 
 
@@ -782,6 +784,18 @@ def test_tilt_margin_failure_is_budget_error_in_every_verb(capsys, argv):
     assert code == 3
     assert out == ""
     assert "gapless manifold" in err
+
+
+def test_certify_exits_3_when_a_condition_fails(capsys, monkeypatch):
+    # a measured ||G_slab E_n|| of 1 is above every projection bound
+    monkeypatch.setattr(operators, "projection_product_norm",
+                        lambda slab, inner, p: 1.0)
+    code, out, err = run_cli(capsys, "certify", "--lambda-a", "10",
+                             "--lambda-b", "1/10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: certificate invalid: condition iii failed "
+                          "with inputs ")
 
 
 def test_program_fault_is_not_an_exit_code(capsys, monkeypatch):
@@ -1461,3 +1475,17 @@ def test_parse_volume_builder_messages(spec, message):
 def test_canonical_json_17_digits():
     s = cli.dumps_canonical({"x": 1 / 3, "y": [2.0, True, None, "s"]})
     assert s == '{"x":0.33333333333333331,"y":[2.0,true,null,"s"]}'
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (math.nan, ValueError, "non-finite float in output"),
+    (math.inf, ValueError, "non-finite float in output"),
+    (-math.inf, ValueError, "non-finite float in output"),
+    ({1, 2}, TypeError, "cannot serialize set"),
+    (b"s", TypeError, "cannot serialize bytes"),
+], ids=["nan", "inf", "-inf", "set", "bytes"])
+def test_canonical_json_refuses_what_it_cannot_print(value, error, message):
+    with pytest.raises(error) as info:
+        cli.dumps_canonical({"x": [1.0, value]})
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -108,6 +108,12 @@ def test_slab_tilted_row():
         (-1, 1), (0, 1)}
 
 
+def test_volume_refuses_duplicate_sites():
+    with pytest.raises(InputError) as info:
+        Volume(1, ((0,), (1,), (0,)))
+    assert str(info.value) == "duplicate sites in volume"
+
+
 def test_volumes_with_the_same_sites_are_equal():
     # a volume is its dimension and sites, whatever built it
     chains = [build_box((3,)), build_tilted(1, (), (3,)),

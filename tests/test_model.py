@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pvbs import ComputeError, InputError
@@ -34,6 +34,12 @@ def test_params_validation():
     for value in (2, 0.1, True, None):
         with pytest.raises(InputError, match="cannot parse parameter"):
             Params((value,), ("1",))
+
+
+def test_params_species_refuses_an_unknown_species():
+    with pytest.raises(InputError) as info:
+        Params(("2",), ("1/2",)).species("c")
+    assert str(info.value) == "unknown species 'c'"
 
 
 def test_classify_zd():
@@ -170,6 +176,52 @@ def test_select_tilt_margin_failure():
     close = Fraction(101, 100)  # |log| ~ 0.00995 < eta
     with pytest.raises(ComputeError):
         select_tilt(Params((close,), (close,)))
+
+
+def _near(eta: float, stretch: float) -> Fraction:
+    """A fraction close to exp(stretch * eta)."""
+    return Fraction(math.exp(stretch * eta)).limit_denominator(10 ** 9)
+
+
+@st.composite
+def gapped_tilt_inputs(draw):
+    """Gapped parameters in d = 2..4 of either case, with an eta that the
+    leading margins meet (often barely), and tails that are 1, an exact
+    power of a lead parameter, or such a power times a factor within a
+    few eta of 1: where the tilt search rules out the most integers."""
+    d = draw(st.integers(2, 4))
+    eta = draw(st.floats(0.001, 2))
+    sign = st.sampled_from([1, -1])
+    leads = [_near(eta, draw(sign) * (1 + draw(st.sampled_from(
+        [0.0, 1e-9, 1e-3, 0.1, 1.0, 3.0])) * draw(st.floats(0, 1))))
+        for _ in "ab"]
+    assume(all(x != 1 and abs(math.log(x)) >= eta for x in leads))
+
+    def tail(lead):
+        power = lead ** draw(st.integers(-1, 6))
+        return draw(st.sampled_from([Fraction(1), power, power * _near(
+            eta, draw(st.floats(-3, 3)))]))
+
+    if draw(st.booleans()):  # Case 1: coordinate 0 is shared
+        la = [leads[0]] + [tail(leads[0]) for _ in range(d - 1)]
+        lb = [leads[1]] + [tail(leads[1]) for _ in range(d - 1)]
+    else:  # Case 2: each coordinate has one species flat
+        la = [leads[0]] + [Fraction(1)] * (d - 1)
+        lb = [Fraction(1), leads[1]] + [Fraction(1)] * (d - 2)
+        for j in range(2, d):
+            if draw(st.booleans()):
+                la[j] = tail(leads[0])
+            else:
+                lb[j] = tail(leads[1])
+    return Params(tuple(la), tuple(lb)), eta
+
+
+@given(gapped_tilt_inputs())
+@settings(max_examples=300, deadline=None)
+def test_select_tilt_needs_no_tilt_integer_above_four(inputs):
+    # each species rules out at most two tilt integers (see _pick_v)
+    p, eta = inputs
+    assert all(v <= 4 for v in select_tilt(p, eta).v)
 
 
 def test_c_tilde_values():

@@ -38,6 +38,13 @@ def test_edge_block_kernel(lam_a, lam_b):
     assert np.max(np.abs(kv @ kv.T - np.eye(4))) < 1e-13
 
 
+@pytest.mark.parametrize("lam_a, lam_b", [(0.0, 2.0), (2.0, -0.5)])
+def test_edge_block_refuses_a_nonpositive_parameter(lam_a, lam_b):
+    with pytest.raises(ComputeError) as info:
+        operators.edge_projection_block(lam_a, lam_b)
+    assert str(info.value) == "edge parameters must be positive"
+
+
 def test_sector_hamiltonian_two_sites():
     v = build_box((2,))
     b = fock.enumerate_sector(v, 1, 0)

@@ -51,6 +51,16 @@ def test_lowest_eigenvalues_dense_vs_lanczos(monkeypatch):
             dense if dim <= spectra.DENSE_CAP else lanczos)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_lowest_eigenvalues_refuses_k_outside_one_to_dim(k):
+    h = operators.assemble_sector_hamiltonian(
+        operators.sector_pattern(fock.enumerate_sector(build_box((3,)), 1, 0)),
+        operators.edge_weights(P_CHAIN))
+    with pytest.raises(ComputeError) as info:
+        spectra.lowest_eigenvalues(h, k=k)
+    assert str(info.value) == f"need 1 <= k <= dim, got k={k}, dim=3"
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("volume, p, sector", [
     (build_box((8,)), P_CHAIN, (1, 3)),
